@@ -17,7 +17,7 @@
 //!    schedule for the duration of their measurement, so the trial runs
 //!    through exactly the `Tunables`-reading paths production uses.
 //! 2. `service_replay` — the service knobs (micro-batch window, admission
-//!    watermarks) against an in-process request replay, `loadgen`-style.
+//!    watermarks) against an open-loop in-process request replay.
 //!
 //! The winners merge into one profile. Before anything is reported the
 //! profile is written, re-loaded through the fingerprint-checking loader,
@@ -33,8 +33,7 @@ use std::env;
 use std::sync::Arc;
 use std::time::Instant;
 
-use chambolle_bench::loadreport::SCHEMA;
-use chambolle_bench::tunereport::{parse_args, validate_tuning, Args, BENCH_TUNING};
+use chambolle_bench::tunereport::{parse_args, validate_tuning, Args, BENCH_TUNING, SCHEMA};
 use chambolle_bench::workloads::timing_frame;
 use chambolle_core::{
     rof_energy, ChambolleParams, ExecCtx, NumericsPolicy, TileConfig, TiledSolver, TvDenoiser,

@@ -3,7 +3,7 @@
 //! Lives in the library (rather than the binary) so the integration tests
 //! under `crates/bench/tests` can parse-test every flag and validate the
 //! emitted `BENCH_pr9.json` against the stable schema without spawning the
-//! binary — the same split `loadreport` gives `loadgen`.
+//! binary.
 //!
 //! The `pr9` document records one auto-tuning run: the host fingerprint,
 //! one entry per searched workload (trial counts, anchor timings, the
@@ -16,8 +16,8 @@
 
 use chambolle_telemetry::json::JsonValue;
 
-use crate::loadreport::SCHEMA;
-
+/// Schema identifier checked by the smoke validation and downstream tools.
+pub const SCHEMA: &str = "chambolle.bench.v1";
 /// Benchmark identifier of the auto-tuning run within the schema.
 pub const BENCH_TUNING: &str = "pr9";
 

@@ -4,8 +4,7 @@
 //! the binary emits — plus rejection of every attestation the schema
 //! demands.
 
-use chambolle_bench::loadreport::SCHEMA;
-use chambolle_bench::tunereport::{parse_args, validate_tuning, MIN_DIMENSIONS};
+use chambolle_bench::tunereport::{parse_args, validate_tuning, MIN_DIMENSIONS, SCHEMA};
 use chambolle_telemetry::json::JsonValue;
 use chambolle_telemetry::Telemetry;
 use chambolle_tune::{

@@ -1,12 +1,17 @@
 //! Runtime-dispatched SIMD backends for the fused row kernels.
 //!
-//! A [`KernelBackend`] names one implementation of the hot row kernels in
-//! [`crate::kernels`]: the portable scalar reference, 128-bit SSE2,
-//! 256-bit AVX2 or 512-bit AVX-512 `std::arch` intrinsics. At the
-//! **Exact** numerics tier all of them compute **bit-identical** results
-//! (the AVX-512 backend executes the AVX2 exact bodies — dedicated 16-lane
-//! kernels exist only at the Fast tier, where byte equality is not the
-//! contract):
+//! A [`KernelBackend`] names one SIMD level for the hot row kernels in
+//! [`crate::kernels`]. At the **Exact** numerics tier there are two
+//! implementations, and they compute **bit-identical** results:
+//!
+//! - the portable scalar reference, which `Scalar` and `Sse2` run (LLVM
+//!   auto-vectorises it to SSE2, and hand-written SSE2 bodies measured no
+//!   faster);
+//! - 256-bit AVX2 `std::arch` intrinsics, which `Avx2` and `Avx512` run
+//!   (dedicated 16-lane kernels exist only at the Fast tier, where byte
+//!   equality is not the contract).
+//!
+//! Bit identity holds because:
 //!
 //! - vector lanes replay the scalar operation order exactly — no fused
 //!   multiply-add, no reassociation — and every op used (`add`, `sub`,
@@ -51,7 +56,9 @@ use crate::real::Real;
 pub enum KernelBackend {
     /// Portable scalar Rust — the reference all other backends must match.
     Scalar,
-    /// 128-bit SSE2 intrinsics, 4 × `f32` per op.
+    /// 128-bit SSE2 level, 4 × `f32` per op. Exact-tier solves run the
+    /// scalar reference (which the compiler already vectorises to SSE2); the
+    /// `imaging` row kernels have dedicated SSE2 bodies.
     Sse2,
     /// 256-bit AVX2 intrinsics, 8 × `f32` per op.
     Avx2,
@@ -150,6 +157,14 @@ impl KernelBackend {
         );
     }
 
+    /// Whether the Exact row kernels take the AVX2 bodies: `Avx2`, and
+    /// `Avx512` (whose Exact tier delegates to them), on a CPU that runs
+    /// them. Every other case takes the scalar reference.
+    #[inline]
+    fn runs_avx2_bodies(&self) -> bool {
+        matches!(self, KernelBackend::Avx2 | KernelBackend::Avx512) && self.is_supported()
+    }
+
     /// [`kernels::compute_term_row`] on this backend. Bit-identical to the
     /// scalar reference for every backend.
     #[allow(clippy::too_many_arguments)] // mirrors the kernel's flat-slice shape
@@ -165,13 +180,13 @@ impl KernelBackend {
         out: &mut [R],
     ) {
         #[cfg(target_arch = "x86_64")]
-        if *self != KernelBackend::Scalar && out.len() >= 2 && self.is_supported() {
+        if self.runs_avx2_bodies() && out.len() >= 2 {
             if let (Some(px), Some(py), Some(v)) =
                 (f32_slice(px_row), f32_slice(py_row), f32_slice(v_row))
             {
                 let above = py_above.map(|a| f32_slice(a).expect("R proven to be f32"));
                 let out = f32_slice_mut(out).expect("R proven to be f32");
-                x86::term_row(*self, px, py, above, v, inv_theta.to_f32(), last_row, out);
+                x86::term_row(px, py, above, v, inv_theta.to_f32(), last_row, out);
                 return;
             }
         }
@@ -190,12 +205,12 @@ impl KernelBackend {
         py_row: &mut [R],
     ) {
         #[cfg(target_arch = "x86_64")]
-        if *self != KernelBackend::Scalar && term_row.len() >= 2 && self.is_supported() {
+        if self.runs_avx2_bodies() && term_row.len() >= 2 {
             if let Some(term) = f32_slice(term_row) {
                 let below = term_below.map(|b| f32_slice(b).expect("R proven to be f32"));
                 let px = f32_slice_mut(px_row).expect("R proven to be f32");
                 let py = f32_slice_mut(py_row).expect("R proven to be f32");
-                x86::update_p_row(*self, term, below, step_ratio.to_f32(), px, py);
+                x86::update_p_row(term, below, step_ratio.to_f32(), px, py);
                 return;
             }
         }
@@ -251,7 +266,7 @@ fn f32_slice_mut<R: Real>(s: &mut [R]) -> Option<&mut [f32]> {
     }
 }
 
-/// The x86-64 intrinsic bodies.
+/// The x86-64 AVX2 intrinsic bodies.
 ///
 /// Every function replays the scalar loops of [`crate::kernels`] with the
 /// per-lane operation order preserved exactly: no FMA contraction, no
@@ -261,7 +276,6 @@ fn f32_slice_mut<R: Real>(s: &mut [R]) -> Option<&mut [f32]> {
 mod x86 {
     use std::arch::x86_64::*;
 
-    use super::KernelBackend;
     use crate::kernels;
 
     /// Which y-divergence rule the term row uses (the four cases of
@@ -290,10 +304,8 @@ mod x86 {
     }
 
     /// Vectorized [`kernels::compute_term_row`]; caller guarantees
-    /// `out.len() >= 2` and that `backend` is supported on this CPU.
-    #[allow(clippy::too_many_arguments)]
+    /// `out.len() >= 2` and that the CPU supports AVX2.
     pub(super) fn term_row(
-        backend: KernelBackend,
         px: &[f32],
         py: &[f32],
         above: Option<&[f32]>,
@@ -308,42 +320,23 @@ mod x86 {
             (Some(a), false) => DivY::Interior(py, a),
             (Some(a), true) => DivY::Last(a),
         };
-        match backend {
-            // SAFETY: the caller checked `backend.is_supported()`, which for
-            // Avx2 is a runtime `is_x86_feature_detected!("avx2")` — and for
-            // Avx512 includes the same avx2 check (see `SimdLevel`), since
-            // the exact tier delegates to the AVX2 bodies.
-            KernelBackend::Avx2 | KernelBackend::Avx512 => unsafe {
-                term_row_avx2(px, v, inv_theta, out, &div_y)
-            },
-            // SAFETY: as above with `is_x86_feature_detected!("sse2")`.
-            KernelBackend::Sse2 => unsafe { term_row_sse2(px, v, inv_theta, out, &div_y) },
-            KernelBackend::Scalar => unreachable!("scalar never dispatches here"),
-        }
+        // SAFETY: the caller checked `is_supported()` on Avx2 or Avx512,
+        // both of which run `is_x86_feature_detected!("avx2")` (see
+        // `SimdLevel`).
+        unsafe { term_row_avx2(px, v, inv_theta, out, &div_y) }
     }
 
     /// Vectorized [`kernels::update_p_row`]; caller guarantees
-    /// `term.len() >= 2` and that `backend` is supported on this CPU.
+    /// `term.len() >= 2` and that the CPU supports AVX2.
     pub(super) fn update_p_row(
-        backend: KernelBackend,
         term: &[f32],
         below: Option<&[f32]>,
         step: f32,
         px: &mut [f32],
         py: &mut [f32],
     ) {
-        match backend {
-            // SAFETY: the caller checked `backend.is_supported()`, which for
-            // Avx2 is a runtime `is_x86_feature_detected!("avx2")` — and for
-            // Avx512 includes the same avx2 check (see `SimdLevel`), since
-            // the exact tier delegates to the AVX2 bodies.
-            KernelBackend::Avx2 | KernelBackend::Avx512 => unsafe {
-                update_p_row_avx2(term, below, step, px, py)
-            },
-            // SAFETY: as above with `is_x86_feature_detected!("sse2")`.
-            KernelBackend::Sse2 => unsafe { update_p_row_sse2(term, below, step, px, py) },
-            KernelBackend::Scalar => unreachable!("scalar never dispatches here"),
-        }
+        // SAFETY: as in `term_row`.
+        unsafe { update_p_row_avx2(term, below, step, px, py) }
     }
 
     /// The four `DivY` shapes as compile-time selectors, so each vector
@@ -445,50 +438,6 @@ mod x86 {
         out[w - 1] = (-px[w - 2] + div_y.at(w - 1)) - v[w - 1] * inv_theta;
     }
 
-    #[target_feature(enable = "sse2")]
-    unsafe fn term_row_sse2(
-        px: &[f32],
-        v: &[f32],
-        inv_theta: f32,
-        out: &mut [f32],
-        div_y: &DivY<'_>,
-    ) {
-        let w = out.len();
-        let it = _mm_set1_ps(inv_theta);
-        out[0] = (px[0] + div_y.at(0)) - v[0] * inv_theta;
-        let mut x = 1usize;
-        while x + 4 < w {
-            // SAFETY: `x + 4 <= w − 1 < len` bounds every unaligned load,
-            // including the shifted `px[x − 1]` stencil read.
-            unsafe {
-                let dx = _mm_sub_ps(
-                    _mm_loadu_ps(px.as_ptr().add(x)),
-                    _mm_loadu_ps(px.as_ptr().add(x - 1)),
-                );
-                let dy = match div_y {
-                    DivY::Zero => _mm_setzero_ps(),
-                    DivY::First(py) => _mm_loadu_ps(py.as_ptr().add(x)),
-                    DivY::Interior(py, above) => _mm_sub_ps(
-                        _mm_loadu_ps(py.as_ptr().add(x)),
-                        _mm_loadu_ps(above.as_ptr().add(x)),
-                    ),
-                    // IEEE sign-flip: matches the scalar `−above[x]` bitwise.
-                    DivY::Last(above) => {
-                        _mm_xor_ps(_mm_set1_ps(-0.0), _mm_loadu_ps(above.as_ptr().add(x)))
-                    }
-                };
-                let vi = _mm_mul_ps(_mm_loadu_ps(v.as_ptr().add(x)), it);
-                _mm_storeu_ps(out.as_mut_ptr().add(x), _mm_sub_ps(_mm_add_ps(dx, dy), vi));
-            }
-            x += 4;
-        }
-        while x < w - 1 {
-            out[x] = ((px[x] - px[x - 1]) + div_y.at(x)) - v[x] * inv_theta;
-            x += 1;
-        }
-        out[w - 1] = (-px[w - 2] + div_y.at(w - 1)) - v[w - 1] * inv_theta;
-    }
-
     #[target_feature(enable = "avx2")]
     unsafe fn update_p_row_avx2(
         term: &[f32],
@@ -573,52 +522,6 @@ mod x86 {
         kernels::update_p_row(
             &term[x..],
             below_opt.map(|b| &b[x..]),
-            step,
-            &mut px[x..],
-            &mut py[x..],
-        );
-    }
-
-    #[target_feature(enable = "sse2")]
-    unsafe fn update_p_row_sse2(
-        term: &[f32],
-        below: Option<&[f32]>,
-        step: f32,
-        px: &mut [f32],
-        py: &mut [f32],
-    ) {
-        let w = term.len();
-        let sv = _mm_set1_ps(step);
-        let one = _mm_set1_ps(1.0);
-        let mut x = 0usize;
-        while x + 4 < w {
-            // SAFETY: `x + 4 <= w − 1 < len` bounds every unaligned load,
-            // including the forward-difference `term[x + 1]` read.
-            unsafe {
-                let t = _mm_loadu_ps(term.as_ptr().add(x));
-                let t1 = _mm_sub_ps(_mm_loadu_ps(term.as_ptr().add(x + 1)), t);
-                let t2 = match below {
-                    Some(b) => _mm_sub_ps(_mm_loadu_ps(b.as_ptr().add(x)), t),
-                    None => _mm_setzero_ps(),
-                };
-                let grad = _mm_sqrt_ps(_mm_add_ps(_mm_mul_ps(t1, t1), _mm_mul_ps(t2, t2)));
-                let denom = _mm_add_ps(one, _mm_mul_ps(sv, grad));
-                let npx = _mm_div_ps(
-                    _mm_add_ps(_mm_loadu_ps(px.as_ptr().add(x)), _mm_mul_ps(sv, t1)),
-                    denom,
-                );
-                let npy = _mm_div_ps(
-                    _mm_add_ps(_mm_loadu_ps(py.as_ptr().add(x)), _mm_mul_ps(sv, t2)),
-                    denom,
-                );
-                _mm_storeu_ps(px.as_mut_ptr().add(x), npx);
-                _mm_storeu_ps(py.as_mut_ptr().add(x), npy);
-            }
-            x += 4;
-        }
-        kernels::update_p_row(
-            &term[x..],
-            below.map(|b| &b[x..]),
             step,
             &mut px[x..],
             &mut py[x..],

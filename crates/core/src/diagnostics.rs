@@ -9,7 +9,7 @@
 //! as `u = v − θ·div p` the gap simplifies to `TV(u) + ⟨∇u, p⟩`.
 
 use chambolle_imaging::Grid;
-use chambolle_telemetry::{names, Telemetry};
+use chambolle_telemetry::names;
 
 use crate::cancel::Cancelled;
 use crate::ctx::ExecCtx;
@@ -174,40 +174,17 @@ pub fn chambolle_denoise_monitored<R: Real>(
         .expect("an inert context carries no cancellation token")
 }
 
-/// [`chambolle_denoise_monitored`] with instrumentation: the whole solve is
-/// wrapped in a `solver.monitored_denoise` span, every gap check emits a
-/// `solver.convergence_point` event (iteration/energy/gap payload), and on
-/// return the registry holds `solver.iterations`, `solver.gap_checks`, and
-/// the final energy/gap gauges.
-///
-/// With a disabled [`Telemetry`] handle this is the exact code path of the
-/// plain function — every hook is a single branch on an empty `Option` —
-/// so the output is bit-identical to an uninstrumented solve (asserted by
-/// `tests/telemetry_noop.rs`).
-///
-/// # Panics
-///
-/// Panics if `check_every == 0`.
-#[deprecated(note = "use `chambolle_denoise_monitored_with_ctx` with \
-            `ExecCtx::default().with_telemetry(telemetry.clone())`")]
-pub fn chambolle_denoise_monitored_with_telemetry<R: Real>(
-    v: &Grid<R>,
-    params: &ChambolleParams,
-    check_every: u32,
-    gap_tolerance: f64,
-    telemetry: &Telemetry,
-) -> SolveReport<R> {
-    let ctx = ExecCtx::default().with_telemetry(telemetry.clone());
-    chambolle_denoise_monitored_with_ctx(v, params, check_every, gap_tolerance, &ctx)
-        .expect("a context without a token cannot be cancelled")
-}
-
 /// [`chambolle_denoise_monitored`] under an [`ExecCtx`]: the iteration
 /// chunks between gap checks run on the context's pool and kernel backend,
-/// the instrumentation of
-/// [`chambolle_denoise_monitored_with_telemetry`] records into the
-/// context's telemetry, and the context's cancellation token is polled at
-/// iteration boundaries.
+/// and the context's cancellation token is polled at iteration boundaries.
+///
+/// The context's telemetry records the whole solve in a
+/// `solver.monitored_denoise` span, one `solver.convergence_point` event
+/// (iteration/energy/gap payload) per gap check, and on return the
+/// `solver.iterations` and `solver.gap_checks` counters and the final
+/// energy/gap gauges. With disabled telemetry every hook is a single branch
+/// and the output is bit-identical to an uninstrumented solve (asserted by
+/// `tests/telemetry_noop.rs`).
 ///
 /// The gap and energy evaluations themselves are sequential left-to-right
 /// `f64` sums on every backend and pool size (see [`crate::backend`]), so
@@ -294,6 +271,7 @@ mod tests {
     #[test]
     fn telemetry_records_convergence_trajectory() {
         use chambolle_telemetry::sink::EventKind;
+        use chambolle_telemetry::Telemetry;
 
         let v = noisy(12, 10, 20);
         let (tele, events) = Telemetry::memory();

@@ -31,7 +31,7 @@ use std::fmt;
 use chambolle_imaging::Grid;
 use chambolle_telemetry::{names, Telemetry};
 
-use crate::cancel::{CancelToken, Cancelled};
+use crate::cancel::Cancelled;
 use crate::ctx::ExecCtx;
 use crate::diagnostics::{chambolle_denoise_monitored, SolveReport};
 use crate::params::{ChambolleParams, InvalidParamsError};
@@ -215,8 +215,8 @@ pub enum GuardError {
     /// Every recovery avenue (retries, step backoff, fallback) was exhausted
     /// without producing a valid output.
     Unrecoverable(RecoveryReport),
-    /// The solve was cancelled via a [`CancelToken`]
-    /// (see [`guarded_denoise_cancellable`]).
+    /// The solve was cancelled via the context's
+    /// [`CancelToken`](crate::CancelToken) (see [`guarded_denoise_with_ctx`]).
     Cancelled(Cancelled),
 }
 
@@ -495,36 +495,6 @@ impl<P: TvDenoiser, F: TvDenoiser> TvDenoiser for GuardedDenoiser<P, F> {
     }
 }
 
-/// The guarded solve of [`GuardedDenoiser::denoise_checked`] in cancellable
-/// form: scrub, run the cancellable sequential solver, validate, retry, and
-/// finally give up — with a cooperative cancellation poll between every
-/// Chambolle iteration.
-///
-/// This is the path a request service routes denoise work through: faults
-/// degrade per-request (structured [`GuardError`], never a panic), and a
-/// deadline or explicit cancellation aborts the solve at the next iteration
-/// boundary without poisoning any shared state. With an uncancelled token
-/// the output is bit-identical to
-/// `GuardedDenoiser::new(SequentialSolver::new())`.
-///
-/// # Errors
-///
-/// [`GuardError::Cancelled`] when `token` fires mid-solve;
-/// [`GuardError::InvalidParams`] / [`GuardError::EmptyInput`] for inputs no
-/// backend could serve; [`GuardError::Unrecoverable`] when retries are
-/// exhausted.
-#[deprecated(note = "use `guarded_denoise_with_ctx` with \
-            `ExecCtx::default().with_cancel(token.clone())`")]
-pub fn guarded_denoise_cancellable(
-    v: &Grid<f32>,
-    params: &ChambolleParams,
-    policy: &RecoveryPolicy,
-    token: &CancelToken,
-) -> Result<(Grid<f32>, RecoveryReport), GuardError> {
-    let ctx = ExecCtx::default().with_cancel(token.clone());
-    guarded_denoise_with_ctx(v, params, policy, &ctx)
-}
-
 /// The guarded solve under an [`ExecCtx`]: scrub, run the context-driven
 /// solver ([`chambolle_denoise_with_ctx`] — pool, telemetry, cancellation
 /// and kernel backend all honored), validate, retry, and finally give up.
@@ -666,6 +636,7 @@ fn solve_diverged(solve: &SolveReport<f32>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use crate::solver::chambolle_denoise;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -681,8 +652,7 @@ mod tests {
     }
 
     /// The token-driven guarded solve, spelled through the canonical
-    /// context API (the shape `guarded_denoise_cancellable` callers
-    /// migrate to).
+    /// context API.
     fn guarded_with_token(
         v: &Grid<f32>,
         params: &ChambolleParams,

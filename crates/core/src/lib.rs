@@ -18,11 +18,13 @@
 //!   detection over the duality gap, and graceful degradation to the
 //!   sequential reference with a structured [`RecoveryReport`];
 //! - [`cancel`] — cooperative cancellation and deadlines ([`CancelToken`])
-//!   polled at iteration boundaries by the `*_cancellable` solver entry
+//!   polled at iteration boundaries by the `*_with_ctx` solver entry
 //!   points, the hooks a long-running request service builds on;
 //! - [`backend`] — the [`KernelBackend`] abstraction over the fused row
-//!   kernels: scalar, SSE2 and AVX2 implementations selected at runtime
-//!   (override with `CHAMBOLLE_BACKEND`), all bit-identical by contract;
+//!   kernels: scalar, SSE2, AVX2 and AVX-512 levels selected at runtime
+//!   (override with `CHAMBOLLE_BACKEND`), all bit-identical by contract.
+//!   At the Exact tier SSE2 runs the scalar reference and AVX-512 the AVX2
+//!   bodies;
 //! - [`ctx`] — the [`ExecCtx`] execution context consolidating pool,
 //!   telemetry, cancellation, kernel backend and numerics tier behind one
 //!   `*_with_ctx` entry point per solve family;
@@ -99,25 +101,8 @@ pub use solver::{
     TvDenoiser,
 };
 pub use tiling::{
-    chambolle_iterate_tiled, chambolle_iterate_tiled_spawn_baseline,
-    chambolle_iterate_tiled_spawn_baseline_with_ctx, chambolle_iterate_tiled_with_ctx, Tile,
-    TileConfig, TilePlan, TiledSolver,
-};
-// Deprecated per-axis entry-point variants, re-exported for source
-// compatibility. Each is a thin wrapper over its `*_with_ctx` canonical
-// form; new code should construct an `ExecCtx` instead.
-#[allow(deprecated)]
-pub use diagnostics::chambolle_denoise_monitored_with_telemetry;
-#[allow(deprecated)]
-pub use guard::guarded_denoise_cancellable;
-#[allow(deprecated)]
-pub use solver::{
-    chambolle_denoise_cancellable, chambolle_iterate_cancellable, chambolle_iterate_parallel,
-};
-#[allow(deprecated)]
-pub use tiling::{
-    chambolle_iterate_tiled_cancellable, chambolle_iterate_tiled_with_pool,
-    chambolle_iterate_tiled_with_telemetry,
+    chambolle_iterate_tiled, chambolle_iterate_tiled_with_ctx, Tile, TileConfig, TilePlan,
+    TiledSolver,
 };
 pub use tvl1::{threshold_step, FlowError, FlowStats, TvL1Solver, VideoFlowTracker};
 pub use weighted::{

@@ -21,8 +21,7 @@ use std::sync::Arc;
 use chambolle_imaging::Grid;
 use chambolle_par::{ThreadPool, UnsafeSharedSlice};
 
-use crate::backend::KernelBackend;
-use crate::cancel::{CancelToken, Cancelled};
+use crate::cancel::Cancelled;
 use crate::ctx::{ExecCtx, NumericsPolicy};
 use crate::fast;
 use crate::kernels::{BandHalo, BelowHalo};
@@ -168,8 +167,9 @@ pub fn chambolle_iterate<R: Real>(
 /// iterations on `p` under the execution policy in `ctx`.
 ///
 /// - no pool (or a 1-thread pool) → the fused sequential sweep;
-/// - a pool → the banded parallel sweep of [`chambolle_iterate_parallel`],
-///   bit-identical to sequential for every thread count;
+/// - a pool → the banded parallel sweep of fused row kernels: each band
+///   reads its own rows plus halo rows snapshotted from old-`p` state, so
+///   the result is bit-identical to sequential for every thread count;
 /// - the kernel rows run on `ctx.backend()` (bit-identical on every
 ///   backend under the default Exact tier);
 /// - `ctx.numerics()` selects the numerics tier: `Exact` (default) keeps
@@ -180,9 +180,7 @@ pub fn chambolle_iterate<R: Real>(
 /// - a cancellation token, if attached, is polled between iterations
 ///   (between fused sweeps at the Fast tier).
 ///
-/// Every historical twin (`chambolle_iterate`,
-/// [`chambolle_iterate_cancellable`], [`chambolle_iterate_parallel`])
-/// delegates here.
+/// [`chambolle_iterate`] delegates here.
 ///
 /// # Errors
 ///
@@ -200,30 +198,6 @@ pub fn chambolle_iterate_with_ctx<R: Real>(
     iterations: u32,
     ctx: &ExecCtx,
 ) -> Result<(), Cancelled> {
-    iterate_impl(
-        p,
-        v,
-        params,
-        iterations,
-        ctx.pool().map(Arc::as_ref),
-        ctx.cancel(),
-        ctx.backend(),
-        ctx.numerics(),
-    )
-}
-
-/// The one implementation behind every iteration entry point.
-#[allow(clippy::too_many_arguments)] // the execution-policy fan-in point
-fn iterate_impl<R: Real>(
-    p: &mut DualField<R>,
-    v: &Grid<R>,
-    params: &ChambolleParams,
-    iterations: u32,
-    pool: Option<&ThreadPool>,
-    token: Option<&CancelToken>,
-    backend: KernelBackend,
-    numerics: NumericsPolicy,
-) -> Result<(), Cancelled> {
     assert_eq!(p.dims(), v.dims(), "dual field and v must match in size");
     let (w, h) = v.dims();
     if w == 0 || h == 0 {
@@ -231,7 +205,9 @@ fn iterate_impl<R: Real>(
     }
     let inv_theta = R::ONE / R::from_f32(params.theta);
     let step_ratio = R::from_f32(params.step_ratio());
+    let (backend, numerics) = (ctx.backend(), ctx.numerics());
 
+    let pool = ctx.pool().map(Arc::as_ref);
     let bands = pool.map_or(1, ThreadPool::threads).min(h);
     if bands <= 1 {
         // Sequential Fast tier: fuse iterations K at a time into single
@@ -247,9 +223,7 @@ fn iterate_impl<R: Real>(
                 let st = params.step_ratio();
                 let mut remaining = iterations;
                 while remaining > 0 {
-                    if let Some(token) = token {
-                        token.check()?;
-                    }
+                    ctx.checkpoint()?;
                     let k = remaining.min(fast::TEMPORAL_FUSION_DEPTH);
                     fast::temporal_sweep(backend, px, py, vs, w, h, it, st, k);
                     remaining -= k;
@@ -259,9 +233,7 @@ fn iterate_impl<R: Real>(
         }
         let (mut ta, mut tb) = (vec![R::ZERO; w], vec![R::ZERO; w]);
         for _ in 0..iterations {
-            if let Some(token) = token {
-                token.check()?;
-            }
+            ctx.checkpoint()?;
             backend.fused_band_iteration(
                 p.px.as_mut_slice(),
                 p.py.as_mut_slice(),
@@ -297,9 +269,7 @@ fn iterate_impl<R: Real>(
     let mut term_scratch = vec![(vec![R::ZERO; w], vec![R::ZERO; w]); bands];
 
     for _ in 0..iterations {
-        if let Some(token) = token {
-            token.check()?;
-        }
+        ctx.checkpoint()?;
         for b in 0..bands - 1 {
             let r = bounds[b + 1];
             snap_py_above[b].copy_from_slice(p.py.row(r - 1));
@@ -350,34 +320,6 @@ fn iterate_impl<R: Real>(
     Ok(())
 }
 
-/// [`chambolle_iterate`] with a cooperative cancellation poll between
-/// iterations.
-///
-/// On cancellation `p` holds the state after the last *completed* iteration —
-/// exactly a state the uncancelled run would also have passed through — so a
-/// caller may resume, discard, or recover `u` from it safely.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] if `token` reports cancellation before all
-/// `iterations` complete.
-///
-/// # Panics
-///
-/// Panics if `p` and `v` dimensions differ.
-#[deprecated(note = "use `chambolle_iterate_with_ctx` with \
-            `ExecCtx::default().with_cancel(token.clone())`")]
-pub fn chambolle_iterate_cancellable<R: Real>(
-    p: &mut DualField<R>,
-    v: &Grid<R>,
-    params: &ChambolleParams,
-    iterations: u32,
-    token: &CancelToken,
-) -> Result<(), Cancelled> {
-    let ctx = ExecCtx::default().with_cancel(token.clone());
-    chambolle_iterate_with_ctx(p, v, params, iterations, &ctx)
-}
-
 /// Recovers the primal solution `u = v − θ·div p` (Algorithm 1, line 9).
 ///
 /// # Panics
@@ -408,8 +350,7 @@ pub fn chambolle_denoise<R: Real>(
 /// dual start under the execution policy in `ctx`
 /// (see [`chambolle_iterate_with_ctx`]).
 ///
-/// Every historical twin ([`chambolle_denoise`],
-/// [`chambolle_denoise_cancellable`]) delegates here.
+/// [`chambolle_denoise`] delegates here.
 ///
 /// A context carrying a [`DegradationPolicy`](crate::DegradationPolicy)
 /// caps the iteration budget at `ctx.effective_iterations(params.iterations)`
@@ -431,26 +372,6 @@ pub fn chambolle_denoise_with_ctx<R: Real>(
     chambolle_iterate_with_ctx(&mut p, v, params, iterations, ctx)?;
     let u = recover_u(v, &p, params.theta);
     Ok((u, p))
-}
-
-/// [`chambolle_denoise`] with a cooperative cancellation poll between
-/// iterations.
-///
-/// Bit-identical to [`chambolle_denoise`] when it runs to completion.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] if `token` reports cancellation before the solve
-/// finishes; no partial output is produced.
-#[deprecated(note = "use `chambolle_denoise_with_ctx` with \
-            `ExecCtx::default().with_cancel(token.clone())`")]
-pub fn chambolle_denoise_cancellable<R: Real>(
-    v: &Grid<R>,
-    params: &ChambolleParams,
-    token: &CancelToken,
-) -> Result<(Grid<R>, DualField<R>), Cancelled> {
-    let ctx = ExecCtx::default().with_cancel(token.clone());
-    chambolle_denoise_with_ctx(v, params, &ctx)
 }
 
 /// The ROF primal energy `TV(u) + ‖u − v‖² / (2θ)` the iteration minimizes.
@@ -606,33 +527,6 @@ impl TvDenoiser for SequentialSolver {
     fn name(&self) -> &str {
         "sequential"
     }
-}
-
-/// Runs `iterations` Chambolle iterations on `p` with the fused row kernels
-/// of [`crate::kernels`], row-banded across the pool's workers.
-///
-/// The result is **bit-identical** to [`chambolle_iterate`] for every thread
-/// count: each band reads only its own rows plus halo rows (`py` above,
-/// `px`/`py` below) that are snapshotted from old-`p` state before the bands
-/// launch, so every term value is derived from exactly the data the
-/// sequential two-pass reference uses. No intermediate term grid is
-/// allocated — each band rolls two term-row buffers.
-///
-/// # Panics
-///
-/// Panics if `p` and `v` dimensions differ.
-#[deprecated(note = "use `chambolle_iterate_with_ctx` with \
-            `ExecCtx::default().with_pool(Arc::clone(pool))`")]
-pub fn chambolle_iterate_parallel<R: Real>(
-    p: &mut DualField<R>,
-    v: &Grid<R>,
-    params: &ChambolleParams,
-    iterations: u32,
-    pool: &Arc<ThreadPool>,
-) {
-    let ctx = ExecCtx::default().with_pool(Arc::clone(pool));
-    chambolle_iterate_with_ctx(p, v, params, iterations, &ctx)
-        .expect("an inert context carries no cancellation token");
 }
 
 /// The pool-backed fused-kernel solver: bit-identical to

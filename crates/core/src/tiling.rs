@@ -24,7 +24,6 @@
 //! redundancy is extra *computation*, never a different *result*.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use chambolle_imaging::Grid;
@@ -32,7 +31,7 @@ use chambolle_par::{ThreadPool, UnsafeSharedSlice};
 use chambolle_telemetry::{names, Telemetry};
 
 use crate::backend::KernelBackend;
-use crate::cancel::{CancelToken, Cancelled};
+use crate::cancel::Cancelled;
 use crate::ctx::{ExecCtx, NumericsPolicy};
 use crate::fast;
 use crate::kernels::BandHalo;
@@ -330,8 +329,8 @@ impl fmt::Display for TilePlan {
 /// [`crate::solver::chambolle_iterate`].
 ///
 /// Spawns one worker pool with `config.threads` workers for the whole call
-/// (not one set of threads per round — see
-/// [`chambolle_iterate_tiled_with_pool`] to share a longer-lived pool).
+/// (not one set of threads per round — attach a longer-lived pool to the
+/// context of [`chambolle_iterate_tiled_with_ctx`] to share it).
 ///
 /// # Panics
 ///
@@ -379,61 +378,12 @@ pub fn chambolle_iterate_tiled_with_ctx<R: Real>(
     ctx: &ExecCtx,
 ) -> Result<(), Cancelled> {
     match ctx.pool() {
-        Some(pool) => iterate_tiled_pooled_impl(
-            p,
-            v,
-            params,
-            iterations,
-            config,
-            pool,
-            ctx.telemetry(),
-            ctx.cancel(),
-            ctx.backend(),
-            ctx.numerics(),
-        ),
+        Some(pool) => iterate_tiled_on_pool(p, v, params, iterations, config, pool, ctx),
         None => {
             let pool = ThreadPool::new(config.threads).with_telemetry(ctx.telemetry().clone());
-            iterate_tiled_pooled_impl(
-                p,
-                v,
-                params,
-                iterations,
-                config,
-                &pool,
-                ctx.telemetry(),
-                ctx.cancel(),
-                ctx.backend(),
-                ctx.numerics(),
-            )
+            iterate_tiled_on_pool(p, v, params, iterations, config, &pool, ctx)
         }
     }
-}
-
-/// [`chambolle_iterate_tiled`] with instrumentation: records the plan's
-/// redundant-halo ratio (`tiling.redundancy_ratio`), counts rounds and
-/// window loads, observes windows-per-round, and wraps each round in a
-/// `tiling.round` span. The pool it spawns adds its own `par.*` counters.
-///
-/// With a disabled [`Telemetry`] handle every hook is one branch on an
-/// empty `Option`, and the numerical path is exactly the plain function's —
-/// the tiled result stays bit-identical to the sequential solver.
-///
-/// # Panics
-///
-/// Panics if `p` and `v` dimensions differ.
-#[deprecated(note = "use `chambolle_iterate_tiled_with_ctx` with \
-            `ExecCtx::default().with_telemetry(..)`")]
-pub fn chambolle_iterate_tiled_with_telemetry<R: Real>(
-    p: &mut DualField<R>,
-    v: &Grid<R>,
-    params: &ChambolleParams,
-    iterations: u32,
-    config: &TileConfig,
-    telemetry: &Telemetry,
-) {
-    let ctx = ExecCtx::default().with_telemetry(telemetry.clone());
-    chambolle_iterate_tiled_with_ctx(p, v, params, iterations, config, &ctx)
-        .expect("a context without a token cannot be cancelled");
 }
 
 /// Per-worker window scratch, reused across tiles and rounds: the local
@@ -484,94 +434,14 @@ impl<R: Real> TileScratch<R> {
 /// # Panics
 ///
 /// Panics if `p` and `v` dimensions differ.
-#[deprecated(
-    note = "use `chambolle_iterate_tiled_with_ctx` with an `ExecCtx` carrying \
-            the pool (`with_pool`) and telemetry (`with_telemetry`)"
-)]
-pub fn chambolle_iterate_tiled_with_pool<R: Real>(
+fn iterate_tiled_on_pool<R: Real>(
     p: &mut DualField<R>,
     v: &Grid<R>,
     params: &ChambolleParams,
     iterations: u32,
     config: &TileConfig,
     pool: &ThreadPool,
-    telemetry: &Telemetry,
-) {
-    // The pool is borrowed, not `Arc`-owned, so this twin skips the `ExecCtx`
-    // wrapper and shares the context path's implementation directly.
-    iterate_tiled_pooled_impl(
-        p,
-        v,
-        params,
-        iterations,
-        config,
-        pool,
-        telemetry,
-        None,
-        KernelBackend::active(),
-        NumericsPolicy::active(),
-    )
-    .expect("uncancellable tiled iterate cannot be cancelled");
-}
-
-/// [`chambolle_iterate_tiled_with_pool`] with a cooperative cancellation
-/// poll between rounds.
-///
-/// Rounds are the natural boundary: within a round the windows run to
-/// completion (a round is one pool broadcast), and after each round `p`
-/// holds exactly the global state after `rounds × K` iterations — a state
-/// the sequential iteration also passes through. A cancelled call therefore
-/// never leaves `p` mid-write, and the pool remains fully reusable.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] if `token` reports cancellation before all
-/// `iterations` complete.
-///
-/// # Panics
-///
-/// Panics if `p` and `v` dimensions differ.
-#[deprecated(
-    note = "use `chambolle_iterate_tiled_with_ctx` with an `ExecCtx` carrying \
-            the pool, telemetry and cancellation token"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn chambolle_iterate_tiled_cancellable<R: Real>(
-    p: &mut DualField<R>,
-    v: &Grid<R>,
-    params: &ChambolleParams,
-    iterations: u32,
-    config: &TileConfig,
-    pool: &ThreadPool,
-    telemetry: &Telemetry,
-    token: &CancelToken,
-) -> Result<(), Cancelled> {
-    iterate_tiled_pooled_impl(
-        p,
-        v,
-        params,
-        iterations,
-        config,
-        pool,
-        telemetry,
-        Some(token),
-        KernelBackend::active(),
-        NumericsPolicy::active(),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn iterate_tiled_pooled_impl<R: Real>(
-    p: &mut DualField<R>,
-    v: &Grid<R>,
-    params: &ChambolleParams,
-    iterations: u32,
-    config: &TileConfig,
-    pool: &ThreadPool,
-    telemetry: &Telemetry,
-    token: Option<&CancelToken>,
-    backend: KernelBackend,
-    numerics: NumericsPolicy,
+    ctx: &ExecCtx,
 ) -> Result<(), Cancelled> {
     assert_eq!(p.dims(), v.dims(), "dual field and v must match in size");
     if iterations == 0 {
@@ -580,6 +450,8 @@ fn iterate_tiled_pooled_impl<R: Real>(
     let (w, h) = v.dims();
     let plan = TilePlan::new(w, h, *config);
     let tiles = plan.tiles();
+    let telemetry = ctx.telemetry();
+    let (backend, numerics) = (ctx.backend(), ctx.numerics());
     telemetry.gauge_set(names::TILING_REDUNDANCY_RATIO, plan.redundancy_fraction());
     let inv_theta = R::ONE / R::from_f32(params.theta);
     let step_ratio = R::from_f32(params.step_ratio());
@@ -595,9 +467,7 @@ fn iterate_tiled_pooled_impl<R: Real>(
 
     let mut remaining = iterations;
     while remaining > 0 {
-        if let Some(token) = token {
-            token.check()?;
-        }
+        ctx.checkpoint()?;
         let k = remaining.min(config.merge_factor);
         let round_span = telemetry.span("tiling.round");
         {
@@ -690,288 +560,6 @@ fn process_window_fused<R: Real>(
             &mut scratch.term_a,
             &mut scratch.term_b,
         );
-    }
-}
-
-/// The pre-pool reference implementation, retained as the perf baseline:
-/// every round spawns `config.threads` scoped threads, every window crops
-/// fresh `px`/`py`/`v` grids and allocates a full term grid, and results
-/// are collected and stitched after the round. Numerically identical to
-/// [`chambolle_iterate_tiled`]; only the schedule and allocation behavior
-/// differ. The `perf` bench binary measures the pooled path against this.
-///
-/// # Panics
-///
-/// Panics if `p` and `v` dimensions differ.
-pub fn chambolle_iterate_tiled_spawn_baseline<R: Real>(
-    p: &mut DualField<R>,
-    v: &Grid<R>,
-    params: &ChambolleParams,
-    iterations: u32,
-    config: &TileConfig,
-) {
-    chambolle_iterate_tiled_spawn_baseline_with_ctx(
-        p,
-        v,
-        params,
-        iterations,
-        config,
-        &ExecCtx::default(),
-    )
-    .expect("an inert context carries no cancellation token");
-}
-
-/// [`chambolle_iterate_tiled_spawn_baseline`] with full [`ExecCtx`] plumbing.
-///
-/// Until PR 5 this was the one tiled solve path that ignored the pool,
-/// telemetry and cancellation machinery entirely. It now honors all of them
-/// while keeping its measured identity — fresh window crops, a full term
-/// grid per window, and a collect-then-stitch round — intact:
-///
-/// - a context pool, when present, schedules the round's windows (only the
-///   spawn-per-round scheduling is replaced; with no pool the historical
-///   scoped-spawn behavior is preserved exactly),
-/// - telemetry records the same `tiling.*` plan gauge, round counters and
-///   spans as the pooled path,
-/// - cancellation is polled between rounds, and
-/// - the row kernels run on the context's [`KernelBackend`].
-///
-/// The context's numerics tier is deliberately **not** honored: the
-/// baseline always runs Exact, because its role is a measured identity
-/// (schedule and allocation behavior) against the pooled path's Exact
-/// runs.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] if the context's token reports cancellation before
-/// all `iterations` complete.
-///
-/// # Panics
-///
-/// Panics if `p` and `v` dimensions differ.
-pub fn chambolle_iterate_tiled_spawn_baseline_with_ctx<R: Real>(
-    p: &mut DualField<R>,
-    v: &Grid<R>,
-    params: &ChambolleParams,
-    iterations: u32,
-    config: &TileConfig,
-    ctx: &ExecCtx,
-) -> Result<(), Cancelled> {
-    assert_eq!(p.dims(), v.dims(), "dual field and v must match in size");
-    let (w, h) = v.dims();
-    let plan = TilePlan::new(w, h, *config);
-    let telemetry = ctx.telemetry();
-    let backend = ctx.backend();
-    telemetry.gauge_set(names::TILING_REDUNDANCY_RATIO, plan.redundancy_fraction());
-    let inv_theta = R::ONE / R::from_f32(params.theta);
-    let step_ratio = R::from_f32(params.step_ratio());
-
-    let mut remaining = iterations;
-    while remaining > 0 {
-        ctx.checkpoint()?;
-        let k = remaining.min(config.merge_factor);
-        let round_span = telemetry.span("tiling.round");
-        let results = match ctx.pool() {
-            Some(pool) => run_round_on_pool(p, v, &plan, inv_theta, step_ratio, k, pool, backend),
-            None => run_round(
-                p,
-                v,
-                &plan,
-                inv_theta,
-                step_ratio,
-                k,
-                config.threads,
-                backend,
-            ),
-        };
-        for (tile, lpx, lpy) in results {
-            blit_profitable(&mut p.px, &tile, &lpx);
-            blit_profitable(&mut p.py, &tile, &lpy);
-        }
-        drop(round_span);
-        telemetry.counter_add(names::TILING_ROUNDS, 1);
-        telemetry.counter_add(names::TILING_WINDOW_LOADS, plan.tiles().len() as u64);
-        telemetry.observe(names::TILING_WINDOWS_PER_ROUND, plan.tiles().len() as f64);
-        remaining -= k;
-    }
-    Ok(())
-}
-
-/// One parallel round: every window runs `k` local iterations and returns
-/// its local dual field for stitching.
-/// A processed window: its position plus the locally updated dual grids.
-type WindowResult<R> = (Tile, Grid<R>, Grid<R>);
-
-#[allow(clippy::too_many_arguments)]
-fn run_round<R: Real>(
-    p: &DualField<R>,
-    v: &Grid<R>,
-    plan: &TilePlan,
-    inv_theta: R,
-    step_ratio: R,
-    k: u32,
-    threads: usize,
-    backend: KernelBackend,
-) -> Vec<WindowResult<R>> {
-    let tiles = plan.tiles();
-    if threads <= 1 {
-        // Single-threaded rounds run inline: spawning (and joining) a worker
-        // thread per round just to walk the windows sequentially would cost
-        // thread churn for nothing.
-        return tiles
-            .iter()
-            .map(|tile| process_window(p, v, tile, plan, inv_theta, step_ratio, k, backend))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<WindowResult<R>>> = Vec::new();
-    results.resize_with(tiles.len(), || None);
-    let results_slots: Vec<std::sync::Mutex<Option<WindowResult<R>>>> =
-        results.into_iter().map(std::sync::Mutex::new).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(tiles.len()).max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= tiles.len() {
-                    break;
-                }
-                let tile = tiles[i];
-                let out = process_window(p, v, &tile, plan, inv_theta, step_ratio, k, backend);
-                *results_slots[i].lock().expect("result slot poisoned") = Some(out);
-            });
-        }
-    });
-
-    results_slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every window processed exactly once")
-        })
-        .collect()
-}
-
-/// [`run_round`] on an existing pool: same fresh-crop windows and stitch
-/// pass, but the windows go through the pool's work-stealing tile queue
-/// instead of round-scoped spawned threads.
-#[allow(clippy::too_many_arguments)]
-fn run_round_on_pool<R: Real>(
-    p: &DualField<R>,
-    v: &Grid<R>,
-    plan: &TilePlan,
-    inv_theta: R,
-    step_ratio: R,
-    k: u32,
-    pool: &ThreadPool,
-    backend: KernelBackend,
-) -> Vec<WindowResult<R>> {
-    let tiles = plan.tiles();
-    let slots: Vec<Mutex<Option<WindowResult<R>>>> =
-        (0..tiles.len()).map(|_| Mutex::new(None)).collect();
-    pool.parallel_tiles("tiling.windows", tiles.len(), |_, i| {
-        let out = process_window(p, v, &tiles[i], plan, inv_theta, step_ratio, k, backend);
-        *slots[i].lock().expect("result slot poisoned") = Some(out);
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every window processed exactly once")
-        })
-        .collect()
-}
-
-/// Loads one window (source rect with halo), runs `k` local iterations, and
-/// returns the local dual components.
-///
-/// Image-border boundary rules apply automatically where the window edge
-/// coincides with the frame edge ("this side effect does not occur when the
-/// boundary elements also lie on the border of I1" — Section III-A); interior
-/// cuts produce wrong values only within the K-cell halo, which is never
-/// written back.
-#[allow(clippy::too_many_arguments)]
-fn process_window<R: Real>(
-    p: &DualField<R>,
-    v: &Grid<R>,
-    tile: &Tile,
-    plan: &TilePlan,
-    inv_theta: R,
-    step_ratio: R,
-    k: u32,
-    backend: KernelBackend,
-) -> WindowResult<R> {
-    let mut local = DualField {
-        px: p.px.crop(tile.src_x, tile.src_y, tile.src_w, tile.src_h),
-        py: p.py.crop(tile.src_x, tile.src_y, tile.src_w, tile.src_h),
-    };
-    let local_v = v.crop(tile.src_x, tile.src_y, tile.src_w, tile.src_h);
-
-    // True frame borders keep their boundary rules automatically (the local
-    // window edge IS the frame edge there). Interior cuts apply the wrong
-    // rule at the window's outermost cells, but with a K-cell leading and
-    // (K+1)-cell trailing halo — which TilePlan guarantees; clipping only
-    // happens at true frame borders — the corruption never reaches the
-    // profitable region within K local iterations.
-    debug_assert!(window_halo_is_full(tile, plan));
-
-    // Two full passes over a window-sized term grid (the baseline's
-    // deliberately naive memory behavior), expressed with the row kernels so
-    // the backend applies; each row pair is bit-identical to the old
-    // `compute_term_into` / `update_p_inplace` full-grid passes.
-    let sh = tile.src_h;
-    let mut term = Grid::new(tile.src_w, sh, R::ZERO);
-    for _ in 0..k {
-        for y in 0..sh {
-            let above = (y > 0).then(|| local.py.row(y - 1));
-            backend.compute_term_row(
-                local.px.row(y),
-                local.py.row(y),
-                above,
-                local_v.row(y),
-                inv_theta,
-                y + 1 == sh,
-                term.row_mut(y),
-            );
-        }
-        for y in 0..sh {
-            let below = (y + 1 < sh).then(|| term.row(y + 1));
-            backend.update_p_row(
-                term.row(y),
-                below,
-                step_ratio,
-                local.px.row_mut(y),
-                local.py.row_mut(y),
-            );
-        }
-    }
-    (*tile, local.px, local.py)
-}
-
-/// Checks that every non-frame-border side of the window has its full halo
-/// (K+margin leading, K+margin+1 trailing).
-fn window_halo_is_full(tile: &Tile, plan: &TilePlan) -> bool {
-    let lead = plan.config().leading_halo();
-    let trail = plan.config().trailing_halo();
-    let left_ok = tile.src_x == 0 || tile.out_x - tile.src_x == lead;
-    let top_ok = tile.src_y == 0 || tile.out_y - tile.src_y == lead;
-    let right_ok = tile.src_x + tile.src_w == plan.width()
-        || (tile.src_x + tile.src_w) - (tile.out_x + tile.out_w) == trail;
-    let bottom_ok = tile.src_y + tile.src_h == plan.height()
-        || (tile.src_y + tile.src_h) - (tile.out_y + tile.out_h) == trail;
-    left_ok && top_ok && right_ok && bottom_ok
-}
-
-/// Writes a window's profitable region back into the global grid.
-fn blit_profitable<R: Real>(global: &mut Grid<R>, tile: &Tile, local: &Grid<R>) {
-    let lx = tile.local_out_x();
-    let ly = tile.local_out_y();
-    for y in 0..tile.out_h {
-        for x in 0..tile.out_w {
-            global[(tile.out_x + x, tile.out_y + y)] = local[(lx + x, ly + y)];
-        }
     }
 }
 
@@ -1097,6 +685,20 @@ mod tests {
         cfg: &TileConfig,
     ) {
         chambolle_iterate_tiled_with_ctx(p, v, pr, iters, cfg, &exact_ctx()).expect("no token");
+    }
+
+    /// Checks that every non-frame-border side of the window has its full
+    /// halo (K+margin leading, K+margin+1 trailing).
+    fn window_halo_is_full(tile: &Tile, plan: &TilePlan) -> bool {
+        let lead = plan.config().leading_halo();
+        let trail = plan.config().trailing_halo();
+        let left_ok = tile.src_x == 0 || tile.out_x - tile.src_x == lead;
+        let top_ok = tile.src_y == 0 || tile.out_y - tile.src_y == lead;
+        let right_ok = tile.src_x + tile.src_w == plan.width()
+            || (tile.src_x + tile.src_w) - (tile.out_x + tile.out_w) == trail;
+        let bottom_ok = tile.src_y + tile.src_h == plan.height()
+            || (tile.src_y + tile.src_h) - (tile.out_y + tile.out_h) == trail;
+        left_ok && top_ok && right_ok && bottom_ok
     }
 
     #[test]
@@ -1322,78 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn spawn_baseline_and_pooled_paths_are_bit_identical() {
-        let v = random_image(50, 38, 5);
-        let pr = params(9);
-        let cfg = TileConfig::new(20, 16, 2, 3).unwrap();
-        let mut p_seq = DualField::zeros(50, 38);
-        iterate_exact(&mut p_seq, &v, &pr, 9);
-
-        let mut p_base = DualField::zeros(50, 38);
-        chambolle_iterate_tiled_spawn_baseline(&mut p_base, &v, &pr, 9, &cfg);
-        assert_eq!(p_seq.px.as_slice(), p_base.px.as_slice());
-        assert_eq!(p_seq.py.as_slice(), p_base.py.as_slice());
-
-        for pool_threads in [1usize, 2, 4] {
-            let pool = Arc::new(ThreadPool::new(pool_threads));
-            let mut p_pool = DualField::zeros(50, 38);
-            let ctx = exact_ctx().with_pool(Arc::clone(&pool));
-            chambolle_iterate_tiled_with_ctx(&mut p_pool, &v, &pr, 9, &cfg, &ctx).unwrap();
-            assert_eq!(
-                p_seq.px.as_slice(),
-                p_pool.px.as_slice(),
-                "pooled px mismatch at {pool_threads} pool threads"
-            );
-            assert_eq!(p_seq.py.as_slice(), p_pool.py.as_slice());
-            assert!(
-                pool.stats().tasks > 0,
-                "windows must go through the pool queue"
-            );
-        }
-    }
-
-    #[test]
-    fn spawn_baseline_with_ctx_honors_pool_telemetry_and_cancel() {
-        use crate::cancel::CancelToken;
-        let v = random_image(44, 32, 23);
-        let pr = params(6);
-        let cfg = TileConfig::new(18, 14, 2, 2).unwrap(); // K=2 -> 3 rounds
-        let mut p_ref = DualField::zeros(44, 32);
-        iterate_exact(&mut p_ref, &v, &pr, 6);
-
-        let tele = Telemetry::null();
-        let pool = Arc::new(ThreadPool::new(3));
-        let ctx = ExecCtx::default()
-            .with_pool(Arc::clone(&pool))
-            .with_telemetry(tele.clone());
-        let mut p_ctx = DualField::zeros(44, 32);
-        chambolle_iterate_tiled_spawn_baseline_with_ctx(&mut p_ctx, &v, &pr, 6, &cfg, &ctx)
-            .unwrap();
-        assert_eq!(p_ref.px.as_slice(), p_ctx.px.as_slice());
-        assert_eq!(p_ref.py.as_slice(), p_ctx.py.as_slice());
-        assert!(pool.stats().tasks > 0, "windows must run on the ctx pool");
-        assert_eq!(tele.snapshot().counter(names::TILING_ROUNDS), Some(3));
-
-        let token = CancelToken::new();
-        token.cancel();
-        let ctx = ExecCtx::default().with_cancel(token);
-        let mut p_stop = DualField::zeros(44, 32);
-        assert!(chambolle_iterate_tiled_spawn_baseline_with_ctx(
-            &mut p_stop,
-            &v,
-            &pr,
-            6,
-            &cfg,
-            &ctx
-        )
-        .is_err());
-        assert_eq!(
-            p_stop.px.as_slice(),
-            DualField::<f32>::zeros(44, 32).px.as_slice()
-        );
-    }
-
-    #[test]
     fn tiled_solver_with_shared_pool_matches_and_reuses_it() {
         use crate::solver::SequentialSolver;
         let pool = Arc::new(ThreadPool::new(3));
@@ -1417,18 +947,15 @@ mod tests {
 
     #[test]
     fn single_thread_config_runs_inline_and_matches() {
-        // threads == 1 takes the inline (zero-spawn) paths in both the
-        // baseline round runner and the pool; results stay exact.
+        // threads == 1 takes the pool's inline (zero-spawn) path; results
+        // stay exact.
         let v = random_image(30, 26, 8);
         let pr = params(6);
         let cfg = TileConfig::new(14, 12, 2, 1).unwrap();
         let mut p_seq = DualField::zeros(30, 26);
         iterate_exact(&mut p_seq, &v, &pr, 6);
-        let mut p_base = DualField::zeros(30, 26);
-        chambolle_iterate_tiled_spawn_baseline(&mut p_base, &v, &pr, 6, &cfg);
         let mut p_tile = DualField::zeros(30, 26);
         iterate_tiled_exact(&mut p_tile, &v, &pr, 6, &cfg);
-        assert_eq!(p_seq.px.as_slice(), p_base.px.as_slice());
         assert_eq!(p_seq.px.as_slice(), p_tile.px.as_slice());
         assert_eq!(p_seq.py.as_slice(), p_tile.py.as_slice());
     }

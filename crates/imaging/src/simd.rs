@@ -2,11 +2,16 @@
 //!
 //! The pooled blur, gradient and residual fills dispatch their per-row inner
 //! loops on a [`SimdLevel`] (see [`chambolle_par::simd`]): the scalar bodies
-//! here are the bit-exact reference, and the SSE2/AVX2 bodies replay the
-//! same per-lane operation order — taps accumulate from zero in the same
+//! here are the bit-exact reference, and the vector bodies replay the same
+//! per-lane operation order — taps accumulate from zero in the same
 //! sequence, no fused multiply-add, no reassociation — so every level
 //! produces byte-identical grids. Clamped border columns and remainder
 //! lanes always run the scalar body.
+//!
+//! The blurs have SSE2 and AVX2 bodies (`Avx512` runs the AVX2 ones). The
+//! gradient and the residual fill have SSE2 bodies only, which every vector
+//! level runs: x86-64 always has SSE2, and 256-bit bodies measured no
+//! faster on these two memory-bound passes.
 //!
 //! Gather-bound passes (bilinear warp/resize, decimation) have no vector
 //! body: their per-pixel work is dominated by data-dependent indexing, so
@@ -96,16 +101,9 @@ pub(crate) fn gradient_row(
     debug_assert_eq!(row.len(), gx.len());
     debug_assert_eq!(row.len(), gy.len());
     #[cfg(target_arch = "x86_64")]
-    if level != SimdLevel::Scalar && row.len() >= 2 && level.is_supported() {
-        match level {
-            // SAFETY: `is_supported()` ran `is_x86_feature_detected!("avx2")`.
-            SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe {
-                x86::gradient_row_avx2(above, row, below, gx, gy)
-            },
-            // SAFETY: as above with `is_x86_feature_detected!("sse2")`.
-            SimdLevel::Sse2 => unsafe { x86::gradient_row_sse2(above, row, below, gx, gy) },
-            SimdLevel::Scalar => unreachable!("scalar never dispatches here"),
-        }
+    if level != SimdLevel::Scalar && row.len() >= 2 {
+        // SAFETY: SSE2 is part of the x86-64 baseline.
+        unsafe { x86::gradient_row_sse2(above, row, below, gx, gy) };
         return;
     }
     let _ = level;
@@ -121,14 +119,9 @@ pub(crate) fn sub_slice(level: SimdLevel, a: &[f32], b: &[f32], out: &mut [f32])
     debug_assert_eq!(a.len(), out.len());
     debug_assert_eq!(b.len(), out.len());
     #[cfg(target_arch = "x86_64")]
-    if level != SimdLevel::Scalar && out.len() >= 2 && level.is_supported() {
-        match level {
-            // SAFETY: `is_supported()` ran `is_x86_feature_detected!("avx2")`.
-            SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe { x86::sub_slice_avx2(a, b, out) },
-            // SAFETY: as above with `is_x86_feature_detected!("sse2")`.
-            SimdLevel::Sse2 => unsafe { x86::sub_slice_sse2(a, b, out) },
-            SimdLevel::Scalar => unreachable!("scalar never dispatches here"),
-        }
+    if level != SimdLevel::Scalar && out.len() >= 2 {
+        // SAFETY: SSE2 is part of the x86-64 baseline.
+        unsafe { x86::sub_slice_sse2(a, b, out) };
         return;
     }
     let _ = level;
@@ -242,54 +235,6 @@ mod x86 {
         blur_v_suffix(taps, out, x);
     }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gradient_row_avx2(
-        above: &[f32],
-        row: &[f32],
-        below: &[f32],
-        gx: &mut [f32],
-        gy: &mut [f32],
-    ) {
-        let w = row.len();
-        let half = _mm256_set1_ps(0.5);
-        gx[0] = 0.5 * (row[1] - row[0]);
-        let mut x = 1usize;
-        while x + 8 < w {
-            // SAFETY: `x ≥ 1` and `x + 8 ≤ w − 1` bound the shifted
-            // unaligned loads `row[x − 1 .. x + 9]`.
-            unsafe {
-                let d = _mm256_sub_ps(
-                    _mm256_loadu_ps(row.as_ptr().add(x + 1)),
-                    _mm256_loadu_ps(row.as_ptr().add(x - 1)),
-                );
-                _mm256_storeu_ps(gx.as_mut_ptr().add(x), _mm256_mul_ps(half, d));
-            }
-            x += 8;
-        }
-        while x < w - 1 {
-            gx[x] = 0.5 * (row[x + 1] - row[x - 1]);
-            x += 1;
-        }
-        gx[w - 1] = 0.5 * (row[w - 1] - row[w - 2]);
-        let mut x = 0usize;
-        while x + 8 <= w {
-            // SAFETY: `x + 8 <= w` bounds the loads; `above`/`below` have
-            // length `w`.
-            unsafe {
-                let d = _mm256_sub_ps(
-                    _mm256_loadu_ps(below.as_ptr().add(x)),
-                    _mm256_loadu_ps(above.as_ptr().add(x)),
-                );
-                _mm256_storeu_ps(gy.as_mut_ptr().add(x), _mm256_mul_ps(half, d));
-            }
-            x += 8;
-        }
-        while x < w {
-            gy[x] = 0.5 * (below[x] - above[x]);
-            x += 1;
-        }
-    }
-
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn gradient_row_sse2(
         above: &[f32],
@@ -335,27 +280,6 @@ mod x86 {
         while x < w {
             gy[x] = 0.5 * (below[x] - above[x]);
             x += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sub_slice_avx2(a: &[f32], b: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            // SAFETY: `i + 8 <= n` bounds the loads; `a`/`b` have length `n`.
-            unsafe {
-                let d = _mm256_sub_ps(
-                    _mm256_loadu_ps(a.as_ptr().add(i)),
-                    _mm256_loadu_ps(b.as_ptr().add(i)),
-                );
-                _mm256_storeu_ps(out.as_mut_ptr().add(i), d);
-            }
-            i += 8;
-        }
-        while i < n {
-            out[i] = a[i] - b[i];
-            i += 1;
         }
     }
 

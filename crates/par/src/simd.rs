@@ -16,10 +16,11 @@
 //! replay the scalar operation order with no fused multiply-add and no
 //! reassociation — so the choice is purely a throughput knob. That contract
 //! is pinned by the backend-exactness test matrix at the workspace root.
-//! (The AVX-512 level has no dedicated bit-exact kernels; in the Exact tier
-//! it runs the AVX2 ones. Its 16-lane FMA kernels belong to the Fast
-//! numerics tier, which is validated by tolerance instead — see
-//! `chambolle-core`.)
+//! (Not every level has its own bodies: the Exact core kernels run the
+//! scalar reference at SSE2 and the AVX2 bodies at AVX-512, and the imaging
+//! gradient and residual fill run their SSE2 bodies at every vector level.
+//! The AVX-512 level's 16-lane FMA kernels belong to the Fast numerics
+//! tier, which is validated by tolerance instead — see `chambolle-core`.)
 
 use std::sync::OnceLock;
 

@@ -29,7 +29,8 @@ pub enum BackendChoice {
     Auto,
     /// Portable scalar reference kernels.
     Scalar,
-    /// 128-bit SSE2 kernels.
+    /// 128-bit SSE2 level (the imaging SSE2 kernels; Exact core solves
+    /// run the scalar reference).
     Sse2,
     /// 256-bit AVX2 kernels.
     Avx2,

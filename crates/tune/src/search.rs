@@ -12,8 +12,8 @@
 //!    improves nothing (or the sweep budget runs out).
 //! 2. **Full measurement of survivors.** The best few configurations by
 //!    proxy score (plus the untouched baseline) are re-measured on the
-//!    real workloads — the `bench` denoise/TV-L1 runs, or `loadgen`-style
-//!    service replays for the service knobs — and the winner is decided on
+//!    real workloads — the `bench` denoise/TV-L1 runs, or in-process
+//!    service request replays for the service knobs — and the winner is decided on
 //!    those numbers alone, so a proxy mis-ranking can cost coverage but
 //!    never pick a regression over the measured baseline.
 //!
@@ -104,7 +104,7 @@ impl SearchSpace {
     }
 
     /// The service-knob grid (batch coalescing window + watermarks),
-    /// searched against `loadgen`-style replays.
+    /// searched against in-process request replays.
     pub fn service(smoke: bool) -> SearchSpace {
         SearchSpace {
             batch_windows: if smoke {

@@ -9,6 +9,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use chambolle_telemetry::{names, Telemetry};
 use chambolle_tune::{
@@ -72,6 +73,16 @@ fn tunables_from(
     t.validate().ok().map(|()| t)
 }
 
+/// Runs `f` while no other test loads a profile. A failed load bumps the
+/// process-wide [`fallback_count`], and the tests of this binary run on
+/// parallel threads, so without this a concurrent fallback could land
+/// between a reading of the count and its check.
+fn serialized<T>(f: impl FnOnce() -> T) -> T {
+    static LOADS: Mutex<()> = Mutex::new(());
+    let _guard = LOADS.lock().unwrap_or_else(|e| e.into_inner());
+    f()
+}
+
 /// Loads `text` from disk through the total loader and checks the
 /// invariant: the returned schedule always validates, and on any reported
 /// error it is exactly the default with both fallback tallies bumped.
@@ -79,8 +90,11 @@ fn assert_total(text: &[u8], label: &str) -> Result<(), TestCaseError> {
     let path = tmp(label);
     std::fs::write(&path, text).expect("write corrupted profile");
     let telemetry = Telemetry::null();
-    let before = fallback_count();
-    let (tunables, err) = load_with_fallback(path.to_str(), &telemetry);
+    let (before, (tunables, err), after) = serialized(|| {
+        let before = fallback_count();
+        let loaded = load_with_fallback(path.to_str(), &telemetry);
+        (before, loaded, fallback_count())
+    });
     std::fs::remove_file(&path).ok();
 
     prop_assert!(
@@ -94,7 +108,7 @@ fn assert_total(text: &[u8], label: &str) -> Result<(), TestCaseError> {
             Tunables::default(),
             "a fallback must hand back the defaults"
         );
-        prop_assert_eq!(fallback_count(), before + 1);
+        prop_assert_eq!(after, before + 1);
         prop_assert_eq!(snap.counter(names::TUNE_PROFILE_FALLBACK), Some(1));
     } else {
         prop_assert_eq!(snap.counter(names::TUNE_PROFILE_LOADED), Some(1));
@@ -168,7 +182,7 @@ fn version_bumped_schema_falls_back() {
     let path = tmp("schema_bump");
     std::fs::write(&path, bumped).unwrap();
     let telemetry = Telemetry::null();
-    let (tunables, err) = load_with_fallback(path.to_str(), &telemetry);
+    let (tunables, err) = serialized(|| load_with_fallback(path.to_str(), &telemetry));
     std::fs::remove_file(&path).ok();
 
     assert_eq!(tunables, Tunables::default());
@@ -197,7 +211,7 @@ fn v1_profile_without_numerics_knob_falls_back_totally() {
     let path = tmp("v1_legacy");
     std::fs::write(&path, &text).unwrap();
     let telemetry = Telemetry::null();
-    let (tunables, err) = load_with_fallback(path.to_str(), &telemetry);
+    let (tunables, err) = serialized(|| load_with_fallback(path.to_str(), &telemetry));
     std::fs::remove_file(&path).ok();
 
     assert_eq!(tunables, Tunables::default());
@@ -223,7 +237,7 @@ fn v2_profile_missing_numerics_knob_falls_back() {
     let text = text.replace(&format!("{numerics_line}\n"), "");
     let path = tmp("v2_missing_numerics");
     std::fs::write(&path, &text).unwrap();
-    let (tunables, err) = load_with_fallback(path.to_str(), &Telemetry::disabled());
+    let (tunables, err) = serialized(|| load_with_fallback(path.to_str(), &Telemetry::disabled()));
     std::fs::remove_file(&path).ok();
 
     assert_eq!(tunables, Tunables::default());
@@ -244,7 +258,7 @@ fn wrong_fingerprint_falls_back() {
     let path = tmp("wrong_host");
     profile.save(&path).unwrap();
     let telemetry = Telemetry::null();
-    let (tunables, err) = load_with_fallback(path.to_str(), &telemetry);
+    let (tunables, err) = serialized(|| load_with_fallback(path.to_str(), &telemetry));
     std::fs::remove_file(&path).ok();
 
     assert_eq!(
@@ -271,7 +285,7 @@ fn valid_knobs_that_fail_validation_fall_back() {
         .replace("\"tile_height\": 88", "\"tile_height\": 4");
     let path = tmp("invalid_knobs");
     std::fs::write(&path, text).unwrap();
-    let (tunables, err) = load_with_fallback(path.to_str(), &Telemetry::disabled());
+    let (tunables, err) = serialized(|| load_with_fallback(path.to_str(), &Telemetry::disabled()));
     std::fs::remove_file(&path).ok();
 
     assert_eq!(tunables, Tunables::default());

@@ -1,5 +1,5 @@
 //! The kernel-backend contract, pinned across crates: every SIMD backend
-//! (scalar, SSE2, AVX2) produces **byte-identical** dual fields and outputs
+//! (scalar, SSE2, AVX2, AVX-512) produces **byte-identical** dual fields and outputs
 //! for every solve entry point, across frame widths that exercise full
 //! vectors, remainder lanes and degenerate single-column frames, and across
 //! thread counts.
@@ -31,6 +31,7 @@ fn supported_backends() -> Vec<KernelBackend> {
         KernelBackend::Scalar,
         KernelBackend::Sse2,
         KernelBackend::Avx2,
+        KernelBackend::Avx512,
     ]
     .into_iter()
     .filter(KernelBackend::is_supported)

@@ -14,8 +14,10 @@ use chambolle::core::{ChambolleParams, SequentialSolver, TvDenoiser};
 use chambolle::imaging::{Grid, NoiseTexture, Scene};
 use chambolle::service::{
     BreakerPolicy, BreakerState, ChaosConfig, ChaosEvent, Priority, RequestTrace, ResilientClient,
-    ResilientConfig, ResponseTier, RetryPolicy, Service, ServiceConfig, TcpServer,
+    ResilientConfig, ResponseTier, RetryPolicy, Service, ServiceClient, ServiceConfig,
+    SloObjective, TcpServer, METRICS_SNAPSHOT_SCHEMA,
 };
+use chambolle::telemetry::json::JsonValue;
 use chambolle::telemetry::{names, RunReport, Telemetry};
 
 const SEED: u64 = 0xC4A0_55EE_D001;
@@ -43,8 +45,12 @@ fn chaotic_server_still_serves_every_request_bit_identically() {
     let server_telemetry = Telemetry::null();
     let client_telemetry = Telemetry::null();
     // A ring big enough that no trace fragment of this run is evicted —
-    // every retry that gets a response write finishes one fragment.
-    let config = ServiceConfig::new(2, 32).with_trace_ring(1024);
+    // every retry that gets a response write finishes one fragment. The
+    // interactive-lane SLO gives the metrics snapshot a live burn rate.
+    let config = ServiceConfig::new(2, 32).with_trace_ring(1024).with_slo(
+        Priority::Interactive,
+        SloObjective::new(Duration::from_secs(2), 0.99),
+    );
     let service = Service::spawn_with_telemetry(config, server_telemetry.clone());
     // Aggressive-but-recoverable chaos: frequent resets and corruption, and
     // the third solve submission panics server-side *after* committing, so
@@ -56,6 +62,9 @@ fn chaotic_server_still_serves_every_request_bit_identically() {
     let server =
         TcpServer::bind_with_chaos(service.handle().clone(), "127.0.0.1:0", chaos).unwrap();
     let addr = server.local_addr();
+    // The metrics plane: a chaos-free ops listener on the same service.
+    let ops = TcpServer::bind(service.handle().clone(), "127.0.0.1:0").unwrap();
+    let mut ops_client = ServiceClient::connect(ops.local_addr()).unwrap();
 
     // A hair-trigger breaker (threshold 1, short cooldown) so the fault
     // schedule is guaranteed to exercise the open -> half-open -> closed
@@ -83,7 +92,29 @@ fn chaotic_server_still_serves_every_request_bit_identically() {
 
     let mut recovered_any = false;
     let mut trace_ids = Vec::new();
-    for (input, want) in inputs.iter().zip(&expected) {
+    for (i, (input, want)) in inputs.iter().zip(&expected).enumerate() {
+        if i == REQUESTS / 2 {
+            // Mid-run, while faults are firing, the metrics plane still
+            // serves a schema-valid snapshot carrying the SLO burn rate.
+            let raw = ops_client
+                .metrics()
+                .expect("the metrics plane answers during chaos");
+            let snapshot = JsonValue::parse(&raw).expect("snapshot must be valid JSON");
+            assert_eq!(
+                snapshot.get("schema").and_then(JsonValue::as_str),
+                Some(METRICS_SNAPSHOT_SCHEMA)
+            );
+            let lanes = snapshot
+                .get_path("slo.lanes")
+                .and_then(JsonValue::as_array)
+                .expect("snapshot carries SLO lanes");
+            assert!(
+                lanes
+                    .iter()
+                    .any(|lane| lane.get("burn_rate").and_then(JsonValue::as_f64).is_some()),
+                "snapshot must report a burn_rate: {raw}"
+            );
+        }
         let outcome = client
             .denoise(input, &params, Priority::Interactive, None)
             .expect("every accepted request must complete despite chaos");
@@ -191,6 +222,7 @@ fn chaotic_server_still_serves_every_request_bit_identically() {
     );
     assert!(server_snap.counter(names::SERVICE_CHAOS_SERVER_PANICS) == Some(1));
 
+    ops.shutdown();
     server.shutdown();
     let summary = service.shutdown();
     assert_eq!(summary.stats.in_flight(), 0, "no request leaks in flight");

@@ -4,7 +4,7 @@
 //! The `Exact` tier promises bit equality; the `Fast` tier promises the
 //! paper's validation model instead — agreement with the reference solve
 //! within an energy/duality-gap tolerance
-//! ([`NumericsPolicy::ENERGY_RTOL`]) and a per-pixel bound
+//! ([`NumericsPolicy::ENERGY_RTOL`]), plus a coarse per-pixel sanity bound
 //! ([`NumericsPolicy::PIXEL_ATOL`]) on unit-range images. This harness
 //! sweeps kernel backends, thread counts and iteration budgets (which
 //! exercise different K-deep temporal-fusion tails) and checks both bounds,
@@ -69,10 +69,13 @@ fn deviations(
 
 #[test]
 fn fast_tier_stays_within_tolerance_across_backends_and_budgets() {
-    let v = NoiseTexture::new(17).render(96, 80);
-    // Budgets straddling the temporal-fusion depth: a partial sweep, exact
-    // multiples, and a long run with a ragged tail.
-    for iterations in [1u32, 3, 4, 8, 30, 101] {
+    // Budgets straddling the temporal-fusion depth on a small frame: a
+    // partial sweep, exact multiples, and a long run with a ragged tail.
+    // Then the paper's 200 iterations on a larger frame, where the per-pixel
+    // drift is largest.
+    let budgets = [1u32, 3, 4, 8, 30, 101].map(|iterations| ((96, 80), iterations));
+    for ((w, h), iterations) in budgets.into_iter().chain([((256, 256), 200)]) {
+        let v = NoiseTexture::new(17).render(w, h);
         let params = ChambolleParams::with_iterations(iterations);
         let exact = solve(
             &v,
@@ -86,11 +89,11 @@ fn fast_tier_stays_within_tolerance_across_backends_and_budgets() {
             let (pixel, energy) = deviations(&exact, &fast, &v, &params);
             assert!(
                 pixel <= NumericsPolicy::PIXEL_ATOL,
-                "{backend:?} iters={iterations}: pixel deviation {pixel}"
+                "{backend:?} {w}x{h} iters={iterations}: pixel deviation {pixel}"
             );
             assert!(
                 energy <= NumericsPolicy::ENERGY_RTOL,
-                "{backend:?} iters={iterations}: energy deviation {energy}"
+                "{backend:?} {w}x{h} iters={iterations}: energy deviation {energy}"
             );
         }
     }
