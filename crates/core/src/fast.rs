@@ -32,8 +32,10 @@
 //!   cost one pass over memory instead of K.
 //!
 //! Within one backend the Fast tier is deterministic, and the banded
-//! parallel solver keeps it **thread-count invariant** (bands run the same
-//! full-width row kernels against snapshotted halos). It is *not*
+//! parallel solver keeps it **thread-count invariant**: its blocks of up
+//! to [`TEMPORAL_FUSION_DEPTH`] iterations run the same full-width row
+//! kernels over each band and its overlapping halo rows, so every own row
+//! matches the sequential sweep bit for bit. It is *not*
 //! bit-comparable across backends or tile shapes — that is exactly the
 //! guarantee the tier trades away. The fast tier applies to the `f32`
 //! production kernels; `f64` solves always run exact.
@@ -57,6 +59,10 @@ use std::any::TypeId;
 /// is a pure scheduling choice: the sweep is bit-identical to `k`
 /// sequential fast passes at every depth, so raising it trades nothing
 /// but cache headroom for fewer trips over the frame.
+///
+/// The same K is the block depth of the banded solver on both tiers
+/// ([`crate::solver::chambolle_iterate_with_ctx`]): iterations per pool
+/// dispatch, with K halo rows above each band and K + 1 below.
 pub const TEMPORAL_FUSION_DEPTH: u32 = 8;
 
 /// Reinterprets `&[R]` as `&[f32]` iff `R` *is* `f32`.
@@ -506,8 +512,10 @@ pub(crate) fn band_iteration_tiered<R: Real>(
 /// [`fused_band_iteration_fast`] over the whole frame on the same backend:
 /// every level performs the identical per-cell operation order on
 /// identical inputs (level `l` only ever reads level `l − 1`'s final
-/// values). The sweep is sequential-only — the banded parallel fast path
-/// stays per-iteration so halo snapshots keep it thread-count invariant.
+/// values). The sweep is sequential-only: the banded parallel path runs
+/// its blocks of K iterations as K full passes of
+/// [`fused_band_iteration_fast`] over each band and its halo rows, which
+/// yields the same own-row bits as this sweep.
 ///
 /// # Panics
 ///

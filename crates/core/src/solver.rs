@@ -21,6 +21,7 @@ use std::sync::Arc;
 use chambolle_imaging::Grid;
 use chambolle_par::{ThreadPool, UnsafeSharedSlice};
 
+use crate::backend::KernelBackend;
 use crate::cancel::Cancelled;
 use crate::ctx::{ExecCtx, NumericsPolicy};
 use crate::fast;
@@ -166,19 +167,29 @@ pub fn chambolle_iterate<R: Real>(
 /// The consolidated iteration entry point: runs `iterations` Chambolle
 /// iterations on `p` under the execution policy in `ctx`.
 ///
-/// - no pool (or a 1-thread pool) → the fused sequential sweep;
-/// - a pool → the banded parallel sweep of fused row kernels: each band
-///   reads its own rows plus halo rows snapshotted from old-`p` state, so
-///   the result is bit-identical to sequential for every thread count;
+/// - no pool, a 1-thread pool, or a frame too short for two bands → the
+///   fused sequential sweep;
+/// - otherwise → blocked bands: `min(pool threads, h / (2K+1))` horizontal
+///   bands, K = [`fast::TEMPORAL_FUSION_DEPTH`], so a band is never shorter
+///   than its halos. Each pool dispatch runs a block of `k ≤ K` iterations:
+///   every band updates its own rows `[r0, r1)` in place and recomputes
+///   `k` rows above and `k + 1` below in private copies taken before the
+///   block, so its own rows come out bit-identical to `k` sequential
+///   iterations for every thread count. The halo work shrinks by a row per
+///   cut edge and iteration, so a band boundary costs 10 redundant rows per
+///   iteration on average (at most `2K + 1 = 17`), and `K − 1` of every `K`
+///   pool dispatches are saved;
 /// - the kernel rows run on `ctx.backend()` (bit-identical on every
 ///   backend under the default Exact tier);
 /// - `ctx.numerics()` selects the numerics tier: `Exact` (default) keeps
 ///   the bit-identity contract; `Fast` routes `f32` solves through the
 ///   tolerance-validated kernels of [`crate::fast`] — sequentially as
-///   K-deep temporally fused sweeps, in parallel as fast band iterations
-///   (still thread-count invariant). `f64` solves always run exact;
-/// - a cancellation token, if attached, is polled between iterations
-///   (between fused sweeps at the Fast tier).
+///   K-deep temporally fused sweeps, in bands as the same full-width fast
+///   row kernels (so still thread-count invariant). `f64` solves always
+///   run exact;
+/// - a cancellation token, if attached, is polled between iterations on
+///   the sequential Exact path and between blocks of up to K iterations on
+///   the Fast sweep and the banded path.
 ///
 /// [`chambolle_iterate`] delegates here.
 ///
@@ -208,7 +219,12 @@ pub fn chambolle_iterate_with_ctx<R: Real>(
     let (backend, numerics) = (ctx.backend(), ctx.numerics());
 
     let pool = ctx.pool().map(Arc::as_ref);
-    let bands = pool.map_or(1, ThreadPool::threads).min(h);
+    // K: iterations per pool dispatch. A band is at least as tall as the
+    // 2K+1 halo rows it recomputes around itself.
+    let depth = fast::TEMPORAL_FUSION_DEPTH;
+    let bands = pool
+        .map_or(1, ThreadPool::threads)
+        .min(h / (2 * depth as usize + 1));
     if bands <= 1 {
         // Sequential Fast tier: fuse iterations K at a time into single
         // cache-resident passes over the frame. (`f64` solves never take
@@ -224,7 +240,7 @@ pub fn chambolle_iterate_with_ctx<R: Real>(
                 let mut remaining = iterations;
                 while remaining > 0 {
                     ctx.checkpoint()?;
-                    let k = remaining.min(fast::TEMPORAL_FUSION_DEPTH);
+                    let k = remaining.min(depth);
                     fast::temporal_sweep(backend, px, py, vs, w, h, it, st, k);
                     remaining -= k;
                 }
@@ -255,69 +271,222 @@ pub fn chambolle_iterate_with_ctx<R: Real>(
     }
     let pool = pool.expect("bands > 1 implies a pool");
 
-    // Deterministic band bounds (the partition never depends on scheduling;
-    // the result does not even depend on the partition — every band computes
-    // from old-p data only).
+    // Deterministic band bounds: the partition never depends on scheduling,
+    // and the result does not even depend on the partition.
     let bounds: Vec<usize> = (0..=bands).map(|b| b * h / bands).collect();
-    // Old-p halo rows copied fresh each iteration before the bands launch:
-    // for the boundary at row r, py[r-1] (read by the band below it) and
-    // px[r]/py[r] (read by the band above it).
-    let mut snap_py_above = vec![vec![R::ZERO; w]; bands - 1];
-    let mut snap_px_below = vec![vec![R::ZERO; w]; bands - 1];
-    let mut snap_py_below = vec![vec![R::ZERO; w]; bands - 1];
-    // Per-band term-row scratch, allocated once and reused every iteration.
-    let mut term_scratch = vec![(vec![R::ZERO; w], vec![R::ZERO; w]); bands];
+    let mut windows: Vec<BandWindow<R>> = (0..bands)
+        .map(|b| BandWindow::new(w, h, bounds[b], bounds[b + 1], depth as usize))
+        .collect();
 
-    for _ in 0..iterations {
+    let mut remaining = iterations;
+    while remaining > 0 {
         ctx.checkpoint()?;
-        for b in 0..bands - 1 {
-            let r = bounds[b + 1];
-            snap_py_above[b].copy_from_slice(p.py.row(r - 1));
-            snap_px_below[b].copy_from_slice(p.px.row(r));
-            snap_py_below[b].copy_from_slice(p.py.row(r));
+        let k = remaining.min(depth);
+        for window in &mut windows {
+            window.load(p, k as usize);
         }
         let px_view = UnsafeSharedSlice::new(p.px.as_mut_slice());
         let py_view = UnsafeSharedSlice::new(p.py.as_mut_slice());
-        let term_view = UnsafeSharedSlice::new(&mut term_scratch);
-        pool.parallel_tiles("par.solver.iteration", bands, |_, b| {
+        let window_view = UnsafeSharedSlice::new(&mut windows);
+        pool.parallel_tiles("par.solver.block", bands, |_, b| {
             let (r0, r1) = (bounds[b], bounds[b + 1]);
             // SAFETY: band row ranges are disjoint, and each band index runs
-            // exactly once; foreign rows are only read through the halo
-            // snapshots. Each band's scratch entry is touched by exactly the
-            // task that owns index b.
-            let (px_band, py_band, scratch) = unsafe {
+            // exactly once; foreign rows are only read through the band's
+            // private halo copies. Each band's window is touched by exactly
+            // the task that owns index b.
+            let (px_band, py_band, window) = unsafe {
                 (
                     px_view.slice_mut(r0 * w, (r1 - r0) * w),
                     py_view.slice_mut(r0 * w, (r1 - r0) * w),
-                    &mut term_view.slice_mut(b, 1)[0],
+                    &mut window_view.slice_mut(b, 1)[0],
                 )
             };
-            let halo = BandHalo {
-                py_above: (r0 > 0).then(|| snap_py_above[b - 1].as_slice()),
-                below: (r1 < h).then(|| BelowHalo {
-                    px: snap_px_below[b].as_slice(),
-                    py: snap_py_below[b].as_slice(),
-                    v: v.row(r1),
-                }),
-            };
+            for i in 0..k as usize {
+                window.iterate(
+                    i, backend, numerics, px_band, py_band, v, inv_theta, step_ratio,
+                );
+            }
+        });
+        remaining -= k;
+    }
+    Ok(())
+}
+
+/// One band's private state in the blocked banded solve.
+///
+/// A block of `k ≤ K` iterations runs over the window `[r0 − k, r1 + k + 1)`
+/// (clipped to the frame): the band's own rows `[r0, r1)`, updated in place,
+/// plus `k` halo rows above and `k + 1` below, updated in private copies.
+/// The window's cut edges take the frame-border rules, which corrupts one
+/// row per iteration from the top cut and, because the bottom cut's `Term`
+/// row feeds the update one row inward within the same iteration, `k + 1`
+/// rows in `k` iterations from the bottom cut — the tiling module's
+/// profitable-element rule. Neither front reaches the own rows, so those
+/// come out bit-identical to `k` sequential iterations.
+///
+/// Rows behind a front hold no useful value, so iteration `i` of the block
+/// skips the `i` rows next to each cut: the cuts move in with the fronts,
+/// and a band boundary costs 10 redundant rows per iteration on average at
+/// K = 8 instead of 2K + 1 = 17.
+struct BandWindow<R> {
+    /// The band's own rows `[r0, r1)`.
+    r0: usize,
+    r1: usize,
+    /// Frame height.
+    h: usize,
+    /// Halo rows above (`[a, r0)`) and below (`[r1, c)`) in this block.
+    above_rows: usize,
+    below_rows: usize,
+    above_px: Vec<R>,
+    above_py: Vec<R>,
+    below_px: Vec<R>,
+    below_py: Vec<R>,
+    /// Pre-iteration copies of the halo rows next to the own rows:
+    /// `py[r0 − 1]`, then `px[r1]` and `py[r1]`.
+    seam: Vec<R>,
+    term_a: Vec<R>,
+    term_b: Vec<R>,
+}
+
+impl<R: Real> BandWindow<R> {
+    /// Scratch for blocks of up to `depth` iterations, allocated once per
+    /// solve.
+    fn new(w: usize, h: usize, r0: usize, r1: usize, depth: usize) -> Self {
+        let above = depth.min(r0) * w;
+        let below = (depth + 1).min(h - r1) * w;
+        BandWindow {
+            r0,
+            r1,
+            h,
+            above_rows: 0,
+            below_rows: 0,
+            above_px: vec![R::ZERO; above],
+            above_py: vec![R::ZERO; above],
+            below_px: vec![R::ZERO; below],
+            below_py: vec![R::ZERO; below],
+            seam: vec![R::ZERO; 3 * w],
+            term_a: vec![R::ZERO; w],
+            term_b: vec![R::ZERO; w],
+        }
+    }
+
+    /// Copies the old halo rows of a `k`-iteration block out of `p`; runs
+    /// before the block launches, while no band is writing.
+    fn load(&mut self, p: &DualField<R>, k: usize) {
+        let w = p.px.width();
+        let (r0, r1) = (self.r0, self.r1);
+        self.above_rows = k.min(r0);
+        self.below_rows = (k + 1).min(self.h - r1);
+        let above = (r0 - self.above_rows) * w..r0 * w;
+        let below = r1 * w..(r1 + self.below_rows) * w;
+        let n = above.len();
+        self.above_px[..n].copy_from_slice(&p.px.as_slice()[above.clone()]);
+        self.above_py[..n].copy_from_slice(&p.py.as_slice()[above]);
+        let n = below.len();
+        self.below_px[..n].copy_from_slice(&p.px.as_slice()[below.clone()]);
+        self.below_py[..n].copy_from_slice(&p.py.as_slice()[below]);
+    }
+
+    /// Iteration `i` of the block over the window, treated as a frame of
+    /// its own height: the halo rows above, then below (each reading the
+    /// still-old own rows next to it), then the own rows against the seam
+    /// copies taken before the halos moved.
+    #[allow(clippy::too_many_arguments)] // the band kernels' shape
+    fn iterate(
+        &mut self,
+        i: usize,
+        backend: KernelBackend,
+        numerics: NumericsPolicy,
+        px: &mut [R],
+        py: &mut [R],
+        v: &Grid<R>,
+        inv_theta: R,
+        step_ratio: R,
+    ) {
+        let w = v.width();
+        let (r0, r1) = (self.r0, self.r1);
+        // The window `[a, c)`: a cut edge (one that is not a frame edge)
+        // sits `i` rows inside the loaded halo.
+        let (a, c) = (r0 - self.above_rows, r1 + self.below_rows);
+        let skipped = if a > 0 { i } else { 0 };
+        let a = a + skipped;
+        let c = if c < self.h { c - i } else { c };
+        let hw = c - a;
+        let skip = skipped * w;
+        let (na, nb) = (self.above_rows * w, (c - r1) * w);
+        let vs = v.as_slice();
+        let (seam_above, seam_below) = self.seam.split_at_mut(w);
+        let (seam_px_below, seam_py_below) = seam_below.split_at_mut(w);
+        if na > 0 {
+            seam_above.copy_from_slice(&self.above_py[na - w..na]);
             fast::band_iteration_tiered(
                 backend,
                 numerics,
-                px_band,
-                py_band,
-                &v.as_slice()[r0 * w..r1 * w],
+                &mut self.above_px[skip..na],
+                &mut self.above_py[skip..na],
+                &vs[a * w..r0 * w],
                 w,
-                h,
-                r0,
-                halo,
+                hw,
+                0,
+                BandHalo {
+                    py_above: None,
+                    below: Some(BelowHalo {
+                        px: &px[..w],
+                        py: &py[..w],
+                        v: v.row(r0),
+                    }),
+                },
                 inv_theta,
                 step_ratio,
-                &mut scratch.0,
-                &mut scratch.1,
+                &mut self.term_a,
+                &mut self.term_b,
             );
-        });
+        }
+        if nb > 0 {
+            seam_px_below.copy_from_slice(&self.below_px[..w]);
+            seam_py_below.copy_from_slice(&self.below_py[..w]);
+            fast::band_iteration_tiered(
+                backend,
+                numerics,
+                &mut self.below_px[..nb],
+                &mut self.below_py[..nb],
+                &vs[r1 * w..r1 * w + nb],
+                w,
+                hw,
+                r1 - a,
+                BandHalo {
+                    py_above: Some(&py[py.len() - w..]),
+                    below: None,
+                },
+                inv_theta,
+                step_ratio,
+                &mut self.term_a,
+                &mut self.term_b,
+            );
+        }
+        fast::band_iteration_tiered(
+            backend,
+            numerics,
+            px,
+            py,
+            &vs[r0 * w..r1 * w],
+            w,
+            hw,
+            r0 - a,
+            BandHalo {
+                py_above: (na > 0).then_some(&*seam_above),
+                below: (nb > 0).then(|| BelowHalo {
+                    px: &*seam_px_below,
+                    py: &*seam_py_below,
+                    v: v.row(r1),
+                }),
+            },
+            inv_theta,
+            step_ratio,
+            &mut self.term_a,
+            &mut self.term_b,
+        );
     }
-    Ok(())
 }
 
 /// Recovers the primal solution `u = v − θ·div p` (Algorithm 1, line 9).
@@ -531,6 +700,11 @@ impl TvDenoiser for SequentialSolver {
 
 /// The pool-backed fused-kernel solver: bit-identical to
 /// [`SequentialSolver`], parallel over row bands.
+///
+/// Each pool dispatch runs a block of up to K = 8 iterations per band over
+/// the band plus overlapping halo rows (see [`chambolle_iterate_with_ctx`]).
+/// Frames shorter than two bands of `2K + 1 = 17` rows run inline on the
+/// calling thread and never touch the pool.
 ///
 /// # Examples
 ///
@@ -798,14 +972,154 @@ mod tests {
 
     #[test]
     fn parallel_solver_shares_a_pool() {
-        let pool = Arc::new(chambolle_par::ThreadPool::new(2));
+        let pool = Arc::new(ThreadPool::new(2));
         let solver = ParallelSolver::with_pool(Arc::clone(&pool));
-        let v = Grid::new(16, 16, 0.5f32);
+        let v = Grid::new(16, 34, 0.5f32);
         let _ = solver.denoise(&v, &params(4));
         assert!(
             solver.pool().stats().tasks > 0,
             "work went through the pool"
         );
+    }
+
+    #[test]
+    fn frames_shorter_than_two_bands_never_touch_the_pool() {
+        // Two bands need 2·(2K+1) = 34 rows; anything shorter runs inline.
+        let pool = Arc::new(ThreadPool::new(2));
+        let solver = ParallelSolver::with_pool(Arc::clone(&pool));
+        for h in [1usize, 16, 33] {
+            let v = Grid::from_fn(16, h, |x, y| ((x + 3 * y) % 5) as f32 * 0.2);
+            let _ = solver.denoise(&v, &params(30));
+        }
+        assert_eq!(pool.stats().broadcasts, 0);
+        assert_eq!(pool.stats().tasks, 0);
+    }
+
+    #[test]
+    fn pooled_solve_dispatches_once_per_block() {
+        let k = fast::TEMPORAL_FUSION_DEPTH;
+        let pool = Arc::new(ThreadPool::new(2));
+        let ctx = ExecCtx::default().with_pool(Arc::clone(&pool));
+        let v = noisy_step(20, 40, 37).map(|&x| x as f32);
+        for iterations in [1, k, k + 1, 3 * k] {
+            let before = pool.stats();
+            let mut p = DualField::zeros(20, 40);
+            chambolle_iterate_with_ctx(&mut p, &v, &params(iterations), iterations, &ctx)
+                .expect("no token");
+            let after = pool.stats();
+            let blocks = u64::from(iterations.div_ceil(k));
+            assert_eq!(after.broadcasts - before.broadcasts, blocks, "{iterations}");
+            assert_eq!(after.tasks - before.tasks, 2 * blocks, "{iterations}");
+        }
+    }
+
+    #[test]
+    fn pooled_pre_cancelled_solve_leaves_the_field_untouched() {
+        let v = noisy_step(12, 40, 41).map(|&x| x as f32);
+        let token = crate::cancel::CancelToken::new();
+        token.cancel();
+        let pool = Arc::new(ThreadPool::new(2));
+        let ctx = ExecCtx::default()
+            .with_cancel(token)
+            .with_pool(Arc::clone(&pool));
+        let mut p = DualField::zeros(12, 40);
+        assert!(chambolle_iterate_with_ctx(&mut p, &v, &params(20), 20, &ctx).is_err());
+        assert!(p.max_norm() == 0.0);
+        assert_eq!(pool.stats().broadcasts, 0);
+    }
+
+    /// Every backend the host can execute.
+    fn supported_backends() -> Vec<KernelBackend> {
+        [
+            KernelBackend::Scalar,
+            KernelBackend::Sse2,
+            KernelBackend::Avx2,
+            KernelBackend::Avx512,
+        ]
+        .into_iter()
+        .filter(KernelBackend::is_supported)
+        .collect()
+    }
+
+    fn field_bits<R: Real>(p: &DualField<R>) -> Vec<u64> {
+        p.px.as_slice()
+            .iter()
+            .chain(p.py.as_slice())
+            .map(|v| v.to_f64().to_bits())
+            .collect()
+    }
+
+    /// The blocked-band shape matrix: heights on both sides of the 34-row
+    /// two-band threshold and of 3·17 = 51 (three bands), one tall enough
+    /// for eight bands; iteration counts around the block depth K = 8;
+    /// widths with no vector loop, remainder lanes and full vectors.
+    const BLOCK_HEIGHTS: [usize; 6] = [33, 34, 35, 51, 52, 137];
+    const BLOCK_THREADS: [usize; 3] = [2, 3, 8];
+    const BLOCK_ITERATIONS: [u32; 6] = [1, 7, 8, 9, 17, 30];
+    const BLOCK_WIDTHS: [usize; 3] = [1, 61, 64];
+
+    /// Runs the matrix for one element type and tier: every pooled solve
+    /// must equal the sequential solve under `ctx` (no pool) bit for bit,
+    /// and frames of at least two bands must actually reach the pool.
+    fn assert_blocked_matches_sequential<R: Real>(ctx: &ExecCtx, seed: u64) {
+        let pools: Vec<Arc<ThreadPool>> = BLOCK_THREADS
+            .iter()
+            .map(|&t| Arc::new(ThreadPool::new(t)))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for h in BLOCK_HEIGHTS {
+            for w in BLOCK_WIDTHS {
+                let v = Grid::from_fn(w, h, |_, _| R::from_f64(rng.gen_range(-0.5..1.5)));
+                for iterations in BLOCK_ITERATIONS {
+                    let pr = params(iterations);
+                    let mut reference = DualField::zeros(w, h);
+                    chambolle_iterate_with_ctx(&mut reference, &v, &pr, iterations, ctx)
+                        .expect("no token");
+                    for pool in &pools {
+                        let before = pool.stats().broadcasts;
+                        let mut p = DualField::zeros(w, h);
+                        let pooled = ctx.clone().with_pool(Arc::clone(pool));
+                        chambolle_iterate_with_ctx(&mut p, &v, &pr, iterations, &pooled)
+                            .expect("no token");
+                        let threads = pool.threads();
+                        assert!(
+                            field_bits(&p) == field_bits(&reference),
+                            "{w}x{h}, {iterations} iterations, {threads} threads, {:?} {:?}",
+                            ctx.backend(),
+                            ctx.numerics(),
+                        );
+                        let dispatched = pool.stats().broadcasts > before;
+                        assert_eq!(dispatched, h >= 34, "{w}x{h} at {threads} threads");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_bands_bit_identical_to_sequential_exact_f32_every_backend() {
+        for backend in supported_backends() {
+            let ctx = ExecCtx::default()
+                .with_backend(backend)
+                .with_numerics(NumericsPolicy::Exact);
+            assert_blocked_matches_sequential::<f32>(&ctx, 51);
+        }
+    }
+
+    #[test]
+    fn blocked_bands_bit_identical_to_sequential_exact_f64() {
+        let ctx = ExecCtx::default().with_numerics(NumericsPolicy::Exact);
+        assert_blocked_matches_sequential::<f64>(&ctx, 52);
+    }
+
+    #[test]
+    fn blocked_bands_fast_tier_is_thread_count_invariant() {
+        for backend in supported_backends() {
+            let ctx = ExecCtx::default()
+                .with_backend(backend)
+                .with_numerics(NumericsPolicy::Fast);
+            assert_blocked_matches_sequential::<f32>(&ctx, 53);
+        }
     }
 
     #[test]

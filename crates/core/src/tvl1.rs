@@ -12,7 +12,9 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use chambolle_imaging::{upsample_flow_component, FlowField, Image, Pyramid, WarpLinearization};
+use chambolle_imaging::{
+    upsample_flow_component, FlowField, Grid, Image, Pyramid, WarpLinearization,
+};
 use chambolle_par::ThreadPool;
 
 use crate::cancel::{CancelToken, Cancelled};
@@ -357,33 +359,59 @@ impl<D: TvDenoiser> VideoFlowTracker<D> {
 ///
 /// (Zach et al. 2007, eq. 15 — the paper's "support variable v ... defined
 /// using a thresholding function".)
+///
+/// One sequential pass over the row-major slices of `u` and `lin`: every
+/// case's increment is computed up front, so the case test is a pure
+/// selection between ready values. The expressions
+/// and their evaluation order are [`WarpLinearization::rho`] and
+/// [`WarpLinearization::grad_sq`] cell for cell, without FMA contraction, so
+/// the result is bit-identical to evaluating the cases per pixel.
+///
+/// # Panics
+///
+/// Panics if `u` and `lin` differ in size.
 pub fn threshold_step(
     lin: &WarpLinearization,
     u: &FlowField,
     lambda: f32,
     theta: f32,
 ) -> FlowField {
+    assert_eq!(u.dims(), lin.u0.dims(), "flow must match the linearization");
+    let (w, h) = u.dims();
+    let n = w * h;
     let lt = lambda * theta;
-    // Gradients numerically this small carry no data information; leave v=u.
-    const GRAD_FLOOR: f32 = 1e-9;
-    FlowField::from_fn(u.width(), u.height(), |x, y| {
-        let (u1, u2) = u.at(x, y);
-        let rho = lin.rho(x, y, u1, u2);
-        let g2 = lin.grad_sq(x, y);
-        let gx = lin.gx[(x, y)];
-        let gy = lin.gy[(x, y)];
-        let (d1, d2) = if rho < -lt * g2 {
-            (lt * gx, lt * gy)
-        } else if rho > lt * g2 {
-            (-lt * gx, -lt * gy)
-        } else if g2 > GRAD_FLOOR {
+    let neg_lt = -lt;
+    let (u1, u2) = (&u.u1.as_slice()[..n], &u.u2.as_slice()[..n]);
+    let (u01, u02) = (&lin.u0.u1.as_slice()[..n], &lin.u0.u2.as_slice()[..n]);
+    let residual = &lin.residual.as_slice()[..n];
+    let (gx, gy) = (&lin.gx.as_slice()[..n], &lin.gy.as_slice()[..n]);
+    let (mut v1, mut v2) = (vec![0.0f32; n], vec![0.0f32; n]);
+    for i in 0..n {
+        let (gx, gy) = (gx[i], gy[i]);
+        let rho = residual[i] + gx * (u1[i] - u01[i]) + gy * (u2[i] - u02[i]);
+        let g2 = gx * gx + gy * gy;
+        let (mid1, mid2) = if g2 > GRAD_FLOOR {
             (-rho * gx / g2, -rho * gy / g2)
         } else {
             (0.0, 0.0)
         };
-        (u1 + d1, u2 + d2)
-    })
+        let (d1, d2) = if rho < neg_lt * g2 {
+            (lt * gx, lt * gy)
+        } else if rho > lt * g2 {
+            (neg_lt * gx, neg_lt * gy)
+        } else {
+            (mid1, mid2)
+        };
+        v1[i] = u1[i] + d1;
+        v2[i] = u2[i] + d2;
+    }
+    let grid = |data| Grid::from_vec(w, h, data).expect("n = w·h cells");
+    FlowField::from_components(grid(v1), grid(v2))
 }
+
+/// Gradients numerically this small carry no data information: the
+/// thresholding step leaves `v = u` there.
+const GRAD_FLOOR: f32 = 1e-9;
 
 /// Wall-time accounting of one flow estimation — reproduces the paper's
 /// profiling claim that "approximately 90% of the execution time is spent on
@@ -465,9 +493,8 @@ mod tests {
     use super::*;
     use crate::params::ChambolleParams;
     use crate::tiling::{TileConfig, TiledSolver};
-    use chambolle_imaging::{
-        average_endpoint_error, render_pair, Grid, Motion, NoiseTexture, Scene,
-    };
+    use chambolle_imaging::{average_endpoint_error, render_pair, Motion, NoiseTexture, Scene};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn fast_params() -> TvL1Params {
         TvL1Params::new(38.0, ChambolleParams::with_iterations(20), 3, 5, 4).unwrap()
@@ -603,6 +630,151 @@ mod tests {
         let lin_c = WarpLinearization::new(&flat, &flat, &FlowField::zeros(16, 8));
         let vc = threshold_step(&lin_c, &FlowField::constant(16, 8, 2.0, 3.0), lambda, theta);
         assert_eq!(vc.at(8, 4), (2.0, 3.0));
+    }
+
+    /// [`threshold_step`]'s case analysis evaluated per pixel through the
+    /// linearization's 2-D accessors: the bit-exactness oracle for the
+    /// single-pass loop.
+    fn threshold_step_per_pixel(
+        lin: &WarpLinearization,
+        u: &FlowField,
+        lambda: f32,
+        theta: f32,
+    ) -> FlowField {
+        let lt = lambda * theta;
+        FlowField::from_fn(u.width(), u.height(), |x, y| {
+            let (u1, u2) = u.at(x, y);
+            let rho = lin.rho(x, y, u1, u2);
+            let g2 = lin.grad_sq(x, y);
+            let gx = lin.gx[(x, y)];
+            let gy = lin.gy[(x, y)];
+            let (d1, d2) = if rho < -lt * g2 {
+                (lt * gx, lt * gy)
+            } else if rho > lt * g2 {
+                (-lt * gx, -lt * gy)
+            } else if g2 > GRAD_FLOOR {
+                (-rho * gx / g2, -rho * gy / g2)
+            } else {
+                (0.0, 0.0)
+            };
+            (u1 + d1, u2 + d2)
+        })
+    }
+
+    fn flow_bits(flow: &FlowField) -> Vec<u32> {
+        flow.u1
+            .as_slice()
+            .iter()
+            .chain(flow.u2.as_slice())
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// A cell value that is ordinary most of the time and otherwise one of
+    /// the thresholding step's edge inputs: ±0.0 or a gradient-floor-sized
+    /// magnitude.
+    fn edgy(rng: &mut StdRng) -> f32 {
+        match rng.gen_range(0u32..8) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => rng.gen_range(-1e-5f32..1e-5),
+            _ => rng.gen_range(-2.0f32..2.0),
+        }
+    }
+
+    fn edgy_grid(rng: &mut StdRng, w: usize, h: usize) -> Image {
+        Grid::from_fn(w, h, |_, _| edgy(rng))
+    }
+
+    /// A random linearization around a random `u0`, and a candidate flow.
+    fn random_linearization(
+        rng: &mut StdRng,
+        w: usize,
+        h: usize,
+    ) -> (WarpLinearization, FlowField) {
+        let warped = edgy_grid(rng, w, h);
+        let gx = edgy_grid(rng, w, h);
+        let gy = edgy_grid(rng, w, h);
+        let residual = edgy_grid(rng, w, h);
+        let u0 = FlowField::from_components(edgy_grid(rng, w, h), edgy_grid(rng, w, h));
+        let u = FlowField::from_components(edgy_grid(rng, w, h), edgy_grid(rng, w, h));
+        let lin = WarpLinearization {
+            warped,
+            gx,
+            gy,
+            residual,
+            u0,
+        };
+        (lin, u)
+    }
+
+    fn assert_matches_oracle(lin: &WarpLinearization, u: &FlowField, lambda: f32, theta: f32) {
+        assert_eq!(
+            flow_bits(&threshold_step(lin, u, lambda, theta)),
+            flow_bits(&threshold_step_per_pixel(lin, u, lambda, theta)),
+            "λ = {lambda}, θ = {theta}, {:?}",
+            u.dims()
+        );
+    }
+
+    #[test]
+    fn flat_threshold_step_is_bit_identical_to_per_pixel_cases() {
+        let mut rng = StdRng::seed_from_u64(97);
+        for (w, h) in [(1usize, 1usize), (7, 3), (33, 17), (64, 48)] {
+            for (lambda, theta) in [
+                (0.15f32, 0.3f32),
+                (38.0, 0.25),
+                (1e30, 0.25),
+                (f32::MAX, 2.0),
+            ] {
+                let (lin, u) = random_linearization(&mut rng, w, h);
+                assert_matches_oracle(&lin, &u, lambda, theta);
+            }
+        }
+    }
+
+    #[test]
+    fn flat_threshold_step_matches_on_flat_frames_and_case_boundaries() {
+        let (w, h) = (19usize, 11usize);
+        let mut rng = StdRng::seed_from_u64(98);
+        let (lambda, theta) = (0.15f32, 0.3f32);
+        let lt = lambda * theta;
+        // Flat frames: zero, negative-zero and sub-floor gradients, so g2 is
+        // at most GRAD_FLOOR everywhere and v = u + 0.
+        for g in [0.0f32, -0.0, 1e-6, -2e-5] {
+            let (mut lin, u) = random_linearization(&mut rng, w, h);
+            lin.gx = Grid::new(w, h, g);
+            lin.gy = Grid::new(w, h, -g);
+            assert!(lin.grad_sq(0, 0) <= GRAD_FLOOR);
+            assert_matches_oracle(&lin, &u, lambda, theta);
+        }
+        // rho exactly at ±λθ·g2: with u = u0 the increments vanish, so rho
+        // is the residual, which is set to the threshold itself.
+        let (mut lin, _) = random_linearization(&mut rng, w, h);
+        let u = lin.u0.clone();
+        for sign in [1.0f32, -1.0] {
+            lin.residual = Grid::from_fn(w, h, |x, y| sign * lt * lin.grad_sq(x, y));
+            for (x, y) in [(0, 0), (5, 3), (18, 10)] {
+                let (u1, u2) = u.at(x, y);
+                assert_eq!(lin.rho(x, y, u1, u2).abs(), lt * lin.grad_sq(x, y));
+            }
+            assert_matches_oracle(&lin, &u, lambda, theta);
+        }
+        // All-negative-zero inputs: v = −0.0 + 0.0 = +0.0 in both forms.
+        let nz = Grid::new(w, h, -0.0f32);
+        let lin = WarpLinearization {
+            warped: nz.clone(),
+            gx: nz.clone(),
+            gy: nz.clone(),
+            residual: nz.clone(),
+            u0: FlowField::from_components(nz.clone(), nz.clone()),
+        };
+        let u = FlowField::from_components(nz.clone(), nz);
+        assert_matches_oracle(&lin, &u, lambda, theta);
+        assert_eq!(
+            threshold_step(&lin, &u, lambda, theta).at(3, 3).0.to_bits(),
+            0
+        );
     }
 
     #[test]
