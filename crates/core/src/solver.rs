@@ -209,105 +209,166 @@ pub fn chambolle_iterate_with_ctx<R: Real>(
     iterations: u32,
     ctx: &ExecCtx,
 ) -> Result<(), Cancelled> {
-    assert_eq!(p.dims(), v.dims(), "dual field and v must match in size");
-    let (w, h) = v.dims();
+    iterate_frames(std::slice::from_mut(p), &[v], params, iterations, ctx)
+}
+
+/// [`chambolle_iterate_with_ctx`] over equally shaped frames at once, each
+/// `fields[f]` iterated against `vs[f]`.
+///
+/// The pool's threads are split evenly between the frames, so each frame
+/// gets `min(pool threads / frames, h / (2K+1))` bands, and every block
+/// dispatches the bands of all frames in one `parallel_tiles` call. A frame
+/// that gets a single band has no halo to refresh, so its whole solve is
+/// one task and one dispatch, and a token is polled only before it. With
+/// one frame this is exactly the single solve's band, block and dispatch
+/// schedule.
+///
+/// Every allocation happens here, on the submitting thread: a pool
+/// worker's first allocation would open a glibc arena of its own and raise
+/// the process's resident memory for the rest of its life.
+fn iterate_frames<R: Real>(
+    fields: &mut [DualField<R>],
+    vs: &[&Grid<R>],
+    params: &ChambolleParams,
+    iterations: u32,
+    ctx: &ExecCtx,
+) -> Result<(), Cancelled> {
+    assert_eq!(fields.len(), vs.len(), "one dual field per frame");
+    let (w, h) = vs[0].dims();
+    for (p, v) in fields.iter().zip(vs) {
+        assert_eq!(p.dims(), v.dims(), "dual field and v must match in size");
+        assert_eq!(v.dims(), (w, h), "frames must match in size");
+    }
     if w == 0 || h == 0 {
         return Ok(());
     }
-    let inv_theta = R::ONE / R::from_f32(params.theta);
-    let step_ratio = R::from_f32(params.step_ratio());
-    let (backend, numerics) = (ctx.backend(), ctx.numerics());
-
+    let frames = fields.len();
     let pool = ctx.pool().map(Arc::as_ref);
     // K: iterations per pool dispatch. A band is at least as tall as the
     // 2K+1 halo rows it recomputes around itself.
     let depth = fast::TEMPORAL_FUSION_DEPTH;
-    let bands = pool
-        .map_or(1, ThreadPool::threads)
-        .min(h / (2 * depth as usize + 1));
-    if bands <= 1 {
-        // Sequential Fast tier: fuse iterations K at a time into single
-        // cache-resident passes over the frame. (`f64` solves never take
-        // this branch — the fast tier is an `f32` contract.)
-        if numerics == NumericsPolicy::Fast {
-            if let (Some(px), Some(py), Some(vs)) = (
-                fast::f32_slice_mut(p.px.as_mut_slice()),
-                fast::f32_slice_mut(p.py.as_mut_slice()),
-                fast::f32_slice(v.as_slice()),
-            ) {
-                let it = 1.0f32 / params.theta;
-                let st = params.step_ratio();
-                let mut remaining = iterations;
-                while remaining > 0 {
-                    ctx.checkpoint()?;
-                    let k = remaining.min(depth);
-                    fast::temporal_sweep(backend, px, py, vs, w, h, it, st, k);
-                    remaining -= k;
-                }
-                return Ok(());
-            }
-        }
-        let (mut ta, mut tb) = (vec![R::ZERO; w], vec![R::ZERO; w]);
-        for _ in 0..iterations {
-            ctx.checkpoint()?;
-            backend.fused_band_iteration(
-                p.px.as_mut_slice(),
-                p.py.as_mut_slice(),
-                v.as_slice(),
-                w,
-                h,
-                0,
-                BandHalo {
-                    py_above: None,
-                    below: None,
-                },
-                inv_theta,
-                step_ratio,
-                &mut ta,
-                &mut tb,
-            );
+    let bands = (pool.map_or(1, ThreadPool::threads) / frames).min(h / (2 * depth as usize + 1));
+    if frames * bands <= 1 {
+        for (p, v) in fields.iter_mut().zip(vs) {
+            iterate_inline(p, v, params, iterations, ctx)?;
         }
         return Ok(());
     }
-    let pool = pool.expect("bands > 1 implies a pool");
+    let pool = pool.expect("two or more tasks imply a pool");
+    let inv_theta = R::ONE / R::from_f32(params.theta);
+    let step_ratio = R::from_f32(params.step_ratio());
+    let (backend, numerics) = (ctx.backend(), ctx.numerics());
 
     // Deterministic band bounds: the partition never depends on scheduling,
-    // and the result does not even depend on the partition.
+    // and the result does not even depend on the partition. Task `t` is
+    // band `t % bands` of frame `t / bands`.
     let bounds: Vec<usize> = (0..=bands).map(|b| b * h / bands).collect();
-    let mut windows: Vec<BandWindow<R>> = (0..bands)
-        .map(|b| BandWindow::new(w, h, bounds[b], bounds[b + 1], depth as usize))
+    let mut windows: Vec<BandWindow<R>> = (0..frames * bands)
+        .map(|t| {
+            let b = t % bands;
+            BandWindow::new(w, h, bounds[b], bounds[b + 1], depth as usize)
+        })
         .collect();
+    // A band spanning its whole frame has no halo rows to refresh.
+    let block = if bands == 1 { iterations } else { depth };
 
     let mut remaining = iterations;
     while remaining > 0 {
         ctx.checkpoint()?;
-        let k = remaining.min(depth);
-        for window in &mut windows {
-            window.load(p, k as usize);
+        let k = remaining.min(block);
+        for (t, window) in windows.iter_mut().enumerate() {
+            window.load(&fields[t / bands], k as usize);
         }
-        let px_view = UnsafeSharedSlice::new(p.px.as_mut_slice());
-        let py_view = UnsafeSharedSlice::new(p.py.as_mut_slice());
+        let views: Vec<_> = fields
+            .iter_mut()
+            .map(|p| {
+                (
+                    UnsafeSharedSlice::new(p.px.as_mut_slice()),
+                    UnsafeSharedSlice::new(p.py.as_mut_slice()),
+                )
+            })
+            .collect();
         let window_view = UnsafeSharedSlice::new(&mut windows);
-        pool.parallel_tiles("par.solver.block", bands, |_, b| {
+        pool.parallel_tiles("par.solver.block", frames * bands, |_, t| {
+            let (f, b) = (t / bands, t % bands);
             let (r0, r1) = (bounds[b], bounds[b + 1]);
-            // SAFETY: band row ranges are disjoint, and each band index runs
-            // exactly once; foreign rows are only read through the band's
-            // private halo copies. Each band's window is touched by exactly
-            // the task that owns index b.
+            let (px_view, py_view) = &views[f];
+            // SAFETY: band row ranges of one frame are disjoint, frames are
+            // distinct fields, and each task index runs exactly once;
+            // foreign rows are only read through the band's private halo
+            // copies. Each window is touched by exactly the task that owns
+            // index t.
             let (px_band, py_band, window) = unsafe {
                 (
                     px_view.slice_mut(r0 * w, (r1 - r0) * w),
                     py_view.slice_mut(r0 * w, (r1 - r0) * w),
-                    &mut window_view.slice_mut(b, 1)[0],
+                    &mut window_view.slice_mut(t, 1)[0],
                 )
             };
             for i in 0..k as usize {
                 window.iterate(
-                    i, backend, numerics, px_band, py_band, v, inv_theta, step_ratio,
+                    i, backend, numerics, px_band, py_band, vs[f], inv_theta, step_ratio,
                 );
             }
         });
         remaining -= k;
+    }
+    Ok(())
+}
+
+/// The sequential solve of one frame on the calling thread: the fused
+/// single-pass sweep, or on the Fast tier K-deep temporally fused sweeps.
+fn iterate_inline<R: Real>(
+    p: &mut DualField<R>,
+    v: &Grid<R>,
+    params: &ChambolleParams,
+    iterations: u32,
+    ctx: &ExecCtx,
+) -> Result<(), Cancelled> {
+    let (w, h) = v.dims();
+    let backend = ctx.backend();
+    // Sequential Fast tier: fuse iterations K at a time into single
+    // cache-resident passes over the frame. (`f64` solves never take this
+    // branch — the fast tier is an `f32` contract.)
+    if ctx.numerics() == NumericsPolicy::Fast {
+        if let (Some(px), Some(py), Some(vs)) = (
+            fast::f32_slice_mut(p.px.as_mut_slice()),
+            fast::f32_slice_mut(p.py.as_mut_slice()),
+            fast::f32_slice(v.as_slice()),
+        ) {
+            let it = 1.0f32 / params.theta;
+            let st = params.step_ratio();
+            let mut remaining = iterations;
+            while remaining > 0 {
+                ctx.checkpoint()?;
+                let k = remaining.min(fast::TEMPORAL_FUSION_DEPTH);
+                fast::temporal_sweep(backend, px, py, vs, w, h, it, st, k);
+                remaining -= k;
+            }
+            return Ok(());
+        }
+    }
+    let inv_theta = R::ONE / R::from_f32(params.theta);
+    let step_ratio = R::from_f32(params.step_ratio());
+    let (mut ta, mut tb) = (vec![R::ZERO; w], vec![R::ZERO; w]);
+    for _ in 0..iterations {
+        ctx.checkpoint()?;
+        backend.fused_band_iteration(
+            p.px.as_mut_slice(),
+            p.py.as_mut_slice(),
+            v.as_slice(),
+            w,
+            h,
+            0,
+            BandHalo {
+                py_above: None,
+                below: None,
+            },
+            inv_theta,
+            step_ratio,
+            &mut ta,
+            &mut tb,
+        );
     }
     Ok(())
 }
@@ -328,6 +389,9 @@ pub fn chambolle_iterate_with_ctx<R: Real>(
 /// skips the `i` rows next to each cut: the cuts move in with the fronts,
 /// and a band boundary costs 10 redundant rows per iteration on average at
 /// K = 8 instead of 2K + 1 = 17.
+///
+/// A band spanning the whole frame has no halo and no cut, so its block may
+/// run any number of iterations.
 struct BandWindow<R> {
     /// The band's own rows `[r0, r1)`.
     r0: usize,
@@ -491,15 +555,51 @@ impl<R: Real> BandWindow<R> {
 
 /// Recovers the primal solution `u = v − θ·div p` (Algorithm 1, line 9).
 ///
+/// One pass over flat rows: each output row first takes `div_y`, then
+/// `v − θ·(div_x + div_y)`, with the boundary rules and operation order of
+/// [`div_x_at`] and [`div_y_at`], so every cell is bit-identical to
+/// evaluating them per pixel.
+///
 /// # Panics
 ///
 /// Panics if dimensions differ.
 pub fn recover_u<R: Real>(v: &Grid<R>, p: &DualField<R>, theta: f32) -> Grid<R> {
     assert_eq!(v.dims(), p.dims(), "v and dual field must match in size");
+    let (w, h) = v.dims();
     let th = R::from_f32(theta);
-    Grid::from_fn(v.width(), v.height(), |x, y| {
-        v[(x, y)] - th * (div_x_at(&p.px, x, y) + div_y_at(&p.py, x, y))
-    })
+    let mut u = vec![R::ZERO; w * h];
+    if w > 0 {
+        let (px, py, vs) = (p.px.as_slice(), p.py.as_slice(), v.as_slice());
+        for (y, u_row) in u.chunks_exact_mut(w).enumerate() {
+            let row = y * w..(y + 1) * w;
+            let (px_row, py_row, v_row) = (&px[row.clone()], &py[row.clone()], &vs[row]);
+            let py_above = &py[y.saturating_sub(1) * w..][..w];
+            match y {
+                _ if h == 1 => {} // a single row keeps its zero `div_y`
+                0 => u_row.copy_from_slice(py_row),
+                _ if y + 1 < h => {
+                    for ((d, &a), &b) in u_row.iter_mut().zip(py_row).zip(py_above) {
+                        *d = a - b;
+                    }
+                }
+                _ => {
+                    for (d, &b) in u_row.iter_mut().zip(py_above) {
+                        *d = -b;
+                    }
+                }
+            }
+            if w == 1 {
+                u_row[0] = v_row[0] - th * (R::ZERO + u_row[0]);
+                continue;
+            }
+            u_row[0] = v_row[0] - th * (px_row[0] + u_row[0]);
+            for x in 1..w - 1 {
+                u_row[x] = v_row[x] - th * ((px_row[x] - px_row[x - 1]) + u_row[x]);
+            }
+            u_row[w - 1] = v_row[w - 1] - th * (-px_row[w - 2] + u_row[w - 1]);
+        }
+    }
+    Grid::from_vec(w, h, u).expect("w·h cells")
 }
 
 /// Solves the ROF model `min_u TV(u) + ‖u − v‖²/(2θ)` with
@@ -593,7 +693,11 @@ pub fn try_rof_energy<R: Real>(
 /// reference, the tiled parallel solver, or the FPGA cycle simulator.
 ///
 /// The solve is per-component (`u1` from `v1`, `u2` from `v2`), exactly as
-/// the paper's hardware instantiates one PE array per component.
+/// the paper's hardware instantiates one PE array per component. The TV-L1
+/// outer loop hands both components over at once through
+/// [`TvDenoiser::denoise_pair_with_ctx`]; a backend that can run them side
+/// by side, like the paper's two arrays, overrides it ([`ParallelSolver`]
+/// does), and every other backend solves them one after the other.
 pub trait TvDenoiser {
     /// Denoises `v` with the given Chambolle parameters, returning `u`.
     fn denoise(&self, v: &Grid<f32>, params: &ChambolleParams) -> Grid<f32>;
@@ -616,6 +720,25 @@ pub trait TvDenoiser {
         self.denoise(v, params)
     }
 
+    /// Denoises both flow components under one execution context, returning
+    /// `(u1, u2)`; the TV-L1 outer loop calls this once per alternation.
+    ///
+    /// The default runs [`TvDenoiser::denoise_with_ctx`] on `v1`, then on
+    /// `v2`. [`ParallelSolver`] overrides it to solve the two concurrently
+    /// on its pool, with the same result.
+    fn denoise_pair_with_ctx(
+        &self,
+        v1: &Grid<f32>,
+        v2: &Grid<f32>,
+        params: &ChambolleParams,
+        ctx: &ExecCtx,
+    ) -> (Grid<f32>, Grid<f32>) {
+        (
+            self.denoise_with_ctx(v1, params, ctx),
+            self.denoise_with_ctx(v2, params, ctx),
+        )
+    }
+
     /// A short human-readable name for reports.
     fn name(&self) -> &str {
         "unnamed"
@@ -636,6 +759,16 @@ impl<T: TvDenoiser + ?Sized> TvDenoiser for Box<T> {
         (**self).denoise_with_ctx(v, params, ctx)
     }
 
+    fn denoise_pair_with_ctx(
+        &self,
+        v1: &Grid<f32>,
+        v2: &Grid<f32>,
+        params: &ChambolleParams,
+        ctx: &ExecCtx,
+    ) -> (Grid<f32>, Grid<f32>) {
+        (**self).denoise_pair_with_ctx(v1, v2, params, ctx)
+    }
+
     fn name(&self) -> &str {
         (**self).name()
     }
@@ -653,6 +786,16 @@ impl<T: TvDenoiser + ?Sized> TvDenoiser for &T {
         ctx: &ExecCtx,
     ) -> Grid<f32> {
         (**self).denoise_with_ctx(v, params, ctx)
+    }
+
+    fn denoise_pair_with_ctx(
+        &self,
+        v1: &Grid<f32>,
+        v2: &Grid<f32>,
+        params: &ChambolleParams,
+        ctx: &ExecCtx,
+    ) -> (Grid<f32>, Grid<f32>) {
+        (**self).denoise_pair_with_ctx(v1, v2, params, ctx)
     }
 
     fn name(&self) -> &str {
@@ -706,6 +849,12 @@ impl TvDenoiser for SequentialSolver {
 /// Frames shorter than two bands of `2K + 1 = 17` rows run inline on the
 /// calling thread and never touch the pool.
 ///
+/// [`TvDenoiser::denoise_pair_with_ctx`] solves the two flow components
+/// concurrently: each gets half the pool's threads, and the blocks of both
+/// go out in one dispatch. On a 2-thread pool each component is a single
+/// band, so a pair of solves is one dispatch of two tasks whatever the
+/// iteration count; pairs of frames under 17 rows run inline.
+///
 /// # Examples
 ///
 /// ```
@@ -745,6 +894,17 @@ impl ParallelSolver {
     pub fn pool(&self) -> &Arc<ThreadPool> {
         &self.pool
     }
+
+    /// The context a solve runs under. This solver's pool is its identity;
+    /// the caller's context contributes its observability and kernel policy
+    /// only.
+    fn solve_ctx(&self, ctx: &ExecCtx) -> ExecCtx {
+        ExecCtx::default()
+            .with_telemetry(ctx.telemetry().clone())
+            .with_backend(ctx.backend())
+            .with_numerics(ctx.numerics())
+            .with_pool(Arc::clone(&self.pool))
+    }
 }
 
 impl TvDenoiser for ParallelSolver {
@@ -762,17 +922,43 @@ impl TvDenoiser for ParallelSolver {
         params: &ChambolleParams,
         ctx: &ExecCtx,
     ) -> Grid<f32> {
-        // This solver's pool is its identity; the context contributes its
-        // observability and kernel policy only.
-        let pooled_ctx = ExecCtx::default()
-            .with_telemetry(ctx.telemetry().clone())
-            .with_backend(ctx.backend())
-            .with_numerics(ctx.numerics())
-            .with_pool(Arc::clone(&self.pool));
         let mut p = DualField::zeros(v.width(), v.height());
-        chambolle_iterate_with_ctx(&mut p, v, params, params.iterations, &pooled_ctx)
+        chambolle_iterate_with_ctx(&mut p, v, params, params.iterations, &self.solve_ctx(ctx))
             .expect("an inert context carries no cancellation token");
         recover_u(v, &p, params.theta)
+    }
+
+    fn denoise_pair_with_ctx(
+        &self,
+        v1: &Grid<f32>,
+        v2: &Grid<f32>,
+        params: &ChambolleParams,
+        ctx: &ExecCtx,
+    ) -> (Grid<f32>, Grid<f32>) {
+        if v1.dims() != v2.dims() {
+            return (
+                self.denoise_with_ctx(v1, params, ctx),
+                self.denoise_with_ctx(v2, params, ctx),
+            );
+        }
+        // The dual fields and outputs are allocated on this, the submitting
+        // thread, like all solve scratch (see `iterate_frames`).
+        let (w, h) = v1.dims();
+        let mut fields = [DualField::zeros(w, h), DualField::zeros(w, h)];
+        iterate_frames(
+            &mut fields,
+            &[v1, v2],
+            params,
+            params.iterations,
+            &self.solve_ctx(ctx),
+        )
+        .expect("an inert context carries no cancellation token");
+        // Dropping the first field before the second output is allocated
+        // keeps the peak at one field fewer.
+        let [p1, p2] = fields;
+        let u1 = recover_u(v1, &p1, params.theta);
+        drop(p1);
+        (u1, recover_u(v2, &p2, params.theta))
     }
 
     fn name(&self) -> &str {
@@ -1120,6 +1306,90 @@ mod tests {
                 .with_numerics(NumericsPolicy::Fast);
             assert_blocked_matches_sequential::<f32>(&ctx, 53);
         }
+    }
+
+    fn bits(u: &Grid<f32>) -> Vec<u32> {
+        u.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// At 2 threads each component of a pair is one band, so the whole
+    /// 30-iteration pair is one dispatch of two tasks, whether the solver is
+    /// called directly, boxed or by reference; frames under 2K+1 = 17 rows
+    /// stay inline.
+    #[test]
+    fn pair_on_two_threads_is_one_dispatch_of_two_tasks() {
+        let pool = Arc::new(ThreadPool::new(2));
+        let direct = ParallelSolver::with_pool(Arc::clone(&pool));
+        let boxed: Box<dyn TvDenoiser> = Box::new(ParallelSolver::with_pool(Arc::clone(&pool)));
+        let by_ref = &direct;
+        let solvers: [&dyn TvDenoiser; 3] = [&direct, &boxed, &by_ref];
+        let ctx = ExecCtx::default().with_numerics(NumericsPolicy::Exact);
+        let pr = params(30);
+        for (h, dispatches) in [(16usize, 0u64), (17, 1), (40, 1), (72, 1)] {
+            let v1 = noisy_step(20, h, 43).map(|&x| x as f32);
+            let v2 = noisy_step(20, h, 44).map(|&x| 1.0 - x as f32);
+            let seq = SequentialSolver::new();
+            let expected = [
+                bits(&seq.denoise_with_ctx(&v1, &pr, &ctx)),
+                bits(&seq.denoise_with_ctx(&v2, &pr, &ctx)),
+            ];
+            for solver in solvers {
+                let before = pool.stats();
+                let (u1, u2) = solver.denoise_pair_with_ctx(&v1, &v2, &pr, &ctx);
+                let after = pool.stats();
+                assert_eq!(after.broadcasts - before.broadcasts, dispatches, "{h} rows");
+                assert_eq!(after.tasks - before.tasks, 2 * dispatches, "{h} rows");
+                assert_eq!([bits(&u1), bits(&u2)], expected, "{h} rows");
+            }
+        }
+    }
+
+    #[test]
+    fn pair_of_unequal_frames_solves_each_on_its_own() {
+        let solver = ParallelSolver::new(2);
+        let ctx = ExecCtx::default().with_numerics(NumericsPolicy::Exact);
+        let pr = params(12);
+        let v1 = noisy_step(20, 40, 45).map(|&x| x as f32);
+        let v2 = noisy_step(21, 40, 46).map(|&x| x as f32);
+        let (u1, u2) = solver.denoise_pair_with_ctx(&v1, &v2, &pr, &ctx);
+        assert_eq!(bits(&u1), bits(&solver.denoise_with_ctx(&v1, &pr, &ctx)));
+        assert_eq!(bits(&u2), bits(&solver.denoise_with_ctx(&v2, &pr, &ctx)));
+    }
+
+    /// [`recover_u`]'s row pass against the per-cell divergence it
+    /// replaces, on degenerate shapes, random signed zeros and all-`−0.0`
+    /// frames.
+    #[test]
+    fn flat_recover_u_matches_per_cell_divergence() {
+        fn check<R: Real>(rng: &mut StdRng) {
+            for (w, h) in [(1usize, 1usize), (1, 7), (7, 1), (2, 2), (3, 2), (37, 29)] {
+                for negative_zeros in [false, true] {
+                    let mut cell = || match rng.gen_range(0u32..6) {
+                        _ if negative_zeros => -R::ZERO,
+                        0 => R::ZERO,
+                        1 => -R::ZERO,
+                        _ => R::from_f64(rng.gen_range(-1.0..1.0)),
+                    };
+                    let v = Grid::from_fn(w, h, |_, _| cell());
+                    let p = DualField {
+                        px: Grid::from_fn(w, h, |_, _| cell()),
+                        py: Grid::from_fn(w, h, |_, _| cell()),
+                    };
+                    let th = R::from_f32(0.25);
+                    let per_cell = Grid::from_fn(w, h, |x, y| {
+                        v[(x, y)] - th * (div_x_at(&p.px, x, y) + div_y_at(&p.py, x, y))
+                    });
+                    let flat = recover_u(&v, &p, 0.25);
+                    let to_bits = |g: &Grid<R>| -> Vec<u64> {
+                        g.as_slice().iter().map(|c| c.to_f64().to_bits()).collect()
+                    };
+                    assert_eq!(to_bits(&flat), to_bits(&per_cell), "{w}x{h}");
+                }
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(47);
+        check::<f32>(&mut rng);
+        check::<f64>(&mut rng);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use chambolle_imaging::{
 };
 use chambolle_par::ThreadPool;
 
-use crate::cancel::{CancelToken, Cancelled};
+use crate::cancel::Cancelled;
 use crate::ctx::ExecCtx;
 use crate::params::TvL1Params;
 use crate::solver::{SequentialSolver, TvDenoiser};
@@ -120,30 +120,6 @@ impl<D: TvDenoiser> TvL1Solver<D> {
         self.flow_with_ctx(i0, i1, init, &self.base_ctx())
     }
 
-    /// [`TvL1Solver::flow_with_init`] with a cooperative cancellation poll
-    /// at every outer-iteration boundary (so also between warps and between
-    /// pyramid levels).
-    ///
-    /// Bit-identical to the uncancellable path when it runs to completion.
-    /// On cancellation the partial flow is discarded, nothing observable is
-    /// mutated, and any attached pool is left fully reusable — the next
-    /// solve on the same solver produces bit-identical output to a fresh
-    /// one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::Cancelled`] if `token` fires mid-solve, plus
-    /// the usual input-validation errors.
-    pub fn flow_cancellable(
-        &self,
-        i0: &Image,
-        i1: &Image,
-        init: Option<&FlowField>,
-        token: &CancelToken,
-    ) -> Result<(FlowField, FlowStats), FlowError> {
-        self.flow_with_ctx(i0, i1, init, &self.base_ctx().with_cancel(token.clone()))
-    }
-
     /// The context the legacy entry points build from the solver's own
     /// configuration: the attached pool (if any) and nothing else.
     fn base_ctx(&self) -> ExecCtx {
@@ -160,10 +136,16 @@ impl<D: TvDenoiser> TvL1Solver<D> {
     /// The context's pool (or, when it has none, the solver's attached pool)
     /// drives the pyramid construction and per-warp linearization; its
     /// backend selects the SIMD level of those pooled image kernels; its
-    /// token is polled at every outer-iteration boundary; and the solve is
-    /// wrapped in a `tvl1.flow` telemetry span. All of these are
-    /// bit-identical knobs — the flow matches the plain sequential path
-    /// exactly for any context.
+    /// token is polled at every outer-iteration boundary (so also between
+    /// warps and between pyramid levels); and the solve is wrapped in a
+    /// `tvl1.flow` telemetry span. All of these are bit-identical knobs —
+    /// the flow matches the plain sequential path exactly for any context.
+    ///
+    /// A cancelled solve discards its partial flow and mutates nothing
+    /// observable, and any attached pool stays fully reusable: the next
+    /// solve on the same solver is bit-identical to a fresh one. To cancel a
+    /// solve that keeps the solver's own pool, pass
+    /// `ExecCtx::default().with_cancel(token)`.
     ///
     /// The *inner* Chambolle backend stays the one this solver was built
     /// with ([`TvL1Solver::with_backend`]); pass a pool-aware backend (e.g.
@@ -249,8 +231,9 @@ impl<D: TvDenoiser> TvL1Solver<D> {
                     ctx.checkpoint().map_err(FlowError::Cancelled)?;
                     let v = threshold_step(&lin, &u, self.params.lambda, self.params.inner.theta);
                     let t0 = Instant::now();
-                    let u1 = self.inner.denoise_with_ctx(&v.u1, &self.params.inner, ctx);
-                    let u2 = self.inner.denoise_with_ctx(&v.u2, &self.params.inner, ctx);
+                    let (u1, u2) =
+                        self.inner
+                            .denoise_pair_with_ctx(&v.u1, &v.u2, &self.params.inner, ctx);
                     chambolle_time += t0.elapsed();
                     chambolle_calls += 2;
                     u = FlowField::from_components(u1, u2);
@@ -467,8 +450,8 @@ pub enum FlowError {
     },
     /// A frame has zero pixels.
     EmptyInput,
-    /// The solve was cancelled via a [`CancelToken`]
-    /// (see [`TvL1Solver::flow_cancellable`]).
+    /// The solve was cancelled via the [`CancelToken`](crate::CancelToken)
+    /// of its context (see [`TvL1Solver::flow_with_ctx`]).
     Cancelled(Cancelled),
 }
 
@@ -491,6 +474,8 @@ impl std::error::Error for FlowError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::KernelBackend;
+    use crate::cancel::CancelToken;
     use crate::params::ChambolleParams;
     use crate::tiling::{TileConfig, TiledSolver};
     use chambolle_imaging::{average_endpoint_error, render_pair, Motion, NoiseTexture, Scene};
@@ -591,6 +576,89 @@ mod tests {
         assert_eq!(f_seq.u1.as_slice(), f_par.u1.as_slice());
         assert_eq!(f_seq.u2.as_slice(), f_par.u2.as_slice());
         assert!(pool.stats().tasks > 0, "the shared pool must see the work");
+    }
+
+    /// A 96×72 pair over 4 levels: pyramid levels of 72 and 36 rows (two or
+    /// more bands per component at 4+ threads), 18 rows (one band each) and
+    /// 9 rows (inline).
+    fn banded_levels_pair() -> (Image, Image, TvL1Params) {
+        let scene = NoiseTexture::new(34);
+        let pair = render_pair(&scene, 96, 72, Motion::Translation { du: 1.5, dv: -0.5 });
+        let p = TvL1Params::new(38.0, ChambolleParams::with_iterations(30), 2, 2, 4).unwrap();
+        (pair.i0, pair.i1, p)
+    }
+
+    fn supported_backends() -> impl Iterator<Item = KernelBackend> {
+        [
+            KernelBackend::Scalar,
+            KernelBackend::Sse2,
+            KernelBackend::Avx2,
+            KernelBackend::Avx512,
+        ]
+        .into_iter()
+        .filter(KernelBackend::is_supported)
+    }
+
+    /// `chambolle_flow --threads N` on the pooled backend: the pool drives
+    /// the outer loop and the inner solves, which get their pair of
+    /// components through [`TvDenoiser::denoise_pair_with_ctx`].
+    fn pooled_flow(
+        i0: &Image,
+        i1: &Image,
+        p: TvL1Params,
+        threads: usize,
+        ctx: &ExecCtx,
+    ) -> FlowField {
+        use crate::solver::ParallelSolver;
+        let pool = Arc::new(ThreadPool::new(threads));
+        let backend: Box<dyn TvDenoiser> = Box::new(ParallelSolver::with_pool(Arc::clone(&pool)));
+        let (flow, _) = TvL1Solver::with_backend(p, backend)
+            .with_pool(pool)
+            .flow_with_ctx(i0, i1, None, ctx)
+            .unwrap();
+        flow
+    }
+
+    #[test]
+    fn pooled_pair_flow_is_bit_identical_to_sequential_on_every_backend() {
+        let (i0, i1, p) = banded_levels_pair();
+        let exact = ExecCtx::default().with_numerics(crate::ctx::NumericsPolicy::Exact);
+        let (f_seq, stats) = TvL1Solver::sequential(p)
+            .flow_with_ctx(&i0, &i1, None, &exact)
+            .unwrap();
+        assert_eq!(stats.levels, 4);
+        for backend in supported_backends() {
+            let exact = ExecCtx::default()
+                .with_backend(backend)
+                .with_numerics(crate::ctx::NumericsPolicy::Exact);
+            for threads in [1, 2, 3, 8] {
+                let f_par = pooled_flow(&i0, &i1, p, threads, &exact);
+                assert!(
+                    flow_bits(&f_par) == flow_bits(&f_seq),
+                    "{threads} threads on {backend:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fast_tier_pooled_pair_flow_equals_unpooled_flow() {
+        let (i0, i1, p) = banded_levels_pair();
+        for backend in supported_backends() {
+            let fast = ExecCtx::default()
+                .with_backend(backend)
+                .with_numerics(crate::ctx::NumericsPolicy::Fast);
+            let (f_seq, _) = TvL1Solver::sequential(p)
+                .flow_with_ctx(&i0, &i1, None, &fast)
+                .unwrap();
+            for threads in [2, 3, 8] {
+                let f_par = pooled_flow(&i0, &i1, p, threads, &fast);
+                assert!(
+                    flow_bits(&f_par) == flow_bits(&f_seq),
+                    "{threads} threads on {backend:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -889,8 +957,9 @@ mod tests {
         let pair = render_pair(&scene, 48, 36, Motion::Translation { du: 1.0, dv: 0.5 });
         let solver = TvL1Solver::sequential(fast_params());
         let (plain, _) = solver.flow(&pair.i0, &pair.i1).unwrap();
+        let ctx = ExecCtx::default().with_cancel(CancelToken::new());
         let (canc, _) = solver
-            .flow_cancellable(&pair.i0, &pair.i1, None, &crate::cancel::CancelToken::new())
+            .flow_with_ctx(&pair.i0, &pair.i1, None, &ctx)
             .unwrap();
         assert_eq!(plain.u1.as_slice(), canc.u1.as_slice());
         assert_eq!(plain.u2.as_slice(), canc.u2.as_slice());
@@ -898,14 +967,15 @@ mod tests {
 
     #[test]
     fn cancelled_flow_returns_clean_error_and_solver_stays_usable() {
-        use crate::cancel::{CancelReason, CancelToken};
+        use crate::cancel::CancelReason;
         let scene = NoiseTexture::new(45);
         let pair = render_pair(&scene, 48, 36, Motion::Translation { du: 1.0, dv: 0.0 });
         let solver = TvL1Solver::sequential(fast_params());
         let token = CancelToken::new();
         token.cancel();
+        let ctx = ExecCtx::default().with_cancel(token);
         let err = solver
-            .flow_cancellable(&pair.i0, &pair.i1, None, &token)
+            .flow_with_ctx(&pair.i0, &pair.i1, None, &ctx)
             .unwrap_err();
         match err {
             FlowError::Cancelled(c) => assert_eq!(c.reason, CancelReason::Explicit),

@@ -11,11 +11,13 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
-fn write_test_pair() -> (PathBuf, PathBuf) {
+/// Writes the test frames under names starting with `tag`, so tests running
+/// in parallel never delete each other's inputs.
+fn write_test_pair(tag: &str) -> (PathBuf, PathBuf) {
     let scene = NoiseTexture::new(77);
     let pair = render_pair(&scene, 64, 48, Motion::Translation { du: 1.5, dv: -0.5 });
-    let p0 = tmp("i0.pgm");
-    let p1 = tmp("i1.pgm");
+    let p0 = tmp(&format!("{tag}_i0.pgm"));
+    let p1 = tmp(&format!("{tag}_i1.pgm"));
     write_pgm(&p0, &pair.i0).expect("write i0");
     write_pgm(&p1, &pair.i1).expect("write i1");
     (p0, p1)
@@ -23,7 +25,7 @@ fn write_test_pair() -> (PathBuf, PathBuf) {
 
 #[test]
 fn flow_cli_produces_flo_and_ppm() {
-    let (p0, p1) = write_test_pair();
+    let (p0, p1) = write_test_pair("flo_ppm");
     let flo = tmp("out.flo");
     let ppm = tmp("out.ppm");
     let status = Command::new(env!("CARGO_BIN_EXE_chambolle_flow"))
@@ -56,6 +58,45 @@ fn flow_cli_produces_flo_and_ppm() {
     assert!(vis.starts_with(b"P6\n64 48\n255\n"));
 
     for f in [p0, p1, flo, ppm] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
+/// `--help` promises that `--threads` never changes the flow: the 1-thread
+/// run solves the two components one after the other, 2 and 3 threads
+/// solve them concurrently on the pool.
+#[test]
+fn flow_cli_threads_write_byte_identical_flo() {
+    let (p0, p1) = write_test_pair("threads");
+    let runs: Vec<Vec<u8>> = ["1", "2", "3"]
+        .iter()
+        .map(|threads| {
+            let flo = tmp(&format!("threads{threads}.flo"));
+            let status = Command::new(env!("CARGO_BIN_EXE_chambolle_flow"))
+                .args([
+                    p0.to_str().unwrap(),
+                    p1.to_str().unwrap(),
+                    "--out",
+                    flo.to_str().unwrap(),
+                    "--warps",
+                    "2",
+                    "--levels",
+                    "3",
+                    "--threads",
+                    threads,
+                ])
+                .status()
+                .expect("spawn chambolle_flow");
+            assert!(status.success(), "--threads {threads}");
+            let bytes = std::fs::read(&flo).expect("read .flo");
+            std::fs::remove_file(flo).ok();
+            bytes
+        })
+        .collect();
+    assert!(runs[0].len() > 12, "a .flo holds a header and the field");
+    assert!(runs[1] == runs[0], "--threads 2 changed the flow");
+    assert!(runs[2] == runs[0], "--threads 3 changed the flow");
+    for f in [p0, p1] {
         std::fs::remove_file(f).ok();
     }
 }

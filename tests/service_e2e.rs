@@ -4,7 +4,8 @@
 use std::time::Duration;
 
 use chambolle::core::{
-    CancelToken, ChambolleParams, FlowError, SequentialSolver, TvDenoiser, TvL1Params, TvL1Solver,
+    CancelToken, ChambolleParams, ExecCtx, FlowError, SequentialSolver, TvDenoiser, TvL1Params,
+    TvL1Solver,
 };
 use chambolle::imaging::{render_pair, Motion, NoiseTexture, Scene};
 use chambolle::service::{
@@ -70,7 +71,12 @@ fn cancelled_mid_pyramid_tvl1_leaves_no_poisoned_state() {
     let token = CancelToken::new();
     token.cancel();
     let err = solver
-        .flow_cancellable(&pair.i0, &pair.i1, None, &token)
+        .flow_with_ctx(
+            &pair.i0,
+            &pair.i1,
+            None,
+            &ExecCtx::default().with_cancel(token),
+        )
         .expect_err("a cancelled solve must not return a flow");
     assert!(matches!(err, FlowError::Cancelled(_)), "got {err:?}");
 
