@@ -9,9 +9,9 @@
 //! [`ExecCtx::default`] is fully inert: no pool (sequential execution),
 //! disabled telemetry (a single branch per probe), no cancellation. The
 //! kernel backend defaults to [`KernelBackend::active`] — backend choice is
-//! a pure throughput knob (every backend is bit-identical, see
-//! [`crate::backend`]), so the widest supported vector unit is safe to use
-//! even in an otherwise-inert context.
+//! a pure throughput knob (every backend is bit-identical at the Exact
+//! tier, see [`crate::kernels`]), so the widest supported vector unit is
+//! safe to use even in an otherwise-inert context.
 //!
 //! # Examples
 //!
@@ -35,12 +35,11 @@
 
 use std::sync::{Arc, OnceLock};
 
-use chambolle_par::ThreadPool;
+use chambolle_par::{KernelBackend, ThreadPool};
 use chambolle_telemetry::trace::TraceContext;
 use chambolle_telemetry::Telemetry;
 use chambolle_tune::{NumericsChoice, Tunables};
 
-use crate::backend::KernelBackend;
 use crate::cancel::{CancelToken, Cancelled};
 use crate::tiling::TileConfig;
 
@@ -59,8 +58,8 @@ pub const NUMERICS_ENV: &str = "CHAMBOLLE_NUMERICS";
 /// fuse multiply-adds, reassociate reductions, share one reciprocal across
 /// the two normalizing divides of the dual update, replace `sqrt`/division
 /// with hardware reciprocal approximations plus Newton–Raphson refinement,
-/// run 16-lane AVX-512 bodies, and fuse K iterations in one register- and
-/// cache-resident sweep. Fast results are validated against Exact by
+/// run 16-lane AVX-512 bodies, and fuse each row's term and update into
+/// one traversal. Fast results are validated against Exact by
 /// **energy and duality-gap tolerance** ([`NumericsPolicy::ENERGY_RTOL`]),
 /// with [`NumericsPolicy::PIXEL_ATOL`] as a coarse per-pixel sanity bound —
 /// the validation model of the paper's own quantized 13/9/9-bit datapath,
@@ -73,7 +72,7 @@ pub enum NumericsPolicy {
     #[default]
     Exact,
     /// Tolerance-validated fast numerics (FMA, reassociation, approximate
-    /// reciprocals, AVX-512, temporal fusion).
+    /// reciprocals, AVX-512, fused row steps).
     Fast,
 }
 
@@ -127,17 +126,6 @@ impl NumericsPolicy {
     pub fn active() -> NumericsPolicy {
         static ACTIVE: OnceLock<NumericsPolicy> = OnceLock::new();
         *ACTIVE.get_or_init(|| NumericsPolicy::resolve(std::env::var(NUMERICS_ENV).ok().as_deref()))
-    }
-
-    /// Maps a tunables knob to a policy: an explicit choice wins, `Auto`
-    /// defers to [`NumericsPolicy::active`] (mirroring
-    /// [`KernelBackend::from_choice`]).
-    pub fn from_choice(choice: NumericsChoice) -> NumericsPolicy {
-        match choice {
-            NumericsChoice::Auto => NumericsPolicy::active(),
-            NumericsChoice::Exact => NumericsPolicy::Exact,
-            NumericsChoice::Fast => NumericsPolicy::Fast,
-        }
     }
 }
 
@@ -299,20 +287,31 @@ impl ExecCtx {
             .with_pool(pool)
     }
 
-    /// An otherwise-inert context running the schedule in `tunables`: the
-    /// kernel backend is resolved from the tunables' [`BackendChoice`]
-    /// and [`ExecCtx::tile_config`] reflects its tile geometry. No pool is
+    /// An otherwise-inert context running the schedule in `tunables`;
+    /// [`ExecCtx::tile_config`] reflects its tile geometry. No pool is
     /// attached (callers that want the tuned pool width use
     /// [`ExecCtx::auto`] or attach one explicitly).
     ///
-    /// [`BackendChoice`]: chambolle_tune::BackendChoice
+    /// - The kernel backend is the tunables' `backend` knob: an explicit
+    ///   level wins, and `None` (a profile's `auto`) defers to
+    ///   [`KernelBackend::active`], including the `CHAMBOLLE_BACKEND`
+    ///   override. A level the host cannot execute stays safe: every kernel
+    ///   family runs the widest body the host supports below it
+    ///   ([`KernelBackend::clamp_to_host`]), the same bits at a lower
+    ///   speed on the Exact tier.
+    /// - The numerics tier is the `numerics` knob: an explicit tier wins,
+    ///   and `Auto` defers to [`NumericsPolicy::active`].
     pub fn from_tunables(tunables: Tunables) -> Self {
         ExecCtx {
             pool: None,
             telemetry: Telemetry::disabled(),
             cancel: None,
-            backend: KernelBackend::from_choice(tunables.backend),
-            numerics: NumericsPolicy::from_choice(tunables.numerics),
+            backend: tunables.backend.unwrap_or_else(KernelBackend::active),
+            numerics: match tunables.numerics {
+                NumericsChoice::Auto => NumericsPolicy::active(),
+                NumericsChoice::Exact => NumericsPolicy::Exact,
+                NumericsChoice::Fast => NumericsPolicy::Fast,
+            },
             degradation: None,
             trace: TraceContext::NONE,
             tunables,
@@ -514,20 +513,18 @@ mod tests {
         );
         assert_eq!(NumericsPolicy::Exact.as_str(), "exact");
         assert_eq!(NumericsPolicy::Fast.as_str(), "fast");
-        assert_eq!(
-            NumericsPolicy::from_choice(NumericsChoice::Exact),
-            NumericsPolicy::Exact
-        );
-        assert_eq!(
-            NumericsPolicy::from_choice(NumericsChoice::Fast),
-            NumericsPolicy::Fast
-        );
+        let resolved = |numerics| {
+            ExecCtx::from_tunables(Tunables {
+                numerics,
+                ..Tunables::default()
+            })
+            .numerics()
+        };
+        assert_eq!(resolved(NumericsChoice::Exact), NumericsPolicy::Exact);
+        assert_eq!(resolved(NumericsChoice::Fast), NumericsPolicy::Fast);
         // Auto defers to the process-wide default, which is itself
         // Exact unless CHAMBOLLE_NUMERICS overrides it.
-        assert_eq!(
-            NumericsPolicy::from_choice(NumericsChoice::Auto),
-            NumericsPolicy::active()
-        );
+        assert_eq!(resolved(NumericsChoice::Auto), NumericsPolicy::active());
     }
 
     #[test]

@@ -187,7 +187,7 @@ pub fn chambolle_denoise_monitored<R: Real>(
 /// `tests/telemetry_noop.rs`).
 ///
 /// The gap and energy evaluations themselves are sequential left-to-right
-/// `f64` sums on every backend and pool size (see [`crate::backend`]), so
+/// `f64` sums on every backend and pool size (see [`crate::kernels`]), so
 /// the report — history included — is bit-identical across contexts.
 ///
 /// # Errors

@@ -1,6 +1,6 @@
 //! Fast-tier row kernels: the tolerance-validated speed path.
 //!
-//! The Exact tier (see [`crate::backend`]) buys bit-identical results
+//! The Exact tier (see [`crate::kernels`]) buys bit-identical results
 //! across backends, thread counts and tile schedules by forbidding every
 //! transform that changes rounding: no FMA contraction, no reassociation,
 //! no approximate reciprocals. That contract is also its speed ceiling —
@@ -18,182 +18,41 @@
 //!   dual update (`inv = 1/(1 + τ/θ·|∇|)`, then two multiplies);
 //! - **contract with FMA** everywhere a multiply feeds an add;
 //! - replace the division with a **hardware reciprocal estimate refined by
-//!   one Newton–Raphson step** (`rcp`, ~22–28 accurate bits — far inside
-//!   the tier's 1e-3 tolerance), while the square root stays the hardware
-//!   instruction: it executes on the divider port the rest of the kernel
-//!   leaves idle, so exactness there is free;
+//!   one Newton–Raphson step** (`rcp`, ~22–28 accurate bits), while the
+//!   square root stays the hardware instruction: it executes on the divider
+//!   port the rest of the kernel leaves idle, so exactness there is free;
 //! - run true **16-lane AVX-512F bodies** (the Exact tier delegates AVX-512
 //!   to its AVX2 kernels rather than auditing bit-exactness on a third
 //!   vector width);
-//! - fuse K iterations into one register- and cache-resident
-//!   [`temporal_sweep`] — the paper's loop decomposition carried from the
-//!   PE array down to the cache hierarchy: K staggered copies of the fused
-//!   single-pass machine share one traversal of the frame, so K iterations
-//!   cost one pass over memory instead of K.
+//! - **fuse each row step**: `fused_term_update_row` computes the next
+//!   row's term while it updates the current row, one traversal instead of
+//!   two.
+//!
+//! The term and update rows dispatch through the same family dispatchers
+//! as the Exact tier ([`crate::kernels::compute_term_row_on`],
+//! [`crate::kernels::update_p_row_on`]), and every solve path — sequential,
+//! banded and tiled — runs the one band iteration of [`crate::kernels`],
+//! whose Fast row step is the fused step. The scalar fast bodies are the
+//! tier's *portable reference*: SSE2 (which lacks FMA), AVX2 hosts without
+//! FMA, and non-x86 hosts run them.
 //!
 //! Within one backend the Fast tier is deterministic, and the banded
-//! parallel solver keeps it **thread-count invariant**: its blocks of up
-//! to [`TEMPORAL_FUSION_DEPTH`] iterations run the same full-width row
-//! kernels over each band and its overlapping halo rows, so every own row
-//! matches the sequential sweep bit for bit. It is *not*
-//! bit-comparable across backends or tile shapes — that is exactly the
-//! guarantee the tier trades away. The fast tier applies to the `f32`
+//! parallel solver keeps it **thread-count invariant**: its blocks run the
+//! same full-width row kernels over each band and its overlapping halo
+//! rows, so every own row matches the sequential solve bit for bit. It is
+//! *not* bit-comparable across backends or tile shapes — that is exactly
+//! the guarantee the tier trades away. The fast tier applies to the `f32`
 //! production kernels; `f64` solves always run exact.
-//!
-//! The scalar fast bodies are the tier's *portable reference*: SSE2 (which
-//! lacks FMA) and non-x86 hosts run them, and [`temporal_sweep`] is pinned
-//! bit-identical to K sequential fast passes on every backend.
 
-use crate::backend::KernelBackend;
+use chambolle_par::KernelBackend;
+
 use crate::ctx::NumericsPolicy;
-use crate::kernels::{self, BandHalo, BelowHalo};
-use crate::real::Real;
-use std::any::TypeId;
-
-/// How many iterations [`temporal_sweep`] fuses per pass over the frame.
-///
-/// Each fused level needs two term rows and keeps a ~3-row window of
-/// `px`/`py` warm; at depth 8 the whole working set of a 512-wide frame is
-/// ~46 rows of `f32` (~92 KiB) — inside L2 with room to spare, while the
-/// unfused loop streams the full frame from memory every iteration. Depth
-/// is a pure scheduling choice: the sweep is bit-identical to `k`
-/// sequential fast passes at every depth, so raising it trades nothing
-/// but cache headroom for fewer trips over the frame.
-///
-/// The same K is the block depth of the banded solver on both tiers
-/// ([`crate::solver::chambolle_iterate_with_ctx`]): iterations per pool
-/// dispatch, with K halo rows above each band and K + 1 below.
-pub const TEMPORAL_FUSION_DEPTH: u32 = 8;
-
-/// Reinterprets `&[R]` as `&[f32]` iff `R` *is* `f32`.
-pub(crate) fn f32_slice<R: Real>(s: &[R]) -> Option<&[f32]> {
-    if TypeId::of::<R>() == TypeId::of::<f32>() {
-        // SAFETY: the TypeId check proves R == f32, so element layout,
-        // length and lifetime all carry over unchanged.
-        Some(unsafe { std::slice::from_raw_parts(s.as_ptr().cast::<f32>(), s.len()) })
-    } else {
-        None
-    }
-}
-
-/// Reinterprets `&mut [R]` as `&mut [f32]` iff `R` *is* `f32`.
-pub(crate) fn f32_slice_mut<R: Real>(s: &mut [R]) -> Option<&mut [f32]> {
-    if TypeId::of::<R>() == TypeId::of::<f32>() {
-        // SAFETY: the TypeId check proves R == f32; the mutable borrow is
-        // passed through exclusively.
-        Some(unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<f32>(), s.len()) })
-    } else {
-        None
-    }
-}
-
-/// The vector body a backend's fast tier actually runs, after runtime
-/// feature checks. SSE2 has no FMA, so its fast tier is the scalar fast
-/// reference; an AVX-512 request on a host without the full feature set
-/// falls to the AVX2 bodies, then scalar.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FastLevel {
-    Scalar,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-fn fast_level(backend: KernelBackend) -> FastLevel {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let fma = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
-        match backend {
-            KernelBackend::Avx512 if backend.is_supported() => return FastLevel::Avx512,
-            KernelBackend::Avx512 | KernelBackend::Avx2 if fma => return FastLevel::Avx2,
-            _ => {}
-        }
-    }
-    let _ = backend;
-    FastLevel::Scalar
-}
-
-/// Fast-tier `term = div p − v/θ` for one row (same boundary-rule table as
-/// [`kernels::compute_term_row`]). Vector bodies contract the `v·(1/θ)`
-/// multiply into the subtraction with FMA.
-#[allow(clippy::too_many_arguments)] // mirrors the exact kernel's shape
-#[inline]
-pub fn compute_term_row_fast(
-    backend: KernelBackend,
-    px_row: &[f32],
-    py_row: &[f32],
-    py_above: Option<&[f32]>,
-    v_row: &[f32],
-    inv_theta: f32,
-    last_row: bool,
-    out: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if out.len() >= 2 {
-        match fast_level(backend) {
-            // SAFETY: fast_level proved the required CPU features at run
-            // time; the slice-length contract matches the exact kernels'.
-            FastLevel::Avx512 => unsafe {
-                return x86::term_row_avx512(
-                    px_row, py_row, py_above, v_row, inv_theta, last_row, out,
-                );
-            },
-            // SAFETY: as above (avx2 + fma detected).
-            FastLevel::Avx2 => unsafe {
-                return x86::term_row_avx2(
-                    px_row, py_row, py_above, v_row, inv_theta, last_row, out,
-                );
-            },
-            FastLevel::Scalar => {}
-        }
-    }
-    let _ = backend;
-    // The scalar fast term row is the exact one: it has no divide or sqrt
-    // to approximate, and plain Rust must not call `f32::mul_add` (a libm
-    // soft-float call without a compile-time FMA target).
-    kernels::compute_term_row(px_row, py_row, py_above, v_row, inv_theta, last_row, out);
-}
-
-/// Fast-tier semi-implicit projected dual update for one row.
-///
-/// The defining transform of the tier: the two normalizing divides share
-/// one reciprocal (`inv = 1/(1 + τ/θ·|∇|)`, then two multiplies), and the
-/// vector bodies produce that reciprocal from a hardware estimate plus one
-/// Newton–Raphson step (the norm's square root stays the hardware
-/// instruction — it runs on the otherwise-idle divider port).
-#[inline]
-pub fn update_p_row_fast(
-    backend: KernelBackend,
-    term_row: &[f32],
-    term_below: Option<&[f32]>,
-    step_ratio: f32,
-    px_row: &mut [f32],
-    py_row: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if term_row.len() >= 2 {
-        match fast_level(backend) {
-            // SAFETY: fast_level proved the required CPU features at run
-            // time; the slice-length contract matches the exact kernels'.
-            FastLevel::Avx512 => unsafe {
-                return x86::update_p_row_avx512(term_row, term_below, step_ratio, px_row, py_row);
-            },
-            // SAFETY: as above (avx2 + fma detected).
-            FastLevel::Avx2 => unsafe {
-                return x86::update_p_row_avx2(term_row, term_below, step_ratio, px_row, py_row);
-            },
-            FastLevel::Scalar => {}
-        }
-    }
-    let _ = backend;
-    update_p_row_fast_scalar(term_row, term_below, step_ratio, px_row, py_row);
-}
+use crate::kernels::{self, BandHalo};
 
 /// The portable fast update body: reassociated shared-reciprocal form, no
 /// `mul_add` (which lowers to a libm call when FMA is not a compile-time
 /// target feature).
-fn update_p_row_fast_scalar(
+pub(crate) fn update_p_row_scalar(
     term_row: &[f32],
     term_below: Option<&[f32]>,
     step_ratio: f32,
@@ -239,13 +98,13 @@ fn update_p_row_fast_scalar(
 /// is read strictly before the update overwrites it, which is exactly the
 /// single-pass machine's old-`p` discipline.
 ///
-/// Per-cell math is identical to running [`compute_term_row_fast`] then
-/// [`update_p_row_fast`] (the AVX2 and AVX-512 bodies replicate their lane
-/// operations verbatim; other levels literally call them), so fusion is
-/// pure scheduling: priming rows, banded runs and temporal sweeps all stay
-/// bitwise coherent with each other.
+/// The Fast fused-step family's dispatcher: the AVX-512 and AVX2+FMA
+/// bodies replicate the lane operations of the standalone Fast row kernels
+/// verbatim, and every other level runs the term then the update row
+/// through their dispatchers, so fusion is pure scheduling — priming rows,
+/// fused rows and banded runs all stay bitwise coherent with each other.
 #[allow(clippy::too_many_arguments)] // the flat-slice shape, as elsewhere
-fn fused_term_update_row(
+pub(crate) fn fused_term_update_row(
     backend: KernelBackend,
     px_next: &[f32],
     py_next: &[f32],
@@ -258,60 +117,82 @@ fn fused_term_update_row(
     px_row: &mut [f32],
     py_row: &mut [f32],
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if cur.len() >= 2 {
-        // SAFETY (both arms): fast_level proved the feature at run time;
-        // the slice-length contract matches the standalone kernels'.
-        match fast_level(backend) {
-            FastLevel::Avx512 => unsafe {
-                return x86::fused_row_avx512(
-                    px_next,
-                    py_next,
-                    v_next,
-                    inv_theta,
-                    next_is_last,
-                    cur,
-                    next,
-                    step_ratio,
-                    px_row,
-                    py_row,
-                );
-            },
-            FastLevel::Avx2 => unsafe {
-                return x86::fused_row_avx2(
-                    px_next,
-                    py_next,
-                    v_next,
-                    inv_theta,
-                    next_is_last,
-                    cur,
-                    next,
-                    step_ratio,
-                    px_row,
-                    py_row,
-                );
-            },
-            FastLevel::Scalar => {}
+    let w = cur.len();
+    assert!(
+        [px_next.len(), py_next.len(), v_next.len(), next.len()] == [w; 4]
+            && px_row.len() == w
+            && py_row.len() == w,
+        "fused row slices must share one width"
+    );
+    let level = if w >= 2 {
+        backend.clamp_to_host()
+    } else {
+        KernelBackend::Scalar
+    };
+    // SAFETY (both vector arms): `clamp_to_host` only returns levels whose
+    // features were detected at run time (AVX-512 includes AVX2 and FMA),
+    // the FMA guard covers the AVX2 body, the assert above gives every row
+    // the width `w`, and vector levels are only picked for `w >= 2`.
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx512 => unsafe {
+            x86::fused_row_avx512(
+                px_next,
+                py_next,
+                v_next,
+                inv_theta,
+                next_is_last,
+                cur,
+                next,
+                step_ratio,
+                px_row,
+                py_row,
+            )
+        },
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx2 if is_x86_feature_detected!("fma") => unsafe {
+            x86::fused_row_avx2(
+                px_next,
+                py_next,
+                v_next,
+                inv_theta,
+                next_is_last,
+                cur,
+                next,
+                step_ratio,
+                px_row,
+                py_row,
+            )
+        },
+        _ => {
+            kernels::compute_term_row_on(
+                backend,
+                NumericsPolicy::Fast,
+                px_next,
+                py_next,
+                Some(py_row),
+                v_next,
+                inv_theta,
+                next_is_last,
+                next,
+            );
+            kernels::update_p_row_on(
+                backend,
+                NumericsPolicy::Fast,
+                cur,
+                Some(next),
+                step_ratio,
+                px_row,
+                py_row,
+            );
         }
     }
-    compute_term_row_fast(
-        backend,
-        px_next,
-        py_next,
-        Some(py_row),
-        v_next,
-        inv_theta,
-        next_is_last,
-        next,
-    );
-    update_p_row_fast(backend, cur, Some(next), step_ratio, px_row, py_row);
 }
 
-/// One fast-tier Chambolle iteration over rows `[r0, r0 + rows)` — the
-/// fast twin of [`kernels::fused_band_iteration_on`], with the same band,
-/// halo and term-ring structure (so the banded parallel solver stays
-/// thread-count invariant at the Fast tier: every band runs these same
-/// full-width row kernels against old-`p` halo snapshots).
+/// The one band iteration of [`crate::kernels`] at the Fast tier: the Fast
+/// twin of [`kernels::fused_band_iteration_on`], deterministic per backend.
+/// An entry point of its own because the `benchmark/` kernel probe times
+/// it.
 #[allow(clippy::too_many_arguments)] // the flat-slice shape is the point
 pub fn fused_band_iteration_fast(
     backend: KernelBackend,
@@ -327,328 +208,43 @@ pub fn fused_band_iteration_fast(
     term_a: &mut [f32],
     term_b: &mut [f32],
 ) {
-    assert!(w > 0, "band width must be positive");
-    let rows = px_band.len() / w;
-    let r1 = r0 + rows;
-    assert!(rows > 0 && px_band.len() == rows * w, "px band misshapen");
-    assert_eq!(py_band.len(), rows * w, "py band misshapen");
-    assert_eq!(v_band.len(), rows * w, "v band misshapen");
-    assert!(r1 <= h, "band exceeds frame height");
-    assert_eq!(
-        halo.py_above.is_some(),
-        r0 > 0,
-        "py_above halo required exactly when the band starts mid-frame"
-    );
-    assert_eq!(
-        halo.below.is_some(),
-        r1 < h,
-        "below halo required exactly when the band ends mid-frame"
-    );
-    assert!(
-        term_a.len() == w && term_b.len() == w,
-        "term buffers need width w"
-    );
-
-    let mut cur: &mut [f32] = term_a;
-    let mut next: &mut [f32] = term_b;
-    compute_term_row_fast(
+    kernels::band_iteration(
         backend,
-        &px_band[..w],
-        &py_band[..w],
-        halo.py_above,
-        &v_band[..w],
+        NumericsPolicy::Fast,
+        px_band,
+        py_band,
+        v_band,
+        w,
+        h,
+        r0,
+        halo,
         inv_theta,
-        r0 + 1 == h,
-        cur,
-    );
-    for i in 0..rows {
-        let y = r0 + i;
-        let lo = i * w;
-        if y + 1 < h {
-            if i + 1 < rows {
-                let (px_here, px_next) = px_band[lo..lo + 2 * w].split_at_mut(w);
-                let (py_here, py_next) = py_band[lo..lo + 2 * w].split_at_mut(w);
-                fused_term_update_row(
-                    backend,
-                    px_next,
-                    py_next,
-                    &v_band[lo + w..lo + 2 * w],
-                    inv_theta,
-                    y + 2 == h,
-                    cur,
-                    next,
-                    step_ratio,
-                    px_here,
-                    py_here,
-                );
-            } else {
-                let below = halo.below.as_ref().expect("below halo checked above");
-                fused_term_update_row(
-                    backend,
-                    below.px,
-                    below.py,
-                    below.v,
-                    inv_theta,
-                    y + 2 == h,
-                    cur,
-                    next,
-                    step_ratio,
-                    &mut px_band[lo..lo + w],
-                    &mut py_band[lo..lo + w],
-                );
-            }
-            std::mem::swap(&mut cur, &mut next);
-        } else {
-            update_p_row_fast(
-                backend,
-                cur,
-                None,
-                step_ratio,
-                &mut px_band[lo..lo + w],
-                &mut py_band[lo..lo + w],
-            );
-        }
-    }
-}
-
-/// Tier dispatch for one term row: the Fast tier's FMA term kernel for
-/// `f32`, the backend's exact kernel otherwise. Used by solve paths (e.g.
-/// the weighted solver) that run row kernels outside the fused band
-/// machines.
-#[allow(clippy::too_many_arguments)] // mirrors the row kernels' shape
-pub(crate) fn term_row_tiered<R: Real>(
-    backend: KernelBackend,
-    numerics: NumericsPolicy,
-    px_row: &[R],
-    py_row: &[R],
-    py_above: Option<&[R]>,
-    v_row: &[R],
-    inv_theta: R,
-    last_row: bool,
-    out: &mut [R],
-) {
-    if numerics == NumericsPolicy::Fast && TypeId::of::<R>() == TypeId::of::<f32>() {
-        compute_term_row_fast(
-            backend,
-            f32_slice(px_row).expect("R is f32"),
-            f32_slice(py_row).expect("R is f32"),
-            py_above.map(|s| f32_slice(s).expect("R is f32")),
-            f32_slice(v_row).expect("R is f32"),
-            inv_theta.to_f64() as f32,
-            last_row,
-            f32_slice_mut(out).expect("R is f32"),
-        );
-        return;
-    }
-    backend.compute_term_row(px_row, py_row, py_above, v_row, inv_theta, last_row, out);
-}
-
-/// Tier dispatch for one band iteration: routes `f32` bands to
-/// [`fused_band_iteration_fast`] when the context asks for the Fast tier,
-/// and everything else (the Exact tier, and all `f64` solves — which are
-/// always exact) to [`kernels::fused_band_iteration_on`] via the backend.
-#[allow(clippy::too_many_arguments)] // mirrors the band kernels' shape
-pub(crate) fn band_iteration_tiered<R: Real>(
-    backend: KernelBackend,
-    numerics: NumericsPolicy,
-    px_band: &mut [R],
-    py_band: &mut [R],
-    v_band: &[R],
-    w: usize,
-    h: usize,
-    r0: usize,
-    halo: BandHalo<'_, R>,
-    inv_theta: R,
-    step_ratio: R,
-    term_a: &mut [R],
-    term_b: &mut [R],
-) {
-    if numerics == NumericsPolicy::Fast && TypeId::of::<R>() == TypeId::of::<f32>() {
-        let halo_f32 = BandHalo {
-            py_above: halo.py_above.map(|s| f32_slice(s).expect("R is f32")),
-            below: halo.below.as_ref().map(|b| BelowHalo {
-                px: f32_slice(b.px).expect("R is f32"),
-                py: f32_slice(b.py).expect("R is f32"),
-                v: f32_slice(b.v).expect("R is f32"),
-            }),
-        };
-        // `f32 → f64 → f32` round-trips exactly, so the tier change never
-        // perturbs the solve parameters.
-        fused_band_iteration_fast(
-            backend,
-            f32_slice_mut(px_band).expect("R is f32"),
-            f32_slice_mut(py_band).expect("R is f32"),
-            f32_slice(v_band).expect("R is f32"),
-            w,
-            h,
-            r0,
-            halo_f32,
-            inv_theta.to_f64() as f32,
-            step_ratio.to_f64() as f32,
-            f32_slice_mut(term_a).expect("R is f32"),
-            f32_slice_mut(term_b).expect("R is f32"),
-        );
-        return;
-    }
-    backend.fused_band_iteration(
-        px_band, py_band, v_band, w, h, r0, halo, inv_theta, step_ratio, term_a, term_b,
+        step_ratio,
+        term_a,
+        term_b,
     );
 }
 
-/// `k` fast-tier Chambolle iterations in **one pass over the frame**: the
-/// register/cache-level instance of the paper's loop decomposition.
-///
-/// Runs `k` staggered copies of the fused single-pass machine over the
-/// shared `px`/`py` arrays. At sweep step `t`, fusion level `l`
-/// (0-indexed) updates row `t − l`: level `l` reads row `t − l + 1`, which
-/// level `l − 1` finished earlier in the *same* step, so a one-row stagger
-/// is exactly the dependency distance of the dual update. Each level rolls
-/// its own pair of term-row buffers, giving a working set of `2k` term
-/// rows plus a ~`k + 2`-row window of `px`/`py`/`v` — cache-resident for
-/// production widths, so `k` iterations stream the frame once instead of
-/// `k` times.
-///
-/// **Bit-identical to `k` sequential calls** of
-/// [`fused_band_iteration_fast`] over the whole frame on the same backend:
-/// every level performs the identical per-cell operation order on
-/// identical inputs (level `l` only ever reads level `l − 1`'s final
-/// values). The sweep is sequential-only: the banded parallel path runs
-/// its blocks of K iterations as K full passes of
-/// [`fused_band_iteration_fast`] over each band and its halo rows, which
-/// yields the same own-row bits as this sweep.
-///
-/// # Panics
-///
-/// Panics if the slices are inconsistent with `w`/`h` or `k == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn temporal_sweep(
-    backend: KernelBackend,
-    px: &mut [f32],
-    py: &mut [f32],
-    v: &[f32],
-    w: usize,
-    h: usize,
-    inv_theta: f32,
-    step_ratio: f32,
-    k: u32,
-) {
-    assert!(k > 0, "temporal sweep needs at least one fused iteration");
-    assert!(w > 0 && h > 0, "frame must be non-empty");
-    assert_eq!(px.len(), w * h, "px misshapen");
-    assert_eq!(py.len(), w * h, "py misshapen");
-    assert_eq!(v.len(), w * h, "v misshapen");
-
-    let k = k as usize;
-    // Per-level term rings: `bufs[l]` holds the level's (cur, next) pair;
-    // `flip[l]` says which is which (a swap is a parity toggle, so the two
-    // buffers can live side by side without aliasing gymnastics).
-    let mut bufs: Vec<(Vec<f32>, Vec<f32>)> =
-        (0..k).map(|_| (vec![0.0f32; w], vec![0.0f32; w])).collect();
-    let mut flip = vec![false; k];
-
-    for t in 0..h + k - 1 {
-        for (l, (a, b)) in bufs.iter_mut().enumerate() {
-            let Some(y) = t.checked_sub(l) else { break };
-            if y >= h {
-                continue;
-            }
-            let (cur, next) = if flip[l] { (b, a) } else { (a, b) };
-            let lo = y * w;
-            if y == 0 {
-                // The level's first term row, from level l−1's final state
-                // of row 0 (the raw input for l = 0).
-                compute_term_row_fast(
-                    backend,
-                    &px[..w],
-                    &py[..w],
-                    None,
-                    &v[..w],
-                    inv_theta,
-                    h == 1,
-                    cur,
-                );
-            }
-            if y + 1 < h {
-                // Term for row y+1: px/py of row y+1 are level l−1 state
-                // (updated earlier this same step), py of row y is still
-                // pre-update for this level — exactly the old-p discipline
-                // of the single-pass machine, enforced inside the fused
-                // step by its read-before-write ordering.
-                let (px_here, px_next) = px[lo..lo + 2 * w].split_at_mut(w);
-                let (py_here, py_next) = py[lo..lo + 2 * w].split_at_mut(w);
-                fused_term_update_row(
-                    backend,
-                    px_next,
-                    py_next,
-                    &v[lo + w..lo + 2 * w],
-                    inv_theta,
-                    y + 2 == h,
-                    cur,
-                    next,
-                    step_ratio,
-                    px_here,
-                    py_here,
-                );
-                // Ring swap: next's term row becomes cur for row y + 1.
-                flip[l] = !flip[l];
-            } else {
-                update_p_row_fast(
-                    backend,
-                    cur,
-                    None,
-                    step_ratio,
-                    &mut px[lo..lo + w],
-                    &mut py[lo..lo + w],
-                );
-            }
-        }
-    }
-}
-
-/// The x86-64 fast-tier intrinsic bodies (AVX2+FMA and AVX-512F).
+/// The x86-64 fast-tier intrinsic bodies (AVX2+FMA and AVX-512F). Each
+/// requires its target features at run time, equal row lengths and rows of
+/// at least two cells; the dispatchers in [`crate::kernels`] and
+/// [`fused_term_update_row`] check the features and the row length.
 #[cfg(target_arch = "x86_64")]
-mod x86 {
+pub(crate) mod x86 {
     use std::arch::x86_64::*;
 
-    use crate::kernels;
+    use crate::kernels::{DivY, DY_FIRST, DY_INTERIOR, DY_LAST, DY_ZERO};
 
-    /// The y-divergence shapes, as in the exact kernels.
-    pub(super) enum DivY<'a> {
-        Zero,
-        First(&'a [f32]),
-        Interior(&'a [f32], &'a [f32]),
-        Last(&'a [f32]),
-    }
-
-    impl DivY<'_> {
-        #[inline]
-        fn at(&self, x: usize) -> f32 {
-            match self {
-                DivY::Zero => 0.0,
-                DivY::First(py) => py[x],
-                DivY::Interior(py, above) => py[x] - above[x],
-                DivY::Last(above) => -above[x],
-            }
-        }
-    }
-
-    fn div_y_shape<'a>(py: &'a [f32], above: Option<&'a [f32]>, last_row: bool) -> DivY<'a> {
-        match (above, last_row) {
-            (None, true) => DivY::Zero,
-            (None, false) => DivY::First(py),
-            (Some(a), false) => DivY::Interior(py, a),
-            (Some(a), true) => DivY::Last(a),
-        }
-    }
-
-    const DY_ZERO: u8 = 0;
-    const DY_FIRST: u8 = 1;
-    const DY_INTERIOR: u8 = 2;
-    const DY_LAST: u8 = 3;
-
+    /// Fast-tier 8-lane term row: [`term_row_avx2_on`] for the row's
+    /// `div_y` shape.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA, `out.len() >= 2`, and `px`, `py`,
+    /// `v` and `above` (if any) must be as long as `out`.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn term_row_avx2(
+    pub(crate) unsafe fn term_row_avx2(
         px: &[f32],
         py: &[f32],
         above: Option<&[f32]>,
@@ -657,7 +253,7 @@ mod x86 {
         last_row: bool,
         out: &mut [f32],
     ) {
-        let div_y = div_y_shape(py, above, last_row);
+        let div_y = DivY::new(py, above, last_row);
         // SAFETY (all arms): the caller's bounds contract is forwarded; the
         // slices passed as dy payloads match each selector's expectations.
         unsafe {
@@ -756,8 +352,13 @@ mod x86 {
     /// norm (it runs on the divider port, which this kernel otherwise
     /// leaves idle, so it costs no ALU slot), one `rcp`+NR reciprocal
     /// shared by both component divides.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA, `term.len() >= 2`, and `below`
+    /// (if any), `px` and `py` must be as long as `term`.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn update_p_row_avx2(
+    pub(crate) unsafe fn update_p_row_avx2(
         term: &[f32],
         below: Option<&[f32]>,
         step: f32,
@@ -839,9 +440,16 @@ mod x86 {
         }
     }
 
+    /// Fast-tier 16-lane term row: the AVX2 body's algorithm on ZMM, with
+    /// the `div_y` shape matched per vector.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, `out.len() >= 2`, and `px`, `py`, `v`
+    /// and `above` (if any) must be as long as `out`.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn term_row_avx512(
+    pub(crate) unsafe fn term_row_avx512(
         px: &[f32],
         py: &[f32],
         above: Option<&[f32]>,
@@ -850,7 +458,7 @@ mod x86 {
         last_row: bool,
         out: &mut [f32],
     ) {
-        let div_y = div_y_shape(py, above, last_row);
+        let div_y = DivY::new(py, above, last_row);
         let w = out.len();
         let it = _mm512_set1_ps(inv_theta);
         let zero = _mm512_setzero_ps();
@@ -914,8 +522,13 @@ mod x86 {
     /// 16-lane fast dual update: the AVX2 body's algorithm on ZMM —
     /// hardware `sqrt` on the divider port for the norm, one NR step on
     /// the higher-precision `rcp14` seed for the shared reciprocal.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, `term.len() >= 2`, and `below` (if
+    /// any), `px` and `py` must be as long as `term`.
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn update_p_row_avx512(
+    pub(crate) unsafe fn update_p_row_avx512(
         term: &[f32],
         below: Option<&[f32]>,
         step: f32,
@@ -1006,6 +619,11 @@ mod x86 {
     /// `py_row` is both the update target and the next row's upper halo;
     /// every halo read happens before the update's store of the same
     /// lanes, within one loop iteration, so the old-`p` discipline holds.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, `cur.len() >= 2`, and every other row
+    /// slice must be as long as `cur`.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn fused_row_avx512(
@@ -1160,6 +778,11 @@ mod x86 {
     /// `xor` negation versus the tail's `sub` for a last-shape `div_y`:
     /// the body/tail column split here is the same as theirs, so every
     /// column sees the identical operation either way.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA, `cur.len() >= 2`, and every other
+    /// row slice must be as long as `cur`.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn fused_row_avx2(
@@ -1304,11 +927,6 @@ mod x86 {
             x += 8;
         }
     }
-
-    // Re-exported so `compute_term_row_fast`'s scalar fallback can assert
-    // shape parity with the exact kernels in debug builds.
-    #[allow(unused_imports)]
-    pub(super) use kernels::compute_term_row as _term_reference;
 }
 
 #[cfg(test)]
@@ -1384,7 +1002,15 @@ mod tests {
                     let (mut epx, mut epy) = (px0.clone(), py0.clone());
                     kernels::update_p_row(&term, below_opt, 0.248, &mut epx, &mut epy);
                     let (mut fpx, mut fpy) = (px0.clone(), py0.clone());
-                    update_p_row_fast(backend, &term, below_opt, 0.248, &mut fpx, &mut fpy);
+                    kernels::update_p_row_on(
+                        backend,
+                        NumericsPolicy::Fast,
+                        &term,
+                        below_opt,
+                        0.248,
+                        &mut fpx,
+                        &mut fpy,
+                    );
                     for i in 0..w {
                         assert!(
                             (epx[i] - fpx[i]).abs() < 1e-5 && (epy[i] - fpy[i]).abs() < 1e-5,
@@ -1419,63 +1045,20 @@ mod tests {
                     let mut exact = vec![0.0f32; w];
                     kernels::compute_term_row(&px, &py, above_opt, &v, 4.0, last, &mut exact);
                     let mut fast = vec![0.0f32; w];
-                    compute_term_row_fast(backend, &px, &py, above_opt, &v, 4.0, last, &mut fast);
+                    kernels::compute_term_row_on(
+                        backend,
+                        NumericsPolicy::Fast,
+                        &px,
+                        &py,
+                        above_opt,
+                        &v,
+                        4.0,
+                        last,
+                        &mut fast,
+                    );
                     for i in 0..w {
                         assert!((exact[i] - fast[i]).abs() < 1e-5, "{backend:?} w={w} i={i}");
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn temporal_sweep_bit_identical_to_sequential_fast_passes() {
-        // The tentpole invariant: K-fused sweeps perform exactly the same
-        // per-cell operations in the same order as K sequential fast
-        // passes, on every backend and for every frame shape — including
-        // frames shorter than the fusion depth.
-        for backend in backends() {
-            for (w, h) in [
-                (13usize, 11usize),
-                (1, 9),
-                (9, 1),
-                (1, 1),
-                (32, 24),
-                (17, 2),
-                (19, 3),
-                (23, 5),
-            ] {
-                for k in [1u32, 2, 3, 4, 7] {
-                    let (p0, v) = random_state(w, h, 500 + w as u64 + k as u64);
-                    let mut p_seq = p0.clone();
-                    for _ in 0..k {
-                        fast_full_iteration(backend, &mut p_seq, &v, 4.0, 0.125);
-                    }
-                    let mut p_fused = p0.clone();
-                    temporal_sweep(
-                        backend,
-                        p_fused.px.as_mut_slice(),
-                        p_fused.py.as_mut_slice(),
-                        v.as_slice(),
-                        w,
-                        h,
-                        4.0,
-                        0.125,
-                        k,
-                    );
-                    let bits = |g: &Grid<f32>| {
-                        g.as_slice().iter().map(|f| f.to_bits()).collect::<Vec<_>>()
-                    };
-                    assert_eq!(
-                        bits(&p_fused.px),
-                        bits(&p_seq.px),
-                        "{backend:?} {w}x{h} k={k} px"
-                    );
-                    assert_eq!(
-                        bits(&p_fused.py),
-                        bits(&p_seq.py),
-                        "{backend:?} {w}x{h} k={k} py"
-                    );
                 }
             }
         }

@@ -20,17 +20,18 @@
 //! - [`cancel`] — cooperative cancellation and deadlines ([`CancelToken`])
 //!   polled at iteration boundaries by the `*_with_ctx` solver entry
 //!   points, the hooks a long-running request service builds on;
-//! - [`backend`] — the [`KernelBackend`] abstraction over the fused row
-//!   kernels: scalar, SSE2, AVX2 and AVX-512 levels selected at runtime
-//!   (override with `CHAMBOLLE_BACKEND`), all bit-identical by contract.
-//!   At the Exact tier SSE2 runs the scalar reference and AVX-512 the AVX2
-//!   bodies;
+//! - [`kernels`] — the row kernels and the one band iteration every solve
+//!   path runs, dispatched on a [`KernelBackend`] (re-exported from
+//!   [`chambolle_par::simd`]): scalar, SSE2, AVX2 and AVX-512 levels
+//!   selected at runtime (override with `CHAMBOLLE_BACKEND`), all
+//!   bit-identical by contract at the Exact tier, where SSE2 runs the
+//!   scalar reference and AVX-512 the AVX2 bodies;
 //! - [`ctx`] — the [`ExecCtx`] execution context consolidating pool,
 //!   telemetry, cancellation, kernel backend and numerics tier behind one
 //!   `*_with_ctx` entry point per solve family;
 //! - [`fast`] — the [`NumericsPolicy::Fast`](ctx::NumericsPolicy) tier:
 //!   FMA/approximate-reciprocal row kernels (AVX2+FMA and true 16-lane
-//!   AVX-512F) and the K-deep temporally fused sweep, validated against the
+//!   AVX-512F) and the fused term+update row step, validated against the
 //!   Exact tier by energy/duality-gap tolerance instead of bit equality.
 //!
 //! # Examples
@@ -59,7 +60,6 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod block_matching;
 pub mod cancel;
 pub mod ctx;
@@ -78,9 +78,9 @@ pub mod tiling;
 pub mod tvl1;
 pub mod weighted;
 
-pub use backend::KernelBackend;
 pub use block_matching::{block_matching_flow, BlockMatchingParams};
 pub use cancel::{CancelReason, CancelToken, Cancelled};
+pub use chambolle_par::KernelBackend;
 pub use ctx::{DegradationPolicy, ExecCtx, NumericsPolicy};
 pub use decomposition::{compute_group_decomposed, DecomposedStats, GroupRect};
 pub use diagnostics::{

@@ -19,13 +19,11 @@
 use std::sync::Arc;
 
 use chambolle_imaging::Grid;
-use chambolle_par::{ThreadPool, UnsafeSharedSlice};
+use chambolle_par::{KernelBackend, ThreadPool, UnsafeSharedSlice};
 
-use crate::backend::KernelBackend;
 use crate::cancel::Cancelled;
 use crate::ctx::{ExecCtx, NumericsPolicy};
-use crate::fast;
-use crate::kernels::{BandHalo, BelowHalo};
+use crate::kernels::{band_iteration, BandHalo, BelowHalo};
 use crate::ops::{div_x_at, div_y_at, total_variation};
 use crate::params::{ChambolleParams, InvalidParamsError};
 use crate::real::Real;
@@ -167,15 +165,16 @@ pub fn chambolle_iterate<R: Real>(
 /// The consolidated iteration entry point: runs `iterations` Chambolle
 /// iterations on `p` under the execution policy in `ctx`.
 ///
-/// - no pool, a 1-thread pool, or a frame too short for two bands → the
-///   fused sequential sweep;
+/// - no pool, a 1-thread pool, or a frame too short for two bands → one
+///   whole-frame band iteration ([`crate::kernels`]) per iteration on the
+///   calling thread;
 /// - otherwise → blocked bands: `min(pool threads, h / (2K+1))` horizontal
-///   bands, K = [`fast::TEMPORAL_FUSION_DEPTH`], so a band is never shorter
-///   than its halos. Each pool dispatch runs a block of `k ≤ K` iterations:
-///   every band updates its own rows `[r0, r1)` in place and recomputes
-///   `k` rows above and `k + 1` below in private copies taken before the
-///   block, so its own rows come out bit-identical to `k` sequential
-///   iterations for every thread count. The halo work shrinks by a row per
+///   bands, K = 8, so a band is never shorter than its halos. Each pool
+///   dispatch runs a block of `k ≤ K` iterations: every band updates its
+///   own rows `[r0, r1)` in place and recomputes `k` rows above and
+///   `k + 1` below in private copies taken before the block, so its own
+///   rows come out bit-identical to `k` sequential iterations for every
+///   thread count. The halo work shrinks by a row per
 ///   cut edge and iteration, so a band boundary costs 10 redundant rows per
 ///   iteration on average (at most `2K + 1 = 17`), and `K − 1` of every `K`
 ///   pool dispatches are saved;
@@ -183,13 +182,12 @@ pub fn chambolle_iterate<R: Real>(
 ///   backend under the default Exact tier);
 /// - `ctx.numerics()` selects the numerics tier: `Exact` (default) keeps
 ///   the bit-identity contract; `Fast` routes `f32` solves through the
-///   tolerance-validated kernels of [`crate::fast`] — sequentially as
-///   K-deep temporally fused sweeps, in bands as the same full-width fast
-///   row kernels (so still thread-count invariant). `f64` solves always
-///   run exact;
+///   tolerance-validated kernels of [`crate::fast`]. Both tiers run the
+///   same band iteration on both paths, so Fast stays thread-count
+///   invariant. `f64` solves always run exact;
 /// - a cancellation token, if attached, is polled between iterations on
-///   the sequential Exact path and between blocks of up to K iterations on
-///   the Fast sweep and the banded path.
+///   the sequential path and between blocks of up to K iterations on the
+///   banded path.
 ///
 /// [`chambolle_iterate`] delegates here.
 ///
@@ -211,6 +209,11 @@ pub fn chambolle_iterate_with_ctx<R: Real>(
 ) -> Result<(), Cancelled> {
     iterate_frames(std::slice::from_mut(p), &[v], params, iterations, ctx)
 }
+
+/// The banded solver's block depth K: iterations per pool dispatch. Each
+/// band recomputes K halo rows above and K + 1 below around its own rows,
+/// so a band is at least 2K + 1 rows tall.
+const BLOCK_DEPTH: u32 = 8;
 
 /// [`chambolle_iterate_with_ctx`] over equally shaped frames at once, each
 /// `fields[f]` iterated against `vs[f]`.
@@ -246,7 +249,7 @@ fn iterate_frames<R: Real>(
     let pool = ctx.pool().map(Arc::as_ref);
     // K: iterations per pool dispatch. A band is at least as tall as the
     // 2K+1 halo rows it recomputes around itself.
-    let depth = fast::TEMPORAL_FUSION_DEPTH;
+    let depth = BLOCK_DEPTH;
     let bands = (pool.map_or(1, ThreadPool::threads) / frames).min(h / (2 * depth as usize + 1));
     if frames * bands <= 1 {
         for (p, v) in fields.iter_mut().zip(vs) {
@@ -316,8 +319,8 @@ fn iterate_frames<R: Real>(
     Ok(())
 }
 
-/// The sequential solve of one frame on the calling thread: the fused
-/// single-pass sweep, or on the Fast tier K-deep temporally fused sweeps.
+/// The sequential solve of one frame on the calling thread: one
+/// whole-frame [`band_iteration`] per iteration, at the context's tier.
 fn iterate_inline<R: Real>(
     p: &mut DualField<R>,
     v: &Grid<R>,
@@ -326,34 +329,15 @@ fn iterate_inline<R: Real>(
     ctx: &ExecCtx,
 ) -> Result<(), Cancelled> {
     let (w, h) = v.dims();
-    let backend = ctx.backend();
-    // Sequential Fast tier: fuse iterations K at a time into single
-    // cache-resident passes over the frame. (`f64` solves never take this
-    // branch — the fast tier is an `f32` contract.)
-    if ctx.numerics() == NumericsPolicy::Fast {
-        if let (Some(px), Some(py), Some(vs)) = (
-            fast::f32_slice_mut(p.px.as_mut_slice()),
-            fast::f32_slice_mut(p.py.as_mut_slice()),
-            fast::f32_slice(v.as_slice()),
-        ) {
-            let it = 1.0f32 / params.theta;
-            let st = params.step_ratio();
-            let mut remaining = iterations;
-            while remaining > 0 {
-                ctx.checkpoint()?;
-                let k = remaining.min(fast::TEMPORAL_FUSION_DEPTH);
-                fast::temporal_sweep(backend, px, py, vs, w, h, it, st, k);
-                remaining -= k;
-            }
-            return Ok(());
-        }
-    }
+    let (backend, numerics) = (ctx.backend(), ctx.numerics());
     let inv_theta = R::ONE / R::from_f32(params.theta);
     let step_ratio = R::from_f32(params.step_ratio());
     let (mut ta, mut tb) = (vec![R::ZERO; w], vec![R::ZERO; w]);
     for _ in 0..iterations {
         ctx.checkpoint()?;
-        backend.fused_band_iteration(
+        band_iteration(
+            backend,
+            numerics,
             p.px.as_mut_slice(),
             p.py.as_mut_slice(),
             v.as_slice(),
@@ -483,7 +467,7 @@ impl<R: Real> BandWindow<R> {
         let (seam_px_below, seam_py_below) = seam_below.split_at_mut(w);
         if na > 0 {
             seam_above.copy_from_slice(&self.above_py[na - w..na]);
-            fast::band_iteration_tiered(
+            band_iteration(
                 backend,
                 numerics,
                 &mut self.above_px[skip..na],
@@ -509,7 +493,7 @@ impl<R: Real> BandWindow<R> {
         if nb > 0 {
             seam_px_below.copy_from_slice(&self.below_px[..w]);
             seam_py_below.copy_from_slice(&self.below_py[..w]);
-            fast::band_iteration_tiered(
+            band_iteration(
                 backend,
                 numerics,
                 &mut self.below_px[..nb],
@@ -528,7 +512,7 @@ impl<R: Real> BandWindow<R> {
                 &mut self.term_b,
             );
         }
-        fast::band_iteration_tiered(
+        band_iteration(
             backend,
             numerics,
             px,
@@ -1183,7 +1167,7 @@ mod tests {
 
     #[test]
     fn pooled_solve_dispatches_once_per_block() {
-        let k = fast::TEMPORAL_FUSION_DEPTH;
+        let k = BLOCK_DEPTH;
         let pool = Arc::new(ThreadPool::new(2));
         let ctx = ExecCtx::default().with_pool(Arc::clone(&pool));
         let v = noisy_step(20, 40, 37).map(|&x| x as f32);

@@ -27,14 +27,12 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use chambolle_imaging::Grid;
-use chambolle_par::{ThreadPool, UnsafeSharedSlice};
+use chambolle_par::{KernelBackend, ThreadPool, UnsafeSharedSlice};
 use chambolle_telemetry::{names, Telemetry};
 
-use crate::backend::KernelBackend;
 use crate::cancel::Cancelled;
 use crate::ctx::{ExecCtx, NumericsPolicy};
-use crate::fast;
-use crate::kernels::BandHalo;
+use crate::kernels::{band_iteration, BandHalo};
 use crate::params::{ChambolleParams, InvalidParamsError};
 use crate::real::Real;
 use crate::solver::{recover_u, DualField, TvDenoiser};
@@ -359,7 +357,7 @@ pub fn chambolle_iterate_tiled<R: Real>(
 /// context selecting [`NumericsPolicy::Fast`] runs the window-local
 /// iterations on the tolerance-validated kernels of [`crate::fast`]
 /// (deterministic per tile shape, but not bit-comparable to the sequential
-/// fast sweep — window widths change the vector remainder splits).
+/// Fast solve — window widths change the vector remainder splits).
 ///
 /// # Errors
 ///
@@ -542,7 +540,7 @@ fn process_window_fused<R: Real>(
         scratch.v[y * sw..(y + 1) * sw].copy_from_slice(&v.row(row)[span]);
     }
     for _ in 0..k {
-        fast::band_iteration_tiered(
+        band_iteration(
             backend,
             numerics,
             &mut scratch.px,

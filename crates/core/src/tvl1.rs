@@ -100,28 +100,12 @@ impl<D: TvDenoiser> TvL1Solver<D> {
     ///
     /// Returns [`FlowError`] if the frames are empty or differ in size.
     pub fn flow(&self, i0: &Image, i1: &Image) -> Result<(FlowField, FlowStats), FlowError> {
-        self.flow_with_init(i0, i1, None)
+        self.flow_with_ctx(i0, i1, None, &self.base_ctx())
     }
 
-    /// Like [`TvL1Solver::flow`], but warm-started from a prior estimate
-    /// (typically the previous frame pair's flow in a video) — the prior is
-    /// resampled to the coarsest pyramid level and refined from there.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError`] if the frames are empty, differ in size, or
-    /// the prior's dimensions do not match the frames.
-    pub fn flow_with_init(
-        &self,
-        i0: &Image,
-        i1: &Image,
-        init: Option<&FlowField>,
-    ) -> Result<(FlowField, FlowStats), FlowError> {
-        self.flow_with_ctx(i0, i1, init, &self.base_ctx())
-    }
-
-    /// The context the legacy entry points build from the solver's own
-    /// configuration: the attached pool (if any) and nothing else.
+    /// The context [`TvL1Solver::flow`] and [`VideoFlowTracker`] build from
+    /// the solver's own configuration: the attached pool (if any) and
+    /// nothing else.
     fn base_ctx(&self) -> ExecCtx {
         match &self.pool {
             Some(pool) => ExecCtx::default().with_pool(Arc::clone(pool)),
@@ -132,6 +116,10 @@ impl<D: TvDenoiser> TvL1Solver<D> {
     /// The consolidated flow entry point: one [`ExecCtx`] carries the pool,
     /// telemetry, cancellation token and kernel backend for the whole outer
     /// loop.
+    ///
+    /// `init` warm-starts the solve from a prior estimate (typically the
+    /// previous frame pair's flow in a video): the prior is resampled to
+    /// the coarsest pyramid level and refined from there.
     ///
     /// The context's pool (or, when it has none, the solver's attached pool)
     /// drives the pyramid construction and per-warp linearization; its
@@ -155,7 +143,8 @@ impl<D: TvDenoiser> TvL1Solver<D> {
     /// # Errors
     ///
     /// Returns [`FlowError::Cancelled`] if the context's token fires
-    /// mid-solve, plus the usual input-validation errors.
+    /// mid-solve, and [`FlowError`] if the frames are empty, differ in
+    /// size, or the prior's dimensions do not match the frames.
     pub fn flow_with_ctx(
         &self,
         i0: &Image,
@@ -187,7 +176,7 @@ impl<D: TvDenoiser> TvL1Solver<D> {
         let mut chambolle_calls = 0u32;
 
         let pool = ctx.pool().or(self.pool.as_ref());
-        let simd = ctx.backend().simd_level();
+        let simd = ctx.backend();
         let build = |img: &Image| match pool {
             Some(pool) => Pyramid::build_scaled_with_pool(
                 img,
@@ -315,7 +304,9 @@ impl<D: TvDenoiser> VideoFlowTracker<D> {
             .previous
             .as_ref()
             .filter(|prev| prev.dims() == i0.dims());
-        let (flow, _) = self.solver.flow_with_init(i0, i1, init)?;
+        let (flow, _) = self
+            .solver
+            .flow_with_ctx(i0, i1, init, &self.solver.base_ctx())?;
         self.previous = Some(flow.clone());
         Ok(flow)
     }
@@ -474,11 +465,11 @@ impl std::error::Error for FlowError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::KernelBackend;
     use crate::cancel::CancelToken;
     use crate::params::ChambolleParams;
     use crate::tiling::{TileConfig, TiledSolver};
     use chambolle_imaging::{average_endpoint_error, render_pair, Motion, NoiseTexture, Scene};
+    use chambolle_par::KernelBackend;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn fast_params() -> TvL1Params {
@@ -879,18 +870,19 @@ mod tests {
     }
 
     #[test]
-    fn flow_with_init_validates_prior_size() {
+    fn flow_with_ctx_validates_prior_size() {
         use chambolle_imaging::FlowField;
         let scene = NoiseTexture::new(72);
         let pair = render_pair(&scene, 40, 30, Motion::Translation { du: 1.0, dv: 0.0 });
         let solver = TvL1Solver::sequential(fast_params());
+        let ctx = ExecCtx::default();
         let bad_prior = FlowField::zeros(41, 30);
         assert!(solver
-            .flow_with_init(&pair.i0, &pair.i1, Some(&bad_prior))
+            .flow_with_ctx(&pair.i0, &pair.i1, Some(&bad_prior), &ctx)
             .is_err());
         let good_prior = FlowField::constant(40, 30, 1.0, 0.0);
         assert!(solver
-            .flow_with_init(&pair.i0, &pair.i1, Some(&good_prior))
+            .flow_with_ctx(&pair.i0, &pair.i1, Some(&good_prior), &ctx)
             .is_ok());
     }
 

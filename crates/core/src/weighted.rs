@@ -12,11 +12,10 @@
 //! in a separate module so the reproduction path stays untouched.
 
 use chambolle_imaging::Grid;
-use chambolle_par::{ThreadPool, UnsafeSharedSlice};
+use chambolle_par::{KernelBackend, ThreadPool, UnsafeSharedSlice};
 
-use crate::backend::KernelBackend;
 use crate::ctx::{ExecCtx, NumericsPolicy};
-use crate::fast;
+use crate::kernels::compute_term_row_on;
 use crate::params::{ChambolleParams, InvalidParamsError};
 use crate::real::Real;
 use crate::solver::{recover_u, DualField};
@@ -104,7 +103,8 @@ pub fn chambolle_denoise_weighted<R: Real>(
 /// per-weight renormalization has no fused/vector kernel (the paper's
 /// hardware fixes `w = 1`). The context's numerics tier applies to the
 /// term pass only — under [`NumericsPolicy::Fast`](crate::NumericsPolicy)
-/// the term rows run the FMA kernels of [`crate::fast`]. The context's
+/// the term rows run the Fast tier's FMA term kernels
+/// ([`compute_term_row_on`]). The context's
 /// cancellation token is **not** polled — the weighted solve has no
 /// cancellable entry point to stay compatible with, and its error type
 /// reports invalid inputs only.
@@ -162,7 +162,7 @@ fn term_pass<R: Real>(
         return;
     }
     let term_row = |y: usize, out: &mut [R]| {
-        fast::term_row_tiered(
+        compute_term_row_on(
             backend,
             numerics,
             p.px.row(y),

@@ -1,6 +1,6 @@
 //! Scalar image operations: sampling, gradients, statistics.
 
-use chambolle_par::{SimdLevel, ThreadPool, UnsafeSharedSlice};
+use chambolle_par::{KernelBackend, ThreadPool, UnsafeSharedSlice};
 
 use crate::grid::{par_band_rows, Grid};
 use crate::simd;
@@ -75,7 +75,7 @@ pub fn gradient_central(img: &Image) -> (Image, Image) {
 }
 
 /// [`gradient_central`] with the per-row work distributed over a worker
-/// pool and each row's central differences dispatched on a [`SimdLevel`].
+/// pool and each row's central differences dispatched on a [`KernelBackend`].
 ///
 /// Each cell depends only on the immutable input, the row partition is a
 /// pure function of the image height, and the vector rows replay the scalar
@@ -84,7 +84,7 @@ pub fn gradient_central(img: &Image) -> (Image, Image) {
 pub fn gradient_central_with_pool(
     img: &Image,
     pool: &ThreadPool,
-    level: SimdLevel,
+    level: KernelBackend,
 ) -> (Image, Image) {
     let (w, h) = img.dims();
     let mut gx = Grid::new(w, h, 0.0);
@@ -273,10 +273,10 @@ mod tests {
         for threads in [1usize, 2, 3, 8] {
             let pool = ThreadPool::new(threads);
             for level in [
-                SimdLevel::Scalar,
-                SimdLevel::Sse2,
-                SimdLevel::Avx2,
-                SimdLevel::Avx512,
+                KernelBackend::Scalar,
+                KernelBackend::Sse2,
+                KernelBackend::Avx2,
+                KernelBackend::Avx512,
             ] {
                 if !level.is_supported() {
                     continue;

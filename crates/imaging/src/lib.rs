@@ -5,9 +5,9 @@
 //!
 //! - [`Grid`] — the dense row-major 2-D container shared by all crates;
 //! - sampling, warping ([`warp_backward`], [`WarpLinearization`]) and
-//!   gradients ([`gradient_central`]); the pooled blur/gradient/residual
+//!   gradients ([`gradient_central`]); the pooled blur and gradient
 //!   variants additionally dispatch their row loops on a
-//!   [`chambolle_par::SimdLevel`], bit-identical at every level;
+//!   [`chambolle_par::KernelBackend`], bit-identical at every level;
 //! - Gaussian [`Pyramid`]s for the coarse-to-fine outer loop;
 //! - [`FlowField`] plus error metrics and Middlebury colorization;
 //! - synthetic scenes with analytic ground truth ([`synthetic`]), including

@@ -1,6 +1,6 @@
 //! Gaussian image pyramids for the coarse-to-fine TV-L1 outer loop.
 
-use chambolle_par::{SimdLevel, ThreadPool};
+use chambolle_par::{KernelBackend, ThreadPool};
 
 use crate::grid::{par_band_rows, Grid};
 use crate::image::{sample_bilinear, Image};
@@ -87,7 +87,7 @@ impl Pyramid {
 
     /// [`Pyramid::build`] with each level's blur and decimation distributed
     /// over a worker pool and the blur rows running at the given
-    /// [`SimdLevel`]; bit-identical for every thread count and level.
+    /// [`KernelBackend`]; bit-identical for every thread count and level.
     ///
     /// # Panics
     ///
@@ -96,7 +96,7 @@ impl Pyramid {
         base: &Image,
         max_levels: usize,
         pool: &ThreadPool,
-        level: SimdLevel,
+        level: KernelBackend,
     ) -> Self {
         assert!(max_levels > 0, "pyramid needs at least one level");
         assert!(!base.is_empty(), "cannot build a pyramid of an empty image");
@@ -114,7 +114,7 @@ impl Pyramid {
 
     /// [`Pyramid::build_scaled`] with each level's blur and resize
     /// distributed over a worker pool and the blur rows running at the given
-    /// [`SimdLevel`]; bit-identical for every thread count and level.
+    /// [`KernelBackend`]; bit-identical for every thread count and level.
     ///
     /// # Panics
     ///
@@ -125,7 +125,7 @@ impl Pyramid {
         max_levels: usize,
         factor: f32,
         pool: &ThreadPool,
-        level: SimdLevel,
+        level: KernelBackend,
     ) -> Self {
         assert!(max_levels > 0, "pyramid needs at least one level");
         assert!(!base.is_empty(), "cannot build a pyramid of an empty image");
@@ -199,13 +199,13 @@ pub fn blur_binomial5(img: &Image) -> Image {
 }
 
 /// [`blur_binomial5`] with both separable passes row-parallelized over a
-/// worker pool and the per-row tap loops dispatched on a [`SimdLevel`].
+/// worker pool and the per-row tap loops dispatched on a [`KernelBackend`].
 ///
 /// Every level accumulates the taps in the same order over the same inputs
 /// as the sequential blur (the vector rows replay the scalar accumulation
 /// per lane), so the result is bit-identical for every thread count and
 /// SIMD level.
-pub fn blur_binomial5_with_pool(img: &Image, pool: &ThreadPool, level: SimdLevel) -> Image {
+pub fn blur_binomial5_with_pool(img: &Image, pool: &ThreadPool, level: KernelBackend) -> Image {
     let (w, h) = img.dims();
     let mut tmp = Grid::new(w, h, 0.0);
     if w == 0 || h == 0 {
@@ -244,10 +244,10 @@ pub fn downsample_half(img: &Image) -> Image {
 }
 
 /// [`downsample_half`] with the blur and the decimation row-parallelized
-/// over a worker pool and the blur rows running at the given [`SimdLevel`];
+/// over a worker pool and the blur rows running at the given [`KernelBackend`];
 /// bit-identical for every thread count and level. The decimation itself is
 /// a strided gather and stays scalar on every level.
-pub fn downsample_half_with_pool(img: &Image, pool: &ThreadPool, level: SimdLevel) -> Image {
+pub fn downsample_half_with_pool(img: &Image, pool: &ThreadPool, level: KernelBackend) -> Image {
     let blurred = blur_binomial5_with_pool(img, pool, level);
     let (w, h) = img.dims();
     let nw = w.div_ceil(2);
@@ -296,7 +296,7 @@ pub fn resize_bilinear(img: &Image, new_w: usize, new_h: usize) -> Image {
 /// [`resize_bilinear`] with the output rows distributed over a worker pool;
 /// bit-identical for every thread count. Bilinear sampling is gather-bound
 /// (data-dependent indexing per pixel), so this pass has no vector body and
-/// takes no [`SimdLevel`].
+/// takes no [`KernelBackend`].
 ///
 /// # Panics
 ///
@@ -413,14 +413,14 @@ mod tests {
         let resized = resize_bilinear(&img, 31, 22);
         let pyr_half = Pyramid::build(&img, 4);
         let pyr_scaled = Pyramid::build_scaled(&img, 4, 0.7);
-        let levels: Vec<SimdLevel> = [
-            SimdLevel::Scalar,
-            SimdLevel::Sse2,
-            SimdLevel::Avx2,
-            SimdLevel::Avx512,
+        let levels: Vec<KernelBackend> = [
+            KernelBackend::Scalar,
+            KernelBackend::Sse2,
+            KernelBackend::Avx2,
+            KernelBackend::Avx512,
         ]
         .into_iter()
-        .filter(SimdLevel::is_supported)
+        .filter(KernelBackend::is_supported)
         .collect();
         for threads in [1usize, 2, 3, 8] {
             let pool = ThreadPool::new(threads);

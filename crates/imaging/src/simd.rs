@@ -1,23 +1,32 @@
 //! SIMD row kernels for the pooled imaging passes.
 //!
-//! The pooled blur, gradient and residual fills dispatch their per-row inner
-//! loops on a [`SimdLevel`] (see [`chambolle_par::simd`]): the scalar bodies
-//! here are the bit-exact reference, and the vector bodies replay the same
+//! The pooled blur and gradient fills dispatch their per-row inner loops on
+//! a [`KernelBackend`] (see [`chambolle_par::simd`]): the scalar bodies here
+//! are the bit-exact reference, and the vector bodies replay the same
 //! per-lane operation order — taps accumulate from zero in the same
 //! sequence, no fused multiply-add, no reassociation — so every level
 //! produces byte-identical grids. Clamped border columns and remainder
-//! lanes always run the scalar body.
+//! lanes always run the scalar body. Like every kernel family, each row
+//! kernel runs the widest body the host supports at or below the requested
+//! level ([`KernelBackend::clamp_to_host`]).
 //!
-//! The blurs have SSE2 and AVX2 bodies (`Avx512` runs the AVX2 ones). The
-//! gradient and the residual fill have SSE2 bodies only, which every vector
-//! level runs: x86-64 always has SSE2, and 256-bit bodies measured no
-//! faster on these two memory-bound passes.
+//! | kernel | scalar | SSE2 | AVX2 | AVX-512 |
+//! |--------|--------|------|------|---------|
+//! | `blur_h_row` | scalar | SSE2 | AVX2 | AVX2 |
+//! | `blur_v_row` | scalar | scalar | AVX2 | AVX2 |
+//! | `gradient_row` | scalar | SSE2 | SSE2 | SSE2 |
+//! | `sub_slice` | scalar | scalar | scalar | scalar |
+//!
+//! Bodies that measured no faster than the next narrower one are not kept:
+//! 256-bit gradient and residual bodies against SSE2, and SSE2 vertical
+//! blur and residual bodies against the compiler's own vectorisation of
+//! the scalar loop.
 //!
 //! Gather-bound passes (bilinear warp/resize, decimation) have no vector
 //! body: their per-pixel work is dominated by data-dependent indexing, so
-//! they stay scalar on every level and take no `SimdLevel` parameter.
+//! they stay scalar on every level and take no `KernelBackend` parameter.
 
-use chambolle_par::SimdLevel;
+use chambolle_par::KernelBackend;
 
 /// The 5-tap binomial kernel (1 4 6 4 1)/16 shared by the sequential and
 /// pooled blurs.
@@ -25,18 +34,20 @@ pub(crate) const BINOMIAL5: [f32; 5] = [1.0 / 16.0, 4.0 / 16.0, 6.0 / 16.0, 4.0 
 
 /// One output row of the horizontal binomial blur pass with clamp-to-edge
 /// borders: `out[x] = Σᵢ k[i]·src[clamp(x + i − 2)]`.
-pub(crate) fn blur_h_row(level: SimdLevel, src: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(src.len(), out.len());
+pub(crate) fn blur_h_row(level: KernelBackend, src: &[f32], out: &mut [f32]) {
+    assert_eq!(src.len(), out.len(), "blur rows must share one width");
     #[cfg(target_arch = "x86_64")]
-    if level != SimdLevel::Scalar && out.len() >= 2 && level.is_supported() {
-        match level {
-            // SAFETY: `is_supported()` ran `is_x86_feature_detected!("avx2")`.
-            SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe { x86::blur_h_row_avx2(src, out) },
-            // SAFETY: as above with `is_x86_feature_detected!("sse2")`.
-            SimdLevel::Sse2 => unsafe { x86::blur_h_row_sse2(src, out) },
-            SimdLevel::Scalar => unreachable!("scalar never dispatches here"),
+    if out.len() >= 2 {
+        // SAFETY (both arms): `clamp_to_host` only returns levels whose
+        // `is_supported()` check (`is_x86_feature_detected!`) passed, and
+        // the assert above gives both rows one width.
+        match level.clamp_to_host() {
+            KernelBackend::Avx2 | KernelBackend::Avx512 => {
+                return unsafe { x86::blur_h_row_avx2(src, out) }
+            }
+            KernelBackend::Sse2 => return unsafe { x86::blur_h_row_sse2(src, out) },
+            KernelBackend::Scalar => {}
         }
-        return;
     }
     let _ = level;
     let w = src.len();
@@ -58,26 +69,32 @@ fn blur_h_pixel(src: &[f32], w: usize, x: usize) -> f32 {
 
 /// One output row of the vertical binomial blur pass: `out[x] = Σᵢ
 /// k[i]·taps[i][x]`, where `taps` are the five clamped source rows.
-pub(crate) fn blur_v_row(level: SimdLevel, taps: [&[f32]; 5], out: &mut [f32]) {
+pub(crate) fn blur_v_row(level: KernelBackend, taps: [&[f32]; 5], out: &mut [f32]) {
+    assert!(
+        taps.iter().all(|t| t.len() == out.len()),
+        "blur rows must share one width"
+    );
     #[cfg(target_arch = "x86_64")]
-    if level != SimdLevel::Scalar && out.len() >= 2 && level.is_supported() {
-        match level {
-            // SAFETY: `is_supported()` ran `is_x86_feature_detected!("avx2")`.
-            SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe { x86::blur_v_row_avx2(taps, out) },
-            // SAFETY: as above with `is_x86_feature_detected!("sse2")`.
-            SimdLevel::Sse2 => unsafe { x86::blur_v_row_sse2(taps, out) },
-            SimdLevel::Scalar => unreachable!("scalar never dispatches here"),
+    match level.clamp_to_host() {
+        // SAFETY: `clamp_to_host` only returns levels whose `is_supported()`
+        // check (`is_x86_feature_detected!`) passed, and the assert above
+        // gives every tap row the output's width.
+        KernelBackend::Avx2 | KernelBackend::Avx512 => {
+            return unsafe { x86::blur_v_row_avx2(taps, out) }
         }
-        return;
+        KernelBackend::Sse2 | KernelBackend::Scalar => {}
     }
     let _ = level;
     blur_v_suffix(taps, out, 0);
 }
 
 /// Scalar vertical-blur cells from column `x0` on (the whole row for the
-/// scalar level, the remainder lanes for the vector levels).
+/// scalar and SSE2 levels, the remainder lanes for the vector levels).
 #[inline]
 fn blur_v_suffix(taps: [&[f32]; 5], out: &mut [f32], x0: usize) {
+    // Tap rows cut to the output's length carry no bounds checks, so the
+    // compiler vectorises this loop in every calling context.
+    let taps = taps.map(|t| &t[..out.len()]);
     for (x, cell) in out.iter_mut().enumerate().skip(x0) {
         let mut acc = 0.0;
         for (i, k) in BINOMIAL5.iter().enumerate() {
@@ -91,40 +108,40 @@ fn blur_v_suffix(taps: [&[f32]; 5], out: &mut [f32], x0: usize) {
 /// `gx[x] = 0.5·(row[x+1] − row[x−1])`, `gy[x] = 0.5·(below[x] − above[x])`,
 /// where `above`/`below` are the row-clamped neighbours.
 pub(crate) fn gradient_row(
-    level: SimdLevel,
+    level: KernelBackend,
     above: &[f32],
     row: &[f32],
     below: &[f32],
     gx: &mut [f32],
     gy: &mut [f32],
 ) {
-    debug_assert_eq!(row.len(), gx.len());
-    debug_assert_eq!(row.len(), gy.len());
+    let w = row.len();
+    assert!(
+        [above.len(), below.len(), gx.len(), gy.len()] == [w; 4],
+        "gradient rows must share one width"
+    );
     #[cfg(target_arch = "x86_64")]
-    if level != SimdLevel::Scalar && row.len() >= 2 {
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        unsafe { x86::gradient_row_sse2(above, row, below, gx, gy) };
-        return;
+    if w >= 2 {
+        match level.clamp_to_host() {
+            KernelBackend::Scalar => {}
+            // SAFETY: every vector level includes SSE2, `clamp_to_host`
+            // only returns supported levels, and the assert above gives
+            // every row one width.
+            _ => return unsafe { x86::gradient_row_sse2(above, row, below, gx, gy) },
+        }
     }
     let _ = level;
-    let w = row.len();
     for x in 0..w {
         gx[x] = 0.5 * (row[(x + 1).min(w - 1)] - row[x.saturating_sub(1)]);
         gy[x] = 0.5 * (below[x] - above[x]);
     }
 }
 
-/// Elementwise difference `out[i] = a[i] − b[i]` (the warp residual fill).
-pub(crate) fn sub_slice(level: SimdLevel, a: &[f32], b: &[f32], out: &mut [f32]) {
+/// Elementwise difference `out[i] = a[i] − b[i]` (the warp residual fill):
+/// a plain loop at every level, which the compiler vectorises itself.
+pub(crate) fn sub_slice(a: &[f32], b: &[f32], out: &mut [f32]) {
     debug_assert_eq!(a.len(), out.len());
     debug_assert_eq!(b.len(), out.len());
-    #[cfg(target_arch = "x86_64")]
-    if level != SimdLevel::Scalar && out.len() >= 2 {
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        unsafe { x86::sub_slice_sse2(a, b, out) };
-        return;
-    }
-    let _ = level;
     for (cell, (&av, &bv)) in out.iter_mut().zip(a.iter().zip(b)) {
         *cell = av - bv;
     }
@@ -216,26 +233,6 @@ mod x86 {
     }
 
     #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn blur_v_row_sse2(taps: [&[f32]; 5], out: &mut [f32]) {
-        let w = out.len();
-        let mut x = 0usize;
-        while x + 4 <= w {
-            // SAFETY: `x + 4 <= w` bounds the unaligned loads on every tap
-            // row (all five have length `w`).
-            unsafe {
-                let mut acc = _mm_setzero_ps();
-                for (i, k) in BINOMIAL5.iter().enumerate() {
-                    let tap = _mm_loadu_ps(taps[i].as_ptr().add(x));
-                    acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(*k), tap));
-                }
-                _mm_storeu_ps(out.as_mut_ptr().add(x), acc);
-            }
-            x += 4;
-        }
-        blur_v_suffix(taps, out, x);
-    }
-
-    #[target_feature(enable = "sse2")]
     pub(super) unsafe fn gradient_row_sse2(
         above: &[f32],
         row: &[f32],
@@ -282,27 +279,6 @@ mod x86 {
             x += 1;
         }
     }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn sub_slice_sse2(a: &[f32], b: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` bounds the loads; `a`/`b` have length `n`.
-            unsafe {
-                let d = _mm_sub_ps(
-                    _mm_loadu_ps(a.as_ptr().add(i)),
-                    _mm_loadu_ps(b.as_ptr().add(i)),
-                );
-                _mm_storeu_ps(out.as_mut_ptr().add(i), d);
-            }
-            i += 4;
-        }
-        while i < n {
-            out[i] = a[i] - b[i];
-            i += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -310,11 +286,15 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    fn vector_levels() -> Vec<SimdLevel> {
-        [SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Avx512]
-            .into_iter()
-            .filter(SimdLevel::is_supported)
-            .collect()
+    fn vector_levels() -> Vec<KernelBackend> {
+        [
+            KernelBackend::Sse2,
+            KernelBackend::Avx2,
+            KernelBackend::Avx512,
+        ]
+        .into_iter()
+        .filter(KernelBackend::is_supported)
+        .collect()
     }
 
     fn random_row(w: usize, seed: u64) -> Vec<f32> {
@@ -334,8 +314,8 @@ mod tests {
             let taps: [&[f32]; 5] = std::array::from_fn(|i| taps_data[i].as_slice());
             let mut h_ref = vec![0.0f32; w];
             let mut v_ref = vec![0.0f32; w];
-            blur_h_row(SimdLevel::Scalar, &src, &mut h_ref);
-            blur_v_row(SimdLevel::Scalar, taps, &mut v_ref);
+            blur_h_row(KernelBackend::Scalar, &src, &mut h_ref);
+            blur_v_row(KernelBackend::Scalar, taps, &mut v_ref);
             for level in vector_levels() {
                 let mut h = vec![0.0f32; w];
                 let mut v = vec![0.0f32; w];
@@ -355,7 +335,7 @@ mod tests {
             let below = random_row(w, 3 + w as u64);
             let (mut gx_ref, mut gy_ref) = (vec![0.0f32; w], vec![0.0f32; w]);
             gradient_row(
-                SimdLevel::Scalar,
+                KernelBackend::Scalar,
                 &above,
                 &row,
                 &below,
@@ -373,16 +353,15 @@ mod tests {
 
     #[test]
     fn sub_slice_bit_identical_across_levels() {
+        // The residual fill runs one plain loop at every level; it must
+        // match the elementwise difference bit for bit.
         for n in [1usize, 3, 4, 7, 8, 9, 33, 100] {
             let a = random_row(n, 5 + n as u64);
             let b = random_row(n, 6 + n as u64);
-            let mut reference = vec![0.0f32; n];
-            sub_slice(SimdLevel::Scalar, &a, &b, &mut reference);
-            for level in vector_levels() {
-                let mut out = vec![0.0f32; n];
-                sub_slice(level, &a, &b, &mut out);
-                assert_eq!(bits(&out), bits(&reference), "{level:?} n={n}");
-            }
+            let reference: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x - y).collect();
+            let mut out = vec![0.0f32; n];
+            sub_slice(&a, &b, &mut out);
+            assert_eq!(bits(&out), bits(&reference), "n={n}");
         }
     }
 
@@ -396,7 +375,7 @@ mod tests {
             gradient_row(level, &row, &row, &row, &mut gx, &mut gy);
             let (mut gx_ref, mut gy_ref) = (vec![1.0f32; 10], vec![1.0f32; 10]);
             gradient_row(
-                SimdLevel::Scalar,
+                KernelBackend::Scalar,
                 &row,
                 &row,
                 &row,

@@ -1,7 +1,7 @@
 //! Backward image warping by a flow field — the per-warp linearization step
 //! of the TV-L1 outer loop.
 
-use chambolle_par::{SimdLevel, ThreadPool};
+use chambolle_par::{KernelBackend, ThreadPool};
 
 use crate::flow::FlowField;
 use crate::grid::{par_band_rows, Grid};
@@ -40,7 +40,7 @@ pub fn warp_backward(img: &Image, flow: &FlowField) -> Image {
 /// result is bit-identical to the sequential warp for every thread count.
 /// The bilinear sampling is gather-bound (each pixel reads four
 /// flow-dependent addresses), so the warp has no vector body and takes no
-/// [`SimdLevel`].
+/// [`KernelBackend`].
 ///
 /// # Panics
 ///
@@ -109,8 +109,8 @@ impl WarpLinearization {
     }
 
     /// [`WarpLinearization::new`] with the warp, gradient, and residual
-    /// fills distributed over a worker pool, and the gradient and residual
-    /// rows dispatched on a [`SimdLevel`]; bit-identical to the sequential
+    /// fills distributed over a worker pool, and the gradient rows
+    /// dispatched on a [`KernelBackend`]; bit-identical to the sequential
     /// constructor for every thread count and level.
     ///
     /// # Panics
@@ -121,7 +121,7 @@ impl WarpLinearization {
         i1: &Image,
         u0: &FlowField,
         pool: &ThreadPool,
-        level: SimdLevel,
+        level: KernelBackend,
     ) -> Self {
         assert_eq!(i0.dims(), i1.dims(), "frames must match in size");
         assert_eq!(i0.dims(), u0.dims(), "flow must match the frame size");
@@ -138,7 +138,6 @@ impl WarpLinearization {
                 let start = t * band * w;
                 let n = rows.len();
                 simd::sub_slice(
-                    level,
                     &warped.as_slice()[start..start + n],
                     &i0.as_slice()[start..start + n],
                     rows,
@@ -228,10 +227,10 @@ mod tests {
                 "{threads} threads"
             );
             for level in [
-                SimdLevel::Scalar,
-                SimdLevel::Sse2,
-                SimdLevel::Avx2,
-                SimdLevel::Avx512,
+                KernelBackend::Scalar,
+                KernelBackend::Sse2,
+                KernelBackend::Avx2,
+                KernelBackend::Avx512,
             ] {
                 if !level.is_supported() {
                     continue;

@@ -56,7 +56,7 @@ pub mod simd;
 mod slice;
 
 pub use pool::{PoolStats, ThreadPool};
-pub use simd::SimdLevel;
+pub use simd::KernelBackend;
 pub use slice::UnsafeSharedSlice;
 
 /// A reasonable default worker count: the machine's available parallelism,

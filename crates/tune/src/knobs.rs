@@ -14,61 +14,31 @@
 //! backend bit-identical, batched == solo), changing a knob changes **time,
 //! never bits**.
 
+use chambolle_par::KernelBackend;
 use chambolle_telemetry::json::JsonValue;
 
-/// Which fused-row-kernel implementation solves should run on.
-///
-/// Mirrors `core::KernelBackend` as plain data so the profile store (which
-/// sits below `core` in the crate graph) can name a backend without
-/// depending on it. `Auto` defers to the process-wide runtime detection
-/// (including the `CHAMBOLLE_BACKEND` override).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BackendChoice {
-    /// Runtime detection picks the widest supported vector unit.
-    #[default]
-    Auto,
-    /// Portable scalar reference kernels.
-    Scalar,
-    /// 128-bit SSE2 level (the imaging SSE2 kernels; Exact core solves
-    /// run the scalar reference).
-    Sse2,
-    /// 256-bit AVX2 kernels.
-    Avx2,
-    /// 512-bit AVX-512 kernels (Fast tier; Exact solves run the AVX2
-    /// bit-exact kernels when this backend is selected).
-    Avx512,
+/// The profile token of a backend knob: `auto` for `None`, else the
+/// level's [`KernelBackend::as_str`].
+fn backend_token(backend: Option<KernelBackend>) -> &'static str {
+    backend.map_or("auto", |b| b.as_str())
 }
 
-impl BackendChoice {
-    /// Stable identifier used in profiles
-    /// (`auto`/`scalar`/`sse2`/`avx2`/`avx512`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            BackendChoice::Auto => "auto",
-            BackendChoice::Scalar => "scalar",
-            BackendChoice::Sse2 => "sse2",
-            BackendChoice::Avx2 => "avx2",
-            BackendChoice::Avx512 => "avx512",
-        }
+/// Parses a profile backend token: exactly one of `auto`, `scalar`,
+/// `sse2`, `avx2` or `avx512` (profiles are machine-written, so unlike
+/// `CHAMBOLLE_BACKEND` the match is exact).
+fn parse_backend_token(token: &str) -> Option<Option<KernelBackend>> {
+    if token == "auto" {
+        return Some(None);
     }
-
-    /// Parses a stable identifier back into a choice.
-    pub fn parse(s: &str) -> Option<BackendChoice> {
-        match s {
-            "auto" => Some(BackendChoice::Auto),
-            "scalar" => Some(BackendChoice::Scalar),
-            "sse2" => Some(BackendChoice::Sse2),
-            "avx2" => Some(BackendChoice::Avx2),
-            "avx512" => Some(BackendChoice::Avx512),
-            _ => None,
-        }
-    }
+    KernelBackend::parse(token)
+        .filter(|b| b.as_str() == token)
+        .map(Some)
 }
 
 /// Which numerics tier solves built from a profile run at.
 ///
-/// Mirrors `core::NumericsPolicy` as plain data, the way [`BackendChoice`]
-/// mirrors `core::KernelBackend`. `Auto` defers to the process-wide
+/// Mirrors `core::NumericsPolicy` as plain data (the profile store sits
+/// below `core` in the crate graph). `Auto` defers to the process-wide
 /// resolution (the `CHAMBOLLE_NUMERICS` override, else Exact). Unlike every
 /// other knob, a profile that pins `Fast` **changes bits** — within the
 /// declared energy/duality-gap tolerance — which is why the `tune` binary
@@ -115,7 +85,7 @@ impl NumericsChoice {
 /// | `halo_margin` | extra halo cells beyond the required K / K+1 | `core::tiling` |
 /// | `threads` | two sliding windows / pool workers | `core`, `par` |
 /// | `band_rows_divisor` | the `4` in `height / (threads * 4)` | `imaging::grid` |
-/// | `backend` | runtime SIMD detection | `core::backend` |
+/// | `backend` | runtime SIMD detection | `par::simd` |
 /// | `numerics` | the process-wide numerics tier (Exact) | `core::ctx` |
 /// | `batch_window` | micro-batch coalescing window of 8 requests | `service` |
 /// | `high_watermark_pct`/`low_watermark_pct` | admission watermarks at 75% / 25% | `service` |
@@ -140,8 +110,10 @@ pub struct Tunables {
     /// Divisor of the row-band heuristic `height / (threads * divisor)`
     /// used by the pooled imaging kernels.
     pub band_rows_divisor: usize,
-    /// Kernel backend the fused row kernels run on.
-    pub backend: BackendChoice,
+    /// Kernel backend the row kernels run on; `None` defers to the
+    /// process-wide runtime detection (including the `CHAMBOLLE_BACKEND`
+    /// override). Profiles spell `None` as `auto`.
+    pub backend: Option<KernelBackend>,
     /// Numerics tier the solves run at (`Auto` = process default).
     pub numerics: NumericsChoice,
     /// Micro-batcher coalescing window: most requests coalesced into one
@@ -163,7 +135,7 @@ impl Default for Tunables {
             halo_margin: 0,
             threads: 2,
             band_rows_divisor: 4,
-            backend: BackendChoice::Auto,
+            backend: None,
             numerics: NumericsChoice::Auto,
             batch_window: 8,
             high_watermark_pct: 75,
@@ -244,7 +216,7 @@ impl Tunables {
                 "band_rows_divisor".into(),
                 (self.band_rows_divisor as u64).into(),
             ),
-            ("backend".into(), self.backend.as_str().into()),
+            ("backend".into(), backend_token(self.backend).into()),
             ("numerics".into(), self.numerics.as_str().into()),
             ("batch_window".into(), (self.batch_window as u64).into()),
             (
@@ -280,7 +252,7 @@ impl Tunables {
             .get("backend")
             .and_then(JsonValue::as_str)
             .ok_or_else(|| "missing or non-string knob \"backend\"".to_string())?;
-        let backend = BackendChoice::parse(backend_raw)
+        let backend = parse_backend_token(backend_raw)
             .ok_or_else(|| format!("unknown backend {backend_raw:?}"))?;
         let numerics_raw = value
             .get("numerics")
@@ -320,7 +292,7 @@ mod tests {
         assert_eq!(t.merge_factor, 2);
         assert_eq!(t.halo_margin, 0);
         assert_eq!(t.threads, 2);
-        assert_eq!(t.backend, BackendChoice::Auto);
+        assert_eq!(t.backend, None);
         assert_eq!(t.numerics, NumericsChoice::Auto);
         assert_eq!(t.batch_window, 8);
         // The band heuristic must be byte-identical to
@@ -415,7 +387,7 @@ mod tests {
             halo_margin: 1,
             threads: 6,
             band_rows_divisor: 2,
-            backend: BackendChoice::Sse2,
+            backend: Some(KernelBackend::Sse2),
             numerics: NumericsChoice::Fast,
             batch_window: 16,
             high_watermark_pct: 80,
@@ -459,15 +431,15 @@ mod tests {
     #[test]
     fn backend_choice_identifiers_round_trip() {
         for c in [
-            BackendChoice::Auto,
-            BackendChoice::Scalar,
-            BackendChoice::Sse2,
-            BackendChoice::Avx2,
-            BackendChoice::Avx512,
+            None,
+            Some(KernelBackend::Scalar),
+            Some(KernelBackend::Sse2),
+            Some(KernelBackend::Avx2),
+            Some(KernelBackend::Avx512),
         ] {
-            assert_eq!(BackendChoice::parse(c.as_str()), Some(c));
+            assert_eq!(parse_backend_token(backend_token(c)), Some(c));
         }
-        assert_eq!(BackendChoice::parse("avx1024"), None);
+        assert_eq!(parse_backend_token("avx1024"), None);
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //!   [`Fingerprint`], written by the `tune` bin and loaded at startup with
 //!   total, non-panicking fallback to defaults.
 //!
-//! The crate sits *below* `chambolle-core` (its only dependency is
-//! `chambolle-telemetry`), so core, imaging and service all read their
-//! schedule constants from the process-wide [`active`] tunables.
+//! The crate sits *below* `chambolle-core` (it depends only on
+//! `chambolle-telemetry` and on `chambolle-par`, whose
+//! [`KernelBackend`](chambolle_par::KernelBackend) names the `backend`
+//! knob), so core, imaging and service all read their schedule constants
+//! from the process-wide [`active`] tunables.
 //!
 //! # Process-wide tunables
 //!
@@ -39,7 +41,7 @@ pub mod profile;
 pub mod search;
 
 pub use fingerprint::{Fingerprint, ASSUMED_CACHE_LINE};
-pub use knobs::{BackendChoice, NumericsChoice, Tunables};
+pub use knobs::{NumericsChoice, Tunables};
 pub use profile::{
     env_profile_path, fallback_count, load_with_fallback, Profile, ProfileError,
     DEFAULT_PROFILE_PATH, PROFILE_ENV, PROFILE_SCHEMA,

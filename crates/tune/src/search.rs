@@ -26,7 +26,9 @@
 
 use chambolle_telemetry::{names, Telemetry};
 
-use crate::knobs::{BackendChoice, NumericsChoice, Tunables};
+use chambolle_par::KernelBackend;
+
+use crate::knobs::{NumericsChoice, Tunables};
 
 /// Candidate values per knob dimension. Empty dimensions are skipped, so
 /// one space type serves solver-only, service-only and combined searches.
@@ -45,7 +47,7 @@ pub struct SearchSpace {
     /// Candidate imaging band-row divisors.
     pub band_rows_divisors: Vec<usize>,
     /// Candidate kernel backends.
-    pub backends: Vec<BackendChoice>,
+    pub backends: Vec<Option<KernelBackend>>,
     /// Candidate numerics tiers (the search measures Fast-tier schedules;
     /// see the `tune` binary for how a Fast winner is persisted).
     pub numerics: Vec<NumericsChoice>,
@@ -70,7 +72,7 @@ impl SearchSpace {
             halo_margins: vec![0, 2],
             threads: thread_grid(max_threads, 3),
             band_rows_divisors: vec![1, 4],
-            backends: vec![BackendChoice::Auto, BackendChoice::Scalar],
+            backends: vec![None, Some(KernelBackend::Scalar)],
             numerics: vec![NumericsChoice::Auto, NumericsChoice::Fast],
             batch_windows: vec![],
             watermarks: vec![],
@@ -87,11 +89,11 @@ impl SearchSpace {
             threads: thread_grid(max_threads, 6),
             band_rows_divisors: vec![1, 2, 4, 8, 16],
             backends: vec![
-                BackendChoice::Auto,
-                BackendChoice::Scalar,
-                BackendChoice::Sse2,
-                BackendChoice::Avx2,
-                BackendChoice::Avx512,
+                None,
+                Some(KernelBackend::Scalar),
+                Some(KernelBackend::Sse2),
+                Some(KernelBackend::Avx2),
+                Some(KernelBackend::Avx512),
             ],
             numerics: vec![
                 NumericsChoice::Auto,
@@ -400,11 +402,11 @@ mod tests {
     fn synthetic_cost(t: &Tunables) -> Option<f64> {
         t.validate().ok()?;
         let backend_cost = match t.backend {
-            BackendChoice::Avx512 => 0.0,
-            BackendChoice::Avx2 => 1.0,
-            BackendChoice::Sse2 => 4.0,
-            BackendChoice::Auto => 6.0,
-            BackendChoice::Scalar => 10.0,
+            Some(KernelBackend::Avx512) => 0.0,
+            Some(KernelBackend::Avx2) => 1.0,
+            Some(KernelBackend::Sse2) => 4.0,
+            None => 6.0,
+            Some(KernelBackend::Scalar) => 10.0,
         };
         Some(
             (t.tile_width as f64 - 128.0).abs()
@@ -440,7 +442,7 @@ mod tests {
         assert_eq!(outcome.best.merge_factor, 4);
         assert_eq!(outcome.best.threads, 4);
         assert_eq!(outcome.best.band_rows_divisor, 1);
-        assert_eq!(outcome.best.backend, BackendChoice::Auto); // smoke space has no avx2
+        assert_eq!(outcome.best.backend, None); // smoke space has no avx2
         assert!(outcome.speedup() > 1.0);
         assert!(outcome.pruned > 0, "descent must prune losing candidates");
         let snap = tele.snapshot();
@@ -470,18 +472,18 @@ mod tests {
         // The proxy loves scalar; the full measurement knows better. The
         // winner must come from the full phase.
         let space = SearchSpace {
-            backends: vec![BackendChoice::Auto, BackendChoice::Scalar],
+            backends: vec![None, Some(KernelBackend::Scalar)],
             ..SearchSpace::default()
         };
         let mut proxy = |t: &Tunables| {
-            Some(if t.backend == BackendChoice::Scalar {
+            Some(if t.backend == Some(KernelBackend::Scalar) {
                 1.0
             } else {
                 2.0
             })
         };
         let mut full = |t: &Tunables| {
-            Some(if t.backend == BackendChoice::Scalar {
+            Some(if t.backend == Some(KernelBackend::Scalar) {
                 9.0
             } else {
                 3.0
@@ -496,7 +498,7 @@ mod tests {
             &mut full,
         )
         .unwrap();
-        assert_eq!(outcome.best.backend, BackendChoice::Auto);
+        assert_eq!(outcome.best.backend, None);
         assert!((outcome.speedup() - 1.0).abs() < 1e-12);
     }
 

@@ -11,10 +11,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use chambolle_par::KernelBackend;
 use chambolle_telemetry::{names, Telemetry};
 use chambolle_tune::{
-    fallback_count, load_with_fallback, BackendChoice, Fingerprint, NumericsChoice, Profile,
-    ProfileError, Tunables,
+    fallback_count, load_with_fallback, Fingerprint, NumericsChoice, Profile, ProfileError,
+    Tunables,
 };
 use proptest::prelude::*;
 
@@ -51,11 +52,11 @@ fn tunables_from(
         _ => NumericsChoice::Fast,
     };
     let backend = match backend % 5 {
-        0 => BackendChoice::Auto,
-        1 => BackendChoice::Scalar,
-        2 => BackendChoice::Sse2,
-        3 => BackendChoice::Avx2,
-        _ => BackendChoice::Avx512,
+        0 => None,
+        1 => Some(KernelBackend::Scalar),
+        2 => Some(KernelBackend::Sse2),
+        3 => Some(KernelBackend::Avx2),
+        _ => Some(KernelBackend::Avx512),
     };
     let t = Tunables {
         tile_width,

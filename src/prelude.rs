@@ -16,5 +16,5 @@ pub use chambolle_core::{
 pub use chambolle_imaging::{
     read_pgm, write_pgm, FlowField, Grid, Image, Pyramid, WarpLinearization,
 };
-pub use chambolle_par::{SimdLevel, ThreadPool};
+pub use chambolle_par::ThreadPool;
 pub use chambolle_telemetry::Telemetry;

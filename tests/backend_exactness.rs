@@ -6,10 +6,14 @@
 //!
 //! Because the backends are bit-identical, `CHAMBOLLE_BACKEND` is a pure
 //! throughput knob — which is what lets CI run the whole suite under
-//! `scalar` and `avx2` and expect identical results.
+//! `scalar`, `sse2` and `avx2` and expect identical results. Each forced
+//! level runs its own mix of bodies: at `sse2` the core row kernels, the
+//! imaging vertical blur and the residual fill run scalar beside the SSE2
+//! horizontal blur and gradient.
 
 use std::sync::Arc;
 
+use chambolle::core::kernels::{compute_term_row_on, update_p_row_on};
 use chambolle::core::{
     chambolle_denoise_with_ctx, chambolle_iterate_tiled_with_ctx, chambolle_iterate_with_ctx,
     ChambolleParams, DualField, ExecCtx, KernelBackend, NumericsPolicy, TileConfig,
@@ -133,13 +137,10 @@ fn env_override_names_resolve_to_supported_backends() {
     // `resolve` is the pure core of the CHAMBOLLE_BACKEND policy: a valid,
     // supported name wins; anything else clamps to the detected level.
     use chambolle::par::simd;
-    assert_eq!(simd::resolve(Some("scalar")), simd::SimdLevel::Scalar);
+    assert_eq!(simd::resolve(Some("scalar")), KernelBackend::Scalar);
     assert_eq!(simd::resolve(Some("bogus")), simd::detect());
     assert!(simd::resolve(None).is_supported());
-    assert_eq!(
-        KernelBackend::from_level(simd::active()),
-        KernelBackend::active()
-    );
+    assert_eq!(simd::active(), KernelBackend::active());
 }
 
 proptest! {
@@ -163,7 +164,9 @@ proptest! {
         let step = 0.248f32;
 
         let mut term_ref = vec![0.0f32; w];
-        KernelBackend::Scalar.compute_term_row(
+        compute_term_row_on(
+            KernelBackend::Scalar,
+            NumericsPolicy::Exact,
             &px,
             &py,
             with_above.then_some(above.as_slice()),
@@ -173,7 +176,9 @@ proptest! {
             &mut term_ref,
         );
         let (mut px_ref, mut py_ref) = (px.clone(), py.clone());
-        KernelBackend::Scalar.update_p_row(
+        update_p_row_on(
+            KernelBackend::Scalar,
+            NumericsPolicy::Exact,
             &term_ref,
             with_above.then_some(above.as_slice()),
             step,
@@ -183,7 +188,9 @@ proptest! {
 
         for backend in supported_backends() {
             let mut term = vec![0.0f32; w];
-            backend.compute_term_row(
+            compute_term_row_on(
+                backend,
+                NumericsPolicy::Exact,
                 &px,
                 &py,
                 with_above.then_some(above.as_slice()),
@@ -197,7 +204,9 @@ proptest! {
             prop_assert_eq!(term_bits, ref_bits, "term {:?} w={}", backend, w);
 
             let (mut bpx, mut bpy) = (px.clone(), py.clone());
-            backend.update_p_row(
+            update_p_row_on(
+                backend,
+                NumericsPolicy::Exact,
                 &term_ref,
                 with_above.then_some(above.as_slice()),
                 step,

@@ -6,12 +6,12 @@
 use std::sync::Arc;
 
 use chambolle::core::{
-    chambolle_denoise_with_ctx, ChambolleParams, ExecCtx, NumericsPolicy, TileConfig,
+    chambolle_denoise_with_ctx, ChambolleParams, ExecCtx, KernelBackend, NumericsPolicy, TileConfig,
 };
 use chambolle::imaging::{render_pair, Image, Motion, NoiseTexture};
 use chambolle::par::ThreadPool;
 use chambolle::telemetry::Telemetry;
-use chambolle::tune::{BackendChoice, Tunables};
+use chambolle::tune::Tunables;
 
 fn test_frame() -> Image {
     let scene = NoiseTexture::new(91);
@@ -29,7 +29,7 @@ fn profiles() -> Vec<(&'static str, Tunables)> {
                 tile_height: 28,
                 merge_factor: 4,
                 threads: 3,
-                backend: BackendChoice::Scalar,
+                backend: Some(KernelBackend::Scalar),
                 ..Tunables::default()
             },
         ),
