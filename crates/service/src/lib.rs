@@ -41,12 +41,12 @@
 //!   on top. Degraded solves are tagged [`ResponseTier::Degraded`]; full
 //!   fidelity resumes when the episode ends.
 //! - **End-to-end request tracing** — clients mint a 128-bit
-//!   [`TraceContext`] that rides the v3 wire frames; the server threads it
+//!   [`TraceContext`] that rides every wire frame; the server threads it
 //!   through queue admission, batch formation, and the solve, recording a
 //!   causally-ordered span tree (`server.request` → `queue`/`batch` →
 //!   `solve`, plus `replay` for idempotent cache hits and `client.*` spans
 //!   on the resilient client) into a bounded [`Tracer`] ring with a
-//!   slowest-N view. v2 peers interoperate untraced, bit-identically.
+//!   slowest-N view.
 //! - **A live metrics plane** — rolling time-windowed aggregation (per-lane
 //!   queue wait, batch occupancy, solve p50/p99, error/SLO burn rates)
 //!   served over a dedicated `MetricsSnapshot` wire frame as a

@@ -47,7 +47,7 @@ use crate::wire::{
     encode_health_request, encode_health_response, encode_metrics_request, encode_metrics_response,
     encode_ok_response, read_frame, reject_code, service_error_code, validate_frame_len,
     verify_frame_checksum, write_frame, ErrorCode, WireRequest, WireResponse, FRAME_HEADER,
-    WIRE_VERSION, WIRE_VERSION_V2,
+    WIRE_VERSION,
 };
 
 /// How often blocked I/O wakes up to poll the stop flag.
@@ -315,19 +315,11 @@ fn serve_connection<T: Transport>(
             Ok(None) => return, // clean EOF or shutdown
             Err(_) => return,
         };
-        // Answer in the requester's protocol version: a v2 peer gets pure
-        // v2 frames (no trace block, never a metrics status), so old
-        // clients interoperate with tracing silently disabled.
-        let peer_version = if payload.first() == Some(&WIRE_VERSION_V2) {
-            WIRE_VERSION_V2
-        } else {
-            WIRE_VERSION
-        };
         // Trace to finish (move into the ring) after the response write.
         let mut done_ctx = TraceContext::NONE;
         let response = match decode_request(&payload) {
             Ok(WireRequest::Health { id, trace }) => {
-                encode_health_response(peer_version, id, trace, &handle.health())
+                encode_health_response(id, trace, &handle.health())
             }
             Ok(WireRequest::Metrics { id, trace }) => {
                 let snapshot = handle.metrics_snapshot().to_string();
@@ -360,7 +352,7 @@ fn serve_connection<T: Transport>(
                             .telemetry()
                             .counter_add(names::SERVICE_IDEMPOTENT_HITS, 1);
                         record_server_spans(handle, server_ctx, trace.span_id, started_us, true);
-                        let frame = encode_ok_response(peer_version, id, trace, tier, &cached);
+                        let frame = encode_ok_response(WIRE_VERSION, id, trace, tier, &cached);
                         if write_frame(&mut stream, &frame).is_err() {
                             return;
                         }
@@ -381,10 +373,9 @@ fn serve_connection<T: Transport>(
                                 if idempotency != 0 {
                                     cache.insert(idempotency, completed.tier, grid.clone());
                                 }
-                                encode_ok_response(peer_version, id, trace, completed.tier, grid)
+                                encode_ok_response(WIRE_VERSION, id, trace, completed.tier, grid)
                             }
                             None => encode_err_response(
-                                peer_version,
                                 id,
                                 trace,
                                 false,
@@ -393,7 +384,6 @@ fn serve_connection<T: Transport>(
                             ),
                         },
                         Err(err) => encode_err_response(
-                            peer_version,
                             id,
                             trace,
                             false,
@@ -402,7 +392,6 @@ fn serve_connection<T: Transport>(
                         ),
                     },
                     Err(reason) => encode_err_response(
-                        peer_version,
                         id,
                         trace,
                         true,
@@ -428,7 +417,6 @@ fn serve_connection<T: Transport>(
                 response
             }
             Err(decode_err) => encode_err_response(
-                peer_version,
                 0,
                 TraceContext::NONE,
                 true,
@@ -570,7 +558,6 @@ fn read_exact_interruptible<T: Transport>(
 pub struct ServiceClient {
     stream: TcpStream,
     next_id: u64,
-    version: u8,
     tracing: bool,
     trace_state: u64,
     last_trace: TraceContext,
@@ -600,32 +587,13 @@ impl ServiceClient {
         Ok(ServiceClient {
             stream,
             next_id: 1,
-            version: WIRE_VERSION,
             tracing: true,
             trace_state: entropy_seed(),
             last_trace: TraceContext::NONE,
         })
     }
 
-    /// Pins the wire protocol version used for every subsequent frame.
-    ///
-    /// Version 2 frames carry no trace block, so pinning v2 also disables
-    /// trace minting — useful both for talking to old servers and for
-    /// asserting the no-tracing bit-identity contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a version this client cannot speak (only v2 and v3 exist).
-    pub fn set_wire_version(&mut self, version: u8) {
-        assert!(
-            version == WIRE_VERSION || version == WIRE_VERSION_V2,
-            "unsupported wire version {version}"
-        );
-        self.version = version;
-    }
-
-    /// Enables or disables per-request trace minting (on by default; only
-    /// effective on v3 — v2 frames have nowhere to carry a trace).
+    /// Enables or disables per-request trace minting (on by default).
     pub fn set_tracing(&mut self, on: bool) {
         self.tracing = on;
     }
@@ -636,14 +604,17 @@ impl ServiceClient {
         self.last_trace
     }
 
-    /// Mints (or withholds) the trace context for the next request.
-    fn mint_trace(&mut self) -> TraceContext {
-        self.last_trace = if self.tracing && self.version >= WIRE_VERSION {
+    /// Takes the next request id and mints (or withholds) its trace
+    /// context.
+    fn next_request(&mut self) -> (u64, TraceContext) {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.last_trace = if self.tracing {
             TraceContext::mint(&mut self.trace_state)
         } else {
             TraceContext::NONE
         };
-        self.last_trace
+        (id, self.last_trace)
     }
 
     /// Sets a read/write timeout on the underlying stream (`None` blocks
@@ -690,11 +661,9 @@ impl ServiceClient {
         deadline: Option<Duration>,
         idempotency: u64,
     ) -> io::Result<WireResponse> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let trace = self.mint_trace();
+        let (id, trace) = self.next_request();
         let payload = encode_denoise_request(
-            self.version,
+            WIRE_VERSION,
             id,
             idempotency,
             trace,
@@ -703,7 +672,7 @@ impl ServiceClient {
             params,
             input,
         );
-        self.round_trip(&payload)
+        round_trip(&mut self.stream, &payload)
     }
 
     /// One blocking health-probe round-trip.
@@ -713,53 +682,43 @@ impl ServiceClient {
     /// Transport errors, or `InvalidData` if the server answers with
     /// anything but a health report.
     pub fn health(&mut self) -> io::Result<HealthSnapshot> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let trace = self.mint_trace();
-        match self.round_trip(&encode_health_request(self.version, id, trace))? {
+        let (id, trace) = self.next_request();
+        match round_trip(&mut self.stream, &encode_health_request(id, trace))? {
             WireResponse::Health { health, .. } => Ok(health),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected a health report, got {other:?}"),
-            )),
+            other => Err(unexpected("a health report", &other)),
         }
     }
 
     /// One blocking metrics-snapshot round-trip: the raw snapshot JSON
     /// document (schema [`crate::METRICS_SNAPSHOT_SCHEMA`]).
     ///
-    /// Only v3 servers serve metrics; against a v2-pinned client this fails
-    /// before touching the wire.
-    ///
     /// # Errors
     ///
-    /// Transport errors, `Unsupported` when pinned to v2, or `InvalidData`
-    /// if the server answers with anything but a metrics snapshot.
+    /// Transport errors, or `InvalidData` if the server answers with
+    /// anything but a metrics snapshot.
     pub fn metrics(&mut self) -> io::Result<String> {
-        if self.version < WIRE_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "metrics snapshots require wire v3",
-            ));
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        let trace = self.mint_trace();
-        match self.round_trip(&encode_metrics_request(id, trace))? {
+        let (id, trace) = self.next_request();
+        match round_trip(&mut self.stream, &encode_metrics_request(id, trace))? {
             WireResponse::Metrics { snapshot, .. } => Ok(snapshot),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected a metrics snapshot, got {other:?}"),
-            )),
+            other => Err(unexpected("a metrics snapshot", &other)),
         }
     }
+}
 
-    fn round_trip(&mut self, payload: &[u8]) -> io::Result<WireResponse> {
-        write_frame(&mut self.stream, payload)?;
-        let response = read_frame(&mut self.stream)?
-            .ok_or_else(|| io::Error::from(io::ErrorKind::UnexpectedEof))?;
-        decode_response(&response).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
+/// Writes one request frame, then reads and decodes the response frame.
+pub(crate) fn round_trip(stream: &mut TcpStream, payload: &[u8]) -> io::Result<WireResponse> {
+    write_frame(stream, payload)?;
+    let response =
+        read_frame(stream)?.ok_or_else(|| io::Error::from(io::ErrorKind::UnexpectedEof))?;
+    decode_response(&response).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+/// The `InvalidData` error for a response of the wrong kind.
+pub(crate) fn unexpected(wanted: &str, got: &WireResponse) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("expected {wanted}, got {got:?}"),
+    )
 }
 
 /// Resolves `addr` and tries `TcpStream::connect_timeout` against each

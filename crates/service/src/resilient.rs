@@ -27,10 +27,10 @@
 //! Everything the client does is observable through `service.retry.*` and
 //! `service.breaker.*` telemetry. With [`ResilientConfig::tracing`] on (the
 //! default) every solve additionally mints a [`TraceContext`] that rides the
-//! v3 wire frames, and — when a [`Tracer`] is attached — records
+//! wire frames, and — when a [`Tracer`] is attached — records
 //! `client.request` / `client.attempt` / `client.backoff` spans. A peer that
-//! rejects v3 frames downgrades the client to v2 transparently (tracing
-//! falls away; results stay bit-identical).
+//! rejects the frame's version is a transport fault like any other
+//! protocol rejection.
 
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -41,12 +41,12 @@ use chambolle_imaging::Grid;
 use chambolle_telemetry::trace::{SpanRecord, TraceContext, Tracer};
 use chambolle_telemetry::{names, Telemetry};
 
-use crate::net::connect_stream;
+use crate::net::{connect_stream, round_trip, unexpected};
 use crate::request::{Priority, ResponseTier};
 use crate::service::HealthSnapshot;
 use crate::wire::{
-    decode_response, encode_denoise_request, encode_health_request, encode_metrics_request,
-    read_frame, write_frame, ErrorCode, WireResponse, WIRE_VERSION, WIRE_VERSION_V2,
+    encode_denoise_request, encode_health_request, encode_metrics_request, ErrorCode, WireResponse,
+    WIRE_VERSION,
 };
 
 /// Retry budget and backoff shape.
@@ -105,8 +105,7 @@ pub struct ResilientConfig {
     /// backoff timing depends on it; idempotency keys are minted from
     /// per-client entropy so concurrent clients never collide.
     pub jitter_seed: u64,
-    /// Whether solves mint and propagate a [`TraceContext`] (v3 frames
-    /// only; a v2-downgraded client sends untraced frames regardless).
+    /// Whether solves mint and propagate a [`TraceContext`].
     pub tracing: bool,
 }
 
@@ -198,7 +197,7 @@ pub struct DenoiseOutcome {
     /// Whether any retry was needed.
     pub recovered: bool,
     /// The trace context this request carried on the wire
-    /// ([`TraceContext::NONE`] when tracing was off or downgraded to v2).
+    /// ([`TraceContext::NONE`] when tracing was off).
     pub trace: TraceContext,
 }
 
@@ -260,9 +259,6 @@ pub struct ResilientClient {
     breaker: Breaker,
     stats: ResilientStats,
     telemetry: Telemetry,
-    /// Wire version spoken right now; starts at v3, drops to v2 once a
-    /// peer rejects a v3 frame as unsupported, and stays there.
-    version: u8,
     trace_state: u64,
     tracer: Tracer,
     epoch: Instant,
@@ -308,7 +304,6 @@ impl ResilientClient {
             breaker: Breaker::new(config.breaker),
             stats: ResilientStats::default(),
             telemetry: Telemetry::disabled(),
-            version: WIRE_VERSION,
             trace_state: entropy_seed(),
             tracer: Tracer::disabled(),
             epoch: Instant::now(),
@@ -339,11 +334,6 @@ impl ResilientClient {
     /// The client-side tracer (disabled unless attached).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// The wire version currently spoken (v3 until a peer forces v2).
-    pub fn wire_version(&self) -> u8 {
-        self.version
     }
 
     /// Current breaker state.
@@ -378,6 +368,16 @@ impl ResilientClient {
         let id = self.next_id;
         self.next_id += 1;
         let trace = self.mint_trace();
+        let payload = encode_denoise_request(
+            WIRE_VERSION,
+            id,
+            key,
+            trace,
+            priority,
+            deadline,
+            params,
+            input,
+        );
         let request_start_us = self.now_us();
 
         let max_attempts = self.config.retry.max_attempts.max(1);
@@ -393,18 +393,6 @@ impl ResilientClient {
                 self.telemetry.counter_add(names::SERVICE_RETRY_ATTEMPTS, 1);
             }
             self.wait_for_breaker();
-            // Encoded per attempt: a mid-request downgrade to v2 re-frames
-            // the very next try.
-            let payload = encode_denoise_request(
-                self.version,
-                id,
-                key,
-                trace,
-                priority,
-                deadline,
-                params,
-                input,
-            );
             let attempt_start_us = self.now_us();
             let outcome = self.attempt(&payload, id);
             self.record_attempt_span(trace, attempts, attempt_start_us, outcome.label());
@@ -456,17 +444,6 @@ impl ResilientClient {
                     first_failure.get_or_insert_with(Instant::now);
                     last_error = message;
                 }
-                Attempt::Downgrade { message } => {
-                    // The peer speaks an older protocol. Drop to v2 and
-                    // retry immediately — the server is healthy (it parsed
-                    // enough to answer), so no breaker hit and no backoff.
-                    self.breaker_success();
-                    self.version = WIRE_VERSION_V2;
-                    last_error = message;
-                    if attempts < max_attempts {
-                        continue;
-                    }
-                }
                 Attempt::Transport { message } => {
                     self.breaker_failure();
                     self.conn = None;
@@ -496,27 +473,9 @@ impl ResilientClient {
     ///
     /// Transport errors, or `InvalidData` on a non-health answer.
     pub fn health(&mut self) -> io::Result<HealthSnapshot> {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.ensure_connected()?;
-        let payload = encode_health_request(self.version, id, TraceContext::NONE);
-        let result = (|| {
-            let stream = self.conn.as_mut().expect("just connected");
-            write_frame(stream, &payload)?;
-            let frame =
-                read_frame(stream)?.ok_or_else(|| io::Error::from(io::ErrorKind::UnexpectedEof))?;
-            decode_response(&frame).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-        })();
-        match result {
-            Ok(WireResponse::Health { health, .. }) => Ok(health),
-            Ok(other) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected a health report, got {other:?}"),
-            )),
-            Err(e) => {
-                self.conn = None;
-                Err(e)
-            }
+        match self.probe(encode_health_request)? {
+            WireResponse::Health { health, .. } => Ok(health),
+            other => Err(unexpected("a health report", &other)),
         }
     }
 
@@ -526,37 +485,32 @@ impl ResilientClient {
     ///
     /// # Errors
     ///
-    /// Transport errors, `Unsupported` after a v2 downgrade (old servers
-    /// have no metrics plane), or `InvalidData` on a non-metrics answer.
+    /// Transport errors, or `InvalidData` on a non-metrics answer.
     pub fn metrics(&mut self) -> io::Result<String> {
-        if self.version < WIRE_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "metrics snapshots require wire v3",
-            ));
+        match self.probe(encode_metrics_request)? {
+            WireResponse::Metrics { snapshot, .. } => Ok(snapshot),
+            other => Err(unexpected("a metrics snapshot", &other)),
         }
+    }
+
+    /// One untraced single-attempt round trip of the payload `encode`
+    /// builds for the next request id.
+    fn probe(&mut self, encode: fn(u64, TraceContext) -> Vec<u8>) -> io::Result<WireResponse> {
         let id = self.next_id;
         self.next_id += 1;
+        self.exchange(&encode(id, TraceContext::NONE))
+    }
+
+    /// One round trip, connecting first if needed. A transport failure
+    /// drops the connection, so the next call reconnects.
+    fn exchange(&mut self, payload: &[u8]) -> io::Result<WireResponse> {
         self.ensure_connected()?;
-        let payload = encode_metrics_request(id, TraceContext::NONE);
-        let result = (|| {
-            let stream = self.conn.as_mut().expect("just connected");
-            write_frame(stream, &payload)?;
-            let frame =
-                read_frame(stream)?.ok_or_else(|| io::Error::from(io::ErrorKind::UnexpectedEof))?;
-            decode_response(&frame).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-        })();
-        match result {
-            Ok(WireResponse::Metrics { snapshot, .. }) => Ok(snapshot),
-            Ok(other) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected a metrics snapshot, got {other:?}"),
-            )),
-            Err(e) => {
-                self.conn = None;
-                Err(e)
-            }
+        let stream = self.conn.as_mut().expect("just connected");
+        let result = round_trip(stream, payload);
+        if result.is_err() {
+            self.conn = None;
         }
+        result
     }
 
     fn ensure_connected(&mut self) -> io::Result<()> {
@@ -572,50 +526,28 @@ impl ResilientClient {
     }
 
     fn attempt(&mut self, payload: &[u8], expected_id: u64) -> Attempt {
-        if let Err(e) = self.ensure_connected() {
-            return Attempt::Transport {
-                message: format!("connect: {e}"),
-            };
-        }
-        let stream = self.conn.as_mut().expect("just connected");
-        if let Err(e) = write_frame(stream, payload) {
-            return Attempt::Transport {
-                message: format!("write: {e}"),
-            };
-        }
-        let frame = match read_frame(stream) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => {
-                return Attempt::Transport {
-                    message: "connection closed before the response".into(),
-                }
-            }
+        let response = match self.exchange(payload) {
+            Ok(response) => response,
             Err(e) => {
                 return Attempt::Transport {
-                    message: format!("read: {e}"),
+                    message: format!("transport: {e}"),
                 }
             }
         };
-        match decode_response(&frame) {
-            Ok(WireResponse::Ok {
+        match response {
+            WireResponse::Ok {
                 id, tier, output, ..
-            }) if id == expected_id => Attempt::Ok { tier, output },
-            Ok(WireResponse::Err {
+            } if id == expected_id => Attempt::Ok { tier, output },
+            WireResponse::Err {
                 id,
                 rejected,
                 code,
                 message,
                 ..
-            }) if id == expected_id || id == 0 => match code {
+            } if id == expected_id || id == 0 => match code {
                 // Backpressure and a server that couldn't even parse the
                 // request (it was corrupted in flight) are retryable.
                 ErrorCode::QueueFull => Attempt::Backpressure { message },
-                ErrorCode::Protocol
-                    if self.version > WIRE_VERSION_V2
-                        && message.contains("unsupported wire version") =>
-                {
-                    Attempt::Downgrade { message }
-                }
                 ErrorCode::Protocol => Attempt::Transport {
                     message: format!("server rejected the frame: {message}"),
                 },
@@ -625,16 +557,13 @@ impl ResilientClient {
                     message,
                 },
             },
-            Ok(other) => {
+            other => {
                 // An id from a different request (or an unexpected health
                 // frame) means the stream's framing is no longer trustworthy.
                 Attempt::Transport {
                     message: format!("response out of sync: {other:?}"),
                 }
             }
-            Err(e) => Attempt::Transport {
-                message: format!("decode: {e}"),
-            },
         }
     }
 
@@ -732,10 +661,9 @@ impl ResilientClient {
     }
 
     /// Mints the trace context for the next request, or
-    /// [`TraceContext::NONE`] when tracing is off or the client downgraded
-    /// to v2 (nowhere to carry it).
+    /// [`TraceContext::NONE`] when tracing is off.
     fn mint_trace(&mut self) -> TraceContext {
-        if self.config.tracing && self.version >= WIRE_VERSION {
+        if self.config.tracing {
             TraceContext::mint(&mut self.trace_state)
         } else {
             TraceContext::NONE
@@ -866,9 +794,6 @@ enum Attempt {
     },
     /// The server is alive but shedding (queue full): retry, no breaker hit.
     Backpressure { message: String },
-    /// The peer rejected the frame's protocol version: drop to v2 and retry
-    /// immediately (no breaker hit, no backoff).
-    Downgrade { message: String },
     /// The transport failed (reset, corruption, timeout, desync): retry and
     /// count against the breaker.
     Transport { message: String },
@@ -881,7 +806,6 @@ impl Attempt {
             Attempt::Ok { .. } => "ok",
             Attempt::Terminal { .. } => "terminal",
             Attempt::Backpressure { .. } => "backpressure",
-            Attempt::Downgrade { .. } => "downgrade",
             Attempt::Transport { .. } => "transport",
         }
     }

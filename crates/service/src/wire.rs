@@ -9,66 +9,63 @@
 //! [`ResilientClient`](crate::ResilientClient) treat corruption as a
 //! retryable fault while still guaranteeing bit-identical results.
 //!
-//! Request payload (versions 2 and 3):
+//! Every payload starts with the same 35-byte header:
 //!
 //! ```text
 //! offset  size  field
-//! 0       1     protocol version  (2 or 3)
-//! 1       1     frame kind        (1 = denoise solve, 2 = health probe,
-//!                                  3 = metrics snapshot; v3 only)
+//! 0       1     protocol version  (always 3)
+//! 1       1     request kind or response status (below)
 //! 2       8     client request id (u64 LE, echoed back verbatim)
-//! --- version 3 only: trace block (25 bytes, all kinds) ---
 //! 10      16    trace id          (u128 LE, 0 = tracing disabled)
 //! 26      8     span id           (u64 LE, caller's span)
 //! 34      1     trace flags       (bit 0 = sampled)
-//! --- kind 1 (denoise); offsets shown for v2 / v3 ---
-//! 10/35   8     idempotency key   (u64 LE, 0 = none; nonzero keys dedupe
+//! ```
+//!
+//! Request kinds (1 = denoise solve, 2 = health probe, 3 = metrics
+//! snapshot) and their bodies:
+//!
+//! ```text
+//! --- kind 1 (denoise) ---
+//! 35      8     idempotency key   (u64 LE, 0 = none; nonzero keys dedupe
 //!                                  retries against the server-side cache)
-//! 18/43   1     priority          (0 interactive, 1 batch)
-//! 19/44   4     deadline_ms       (u32 LE, 0 = no deadline)
-//! 23/48   4     theta             (f32 LE)
-//! 27/52   4     tau               (f32 LE)
-//! 31/56   4     iterations        (u32 LE)
-//! 35/60   4     width             (u32 LE)
-//! 39/64   4     height            (u32 LE)
-//! 43/68   4*w*h pixels            (f32 LE, row-major)
+//! 43      1     priority          (0 interactive, 1 batch)
+//! 44      4     deadline_ms       (u32 LE, 0 = no deadline; a set
+//!                                  deadline encodes as at least 1)
+//! 48      4     theta             (f32 LE)
+//! 52      4     tau               (f32 LE)
+//! 56      4     iterations        (u32 LE)
+//! 60      4     width             (u32 LE)
+//! 64      4     height            (u32 LE)
+//! 68      4*w*h pixels            (f32 LE, row-major)
 //! --- kind 2 (health) / kind 3 (metrics) --- no further fields
 //! ```
 //!
-//! Response payload (versions 2 and 3):
+//! Response statuses (0 ok, 1 rejected, 2 failed, 3 health report,
+//! 4 metrics snapshot) and their bodies:
 //!
 //! ```text
-//! 0       1     protocol version  (2 or 3; servers echo the requester's)
-//! 1       1     status   (0 ok, 1 rejected, 2 failed, 3 health report,
-//!                         4 metrics snapshot; v3 only)
-//! 2       8     client request id (u64 LE)
-//! --- version 3 only: trace block (25 bytes, all statuses), as above ---
-//! -- status 0 (offsets v2 / v3) --
-//! 10/35   1     fidelity tier     (0 full, 1 degraded/brownout)
-//! 11/36   4     width; then 4 height; then 4*w*h f32 LE pixels
+//! -- status 0 --
+//! 35      1     fidelity tier     (0 full, 1 degraded/brownout)
+//! 36      4     width; then 4 height; then 4*w*h f32 LE pixels
 //! -- status 1 or 2 --
-//! 10/35   1     error code        (see ErrorCode)
-//! 11/36   2     message length    (u16 LE)
-//! 13/38   n     UTF-8 message
+//! 35      1     error code        (see ErrorCode)
+//! 36      2     message length    (u16 LE)
+//! 38      n     UTF-8 message
 //! -- status 3 --
-//! 10/35   1     accepting         (0/1)
-//! 11/36   1     dispatcher_live   (0/1)
-//! 12/37   1     brownout_active   (0/1)
-//! 13/38   4     queue_depth       (u32 LE)
-//! 17/42   4     queue_capacity    (u32 LE)
-//! 21/46   8     in_flight         (u64 LE)
-//! 29/54   8     completed         (u64 LE)
-//! 37/62   8     last_solve_age_ms (u64 LE, u64::MAX = no solve yet)
-//! -- status 4 (v3 only) --
+//! 35      1     accepting         (0/1)
+//! 36      1     dispatcher_live   (0/1)
+//! 37      1     brownout_active   (0/1)
+//! 38      4     queue_depth       (u32 LE)
+//! 42      4     queue_capacity    (u32 LE)
+//! 46      8     in_flight         (u64 LE)
+//! 54      8     completed         (u64 LE)
+//! 62      8     last_solve_age_ms (u64 LE, u64::MAX = no solve yet)
+//! -- status 4 --
 //! 35      rest  UTF-8 JSON        (schema `chambolle.metrics_snapshot.v1`)
 //! ```
 //!
-//! Version 3 adds distributed-trace propagation (the fixed 25-byte trace
-//! block after the id, in requests *and* responses) and the metrics
-//! snapshot kind. Decoders here accept both versions — a v2 frame simply
-//! decodes with [`TraceContext::NONE`] — and servers answer in the
-//! requester's version, so v2 peers interoperate bit-identically with
-//! tracing silently disabled.
+//! Both decoders reject any other version byte with
+//! [`DecodeError::UnsupportedVersion`].
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -81,12 +78,8 @@ use chambolle_telemetry::trace::TraceContext;
 use crate::request::{Priority, RejectReason, Request, ResponseTier, ServiceError, Workload};
 use crate::service::HealthSnapshot;
 
-/// Current protocol version (adds the trace block and metrics kind).
+/// The protocol version every payload carries.
 pub const WIRE_VERSION: u8 = 3;
-
-/// Previous protocol version, still accepted by every decoder here; v2
-/// frames carry no trace block and cannot request metrics snapshots.
-pub const WIRE_VERSION_V2: u8 = 2;
 
 /// Hard ceiling on a frame's payload size (64 MiB) — large enough for a
 /// 4096×4096 f32 image, small enough to bound a bad prefix's damage.
@@ -95,6 +88,9 @@ pub const MAX_FRAME: usize = 1 << 26;
 /// Bytes of frame header preceding every payload: `u32` length plus `u64`
 /// FNV-1a payload checksum.
 pub const FRAME_HEADER: usize = 12;
+
+/// Bytes of the header every payload starts with.
+const PAYLOAD_HEADER: usize = 35;
 
 const KIND_DENOISE: u8 = 1;
 const KIND_HEALTH: u8 = 2;
@@ -108,38 +104,28 @@ const TIER_FULL: u8 = 0;
 const TIER_DEGRADED: u8 = 1;
 const FLAG_SAMPLED: u8 = 1;
 
-/// Accepts a version byte this build can decode.
-fn check_version(version: u8) -> Result<u8, DecodeError> {
-    if version == WIRE_VERSION || version == WIRE_VERSION_V2 {
-        Ok(version)
-    } else {
-        Err(DecodeError::UnsupportedVersion(version))
-    }
+/// Starts a payload with its header, reserving room for `body` more bytes.
+fn header(kind_or_status: u8, id: u64, trace: TraceContext, body: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(PAYLOAD_HEADER + body);
+    buf.push(WIRE_VERSION);
+    buf.push(kind_or_status);
+    buf.extend_from_slice(&id.to_le_bytes());
+    buf.extend_from_slice(&trace.trace_id.to_le_bytes());
+    buf.extend_from_slice(&trace.span_id.to_le_bytes());
+    buf.push(if trace.sampled { FLAG_SAMPLED } else { 0 });
+    buf
 }
 
-/// Appends the 25-byte trace block on v3 frames; v2 frames carry none.
-fn put_trace(buf: &mut Vec<u8>, version: u8, trace: TraceContext) {
-    if version >= WIRE_VERSION {
-        buf.extend_from_slice(&trace.trace_id.to_le_bytes());
-        buf.extend_from_slice(&trace.span_id.to_le_bytes());
-        buf.push(if trace.sampled { FLAG_SAMPLED } else { 0 });
+/// Appends width, height and the row-major pixels of `grid`.
+fn put_grid(buf: &mut Vec<u8>, grid: &Grid<f32>) {
+    let (w, h) = grid.dims();
+    buf.extend_from_slice(&(w as u32).to_le_bytes());
+    buf.extend_from_slice(&(h as u32).to_le_bytes());
+    let start = buf.len();
+    buf.resize(start + 4 * grid.as_slice().len(), 0);
+    for (bytes, px) in buf[start..].chunks_exact_mut(4).zip(grid.as_slice()) {
+        bytes.copy_from_slice(&px.to_le_bytes());
     }
-}
-
-/// Reads the trace block on v3 frames; v2 frames decode to
-/// [`TraceContext::NONE`].
-fn take_trace(c: &mut Cursor<'_>, version: u8) -> Result<TraceContext, DecodeError> {
-    if version < WIRE_VERSION {
-        return Ok(TraceContext::NONE);
-    }
-    let trace_id = c.u128()?;
-    let span_id = c.u64()?;
-    let flags = c.u8()?;
-    Ok(TraceContext {
-        trace_id,
-        span_id,
-        sampled: flags & FLAG_SAMPLED != 0,
-    })
 }
 
 /// FNV-1a over a byte slice — the frame integrity checksum.
@@ -283,7 +269,7 @@ pub enum WireRequest {
         /// Idempotency key (0 = none): retries carrying the same nonzero
         /// key return the server's cached result instead of recomputing.
         idempotency: u64,
-        /// Propagated trace context ([`TraceContext::NONE`] on v2 frames).
+        /// Propagated trace context.
         trace: TraceContext,
         /// The service request it maps to.
         request: Request,
@@ -292,10 +278,10 @@ pub enum WireRequest {
     Health {
         /// Client-chosen id, echoed back in the response.
         id: u64,
-        /// Propagated trace context ([`TraceContext::NONE`] on v2 frames).
+        /// Propagated trace context.
         trace: TraceContext,
     },
-    /// A live-metrics snapshot scrape (v3 only).
+    /// A live-metrics snapshot scrape.
     Metrics {
         /// Client-chosen id, echoed back in the response.
         id: u64,
@@ -331,7 +317,7 @@ pub enum WireResponse {
     Ok {
         /// Echoed client id.
         id: u64,
-        /// Echoed trace context ([`TraceContext::NONE`] on v2 frames).
+        /// Echoed trace context.
         trace: TraceContext,
         /// Fidelity tier the service answered at.
         tier: ResponseTier,
@@ -342,7 +328,7 @@ pub enum WireResponse {
     Err {
         /// Echoed client id.
         id: u64,
-        /// Echoed trace context ([`TraceContext::NONE`] on v2 frames).
+        /// Echoed trace context.
         trace: TraceContext,
         /// `true` if rejected at admission (never solved).
         rejected: bool,
@@ -355,12 +341,12 @@ pub enum WireResponse {
     Health {
         /// Echoed client id.
         id: u64,
-        /// Echoed trace context ([`TraceContext::NONE`] on v2 frames).
+        /// Echoed trace context.
         trace: TraceContext,
         /// The service's point-in-time health snapshot.
         health: HealthSnapshot,
     },
-    /// Live-metrics snapshot (v3 only).
+    /// Live-metrics snapshot.
     Metrics {
         /// Echoed client id.
         id: u64,
@@ -410,19 +396,23 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 }
 
 /// Reads one length-prefixed frame and verifies its checksum. Returns
-/// `Ok(None)` on clean EOF at a frame boundary.
+/// `Ok(None)` on clean EOF at a frame boundary (no byte of a next frame).
 ///
 /// # Errors
 ///
 /// I/O errors from `r`; `InvalidData` if the prefix is zero, exceeds
 /// [`MAX_FRAME`], or the payload fails its checksum; `UnexpectedEof` if the
-/// stream ends mid-frame.
+/// stream ends mid-frame, frame header included.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; FRAME_HEADER];
-    match r.read_exact(&mut header) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    let mut header = Vec::with_capacity(FRAME_HEADER);
+    match r
+        .by_ref()
+        .take(FRAME_HEADER as u64)
+        .read_to_end(&mut header)?
+    {
+        0 => return Ok(None),
+        FRAME_HEADER => {}
+        _ => return Err(io::ErrorKind::UnexpectedEof.into()),
     }
     let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
     let checksum = u64::from_le_bytes(header[4..].try_into().unwrap());
@@ -471,11 +461,15 @@ pub fn verify_frame_checksum(payload: &[u8], declared: u64) -> io::Result<()> {
     Ok(())
 }
 
-/// Encodes a denoise request payload at `version` (2 or 3). `idempotency`
-/// of 0 means "no key"; the trace block is emitted only on v3 frames.
+/// Encodes a denoise request payload. `idempotency` of 0 means "no key";
+/// a set `deadline` encodes as at least 1 ms, because 0 means none.
+///
+/// `_version` is ignored: every payload is [`WIRE_VERSION`]. It stays in
+/// the signature only because the `benchmark/` harness passes
+/// `WIRE_VERSION` here.
 #[allow(clippy::too_many_arguments)]
 pub fn encode_denoise_request(
-    version: u8,
+    _version: u8,
     id: u64,
     idempotency: u64,
     trace: TraceContext,
@@ -484,48 +478,29 @@ pub fn encode_denoise_request(
     params: &ChambolleParams,
     input: &Grid<f32>,
 ) -> Vec<u8> {
-    let (w, h) = input.dims();
-    let mut buf = Vec::with_capacity(68 + 4 * w * h);
-    buf.push(version);
-    buf.push(KIND_DENOISE);
-    buf.extend_from_slice(&id.to_le_bytes());
-    put_trace(&mut buf, version, trace);
+    let mut buf = header(KIND_DENOISE, id, trace, 33 + 4 * input.as_slice().len());
     buf.extend_from_slice(&idempotency.to_le_bytes());
     buf.push(match priority {
         Priority::Interactive => 0,
         Priority::Batch => 1,
     });
-    let deadline_ms = deadline.map_or(0u32, |d| d.as_millis().min(u128::from(u32::MAX)) as u32);
+    let deadline_ms = deadline.map_or(0, |d| d.as_millis().clamp(1, u128::from(u32::MAX)) as u32);
     buf.extend_from_slice(&deadline_ms.to_le_bytes());
     buf.extend_from_slice(&params.theta.to_le_bytes());
     buf.extend_from_slice(&params.tau.to_le_bytes());
     buf.extend_from_slice(&params.iterations.to_le_bytes());
-    buf.extend_from_slice(&(w as u32).to_le_bytes());
-    buf.extend_from_slice(&(h as u32).to_le_bytes());
-    for &px in input.as_slice() {
-        buf.extend_from_slice(&px.to_le_bytes());
-    }
+    put_grid(&mut buf, input);
     buf
 }
 
-/// Encodes a health-probe request payload at `version` (2 or 3).
-pub fn encode_health_request(version: u8, id: u64, trace: TraceContext) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(35);
-    buf.push(version);
-    buf.push(KIND_HEALTH);
-    buf.extend_from_slice(&id.to_le_bytes());
-    put_trace(&mut buf, version, trace);
-    buf
+/// Encodes a health-probe request payload.
+pub fn encode_health_request(id: u64, trace: TraceContext) -> Vec<u8> {
+    header(KIND_HEALTH, id, trace, 0)
 }
 
-/// Encodes a metrics-snapshot scrape request (v3 only).
+/// Encodes a metrics-snapshot scrape request.
 pub fn encode_metrics_request(id: u64, trace: TraceContext) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(35);
-    buf.push(WIRE_VERSION);
-    buf.push(KIND_METRICS);
-    buf.extend_from_slice(&id.to_le_bytes());
-    put_trace(&mut buf, WIRE_VERSION, trace);
-    buf
+    header(KIND_METRICS, id, trace, 0)
 }
 
 /// Decodes a request payload.
@@ -535,20 +510,14 @@ pub fn encode_metrics_request(id: u64, trace: TraceContext) -> Vec<u8> {
 /// A structured [`DecodeError`] (version mismatch, unknown kind, truncated
 /// or oversized payload, dimension/pixel-count mismatch, trailing bytes).
 pub fn decode_request(payload: &[u8]) -> Result<WireRequest, DecodeError> {
-    if payload.is_empty() {
-        return Err(DecodeError::Empty);
-    }
     let mut c = Cursor::new(payload);
-    let version = check_version(c.u8()?)?;
-    let kind = c.u8()?;
-    let id = c.u64()?;
-    let trace = take_trace(&mut c, version)?;
+    let (kind, id, trace) = c.header()?;
     match kind {
         KIND_HEALTH => {
             c.finish()?;
             Ok(WireRequest::Health { id, trace })
         }
-        KIND_METRICS if version >= WIRE_VERSION => {
+        KIND_METRICS => {
             c.finish()?;
             Ok(WireRequest::Metrics { id, trace })
         }
@@ -560,28 +529,12 @@ pub fn decode_request(payload: &[u8]) -> Result<WireRequest, DecodeError> {
                 p => return Err(DecodeError::UnknownPriority(p)),
             };
             let deadline_ms = c.u32()?;
-            let theta = c.f32()?;
-            let tau = c.f32()?;
-            let iterations = c.u32()?;
-            let (width, height) = c.dims()?;
-            let expected = width * height * 4;
-            if c.remaining() != expected {
-                return Err(DecodeError::PixelCountMismatch {
-                    expected,
-                    got: c.remaining(),
-                });
-            }
-            let mut pixels = Vec::with_capacity(width * height);
-            for _ in 0..width * height {
-                pixels.push(c.f32()?);
-            }
-            let input = Grid::from_vec(width, height, pixels)
-                .map_err(|e| DecodeError::BadGrid(e.to_string()))?;
             let params = ChambolleParams {
-                theta,
-                tau,
-                iterations,
+                theta: c.f32()?,
+                tau: c.f32()?,
+                iterations: c.u32()?,
             };
+            let input = c.grid()?;
             let mut request = Request::new(Workload::Denoise { input, params })
                 .with_priority(priority)
                 .with_trace(trace);
@@ -599,36 +552,28 @@ pub fn decode_request(payload: &[u8]) -> Result<WireRequest, DecodeError> {
     }
 }
 
-/// Encodes a successful response at the given fidelity tier, in the
-/// requester's `version` (2 or 3).
+/// Encodes a successful response at the given fidelity tier.
+///
+/// `_version` is ignored, as in [`encode_denoise_request`], and stays for
+/// the same reason.
 pub fn encode_ok_response(
-    version: u8,
+    _version: u8,
     id: u64,
     trace: TraceContext,
     tier: ResponseTier,
     output: &Grid<f32>,
 ) -> Vec<u8> {
-    let (w, h) = output.dims();
-    let mut buf = Vec::with_capacity(44 + 4 * w * h);
-    buf.push(version);
-    buf.push(STATUS_OK);
-    buf.extend_from_slice(&id.to_le_bytes());
-    put_trace(&mut buf, version, trace);
+    let mut buf = header(STATUS_OK, id, trace, 9 + 4 * output.as_slice().len());
     buf.push(match tier {
         ResponseTier::Full => TIER_FULL,
         ResponseTier::Degraded => TIER_DEGRADED,
     });
-    buf.extend_from_slice(&(w as u32).to_le_bytes());
-    buf.extend_from_slice(&(h as u32).to_le_bytes());
-    for &px in output.as_slice() {
-        buf.extend_from_slice(&px.to_le_bytes());
-    }
+    put_grid(&mut buf, output);
     buf
 }
 
-/// Encodes an error response in the requester's `version` (2 or 3).
+/// Encodes an error response; the message is cut to `u16::MAX` bytes.
 pub fn encode_err_response(
-    version: u8,
     id: u64,
     trace: TraceContext,
     rejected: bool,
@@ -636,34 +581,22 @@ pub fn encode_err_response(
     message: &str,
 ) -> Vec<u8> {
     let msg = message.as_bytes();
-    let msg_len = msg.len().min(usize::from(u16::MAX));
-    let mut buf = Vec::with_capacity(38 + msg_len);
-    buf.push(version);
-    buf.push(if rejected {
+    let msg = &msg[..msg.len().min(usize::from(u16::MAX))];
+    let status = if rejected {
         STATUS_REJECTED
     } else {
         STATUS_FAILED
-    });
-    buf.extend_from_slice(&id.to_le_bytes());
-    put_trace(&mut buf, version, trace);
+    };
+    let mut buf = header(status, id, trace, 3 + msg.len());
     buf.push(code as u8);
-    buf.extend_from_slice(&(msg_len as u16).to_le_bytes());
-    buf.extend_from_slice(&msg[..msg_len]);
+    buf.extend_from_slice(&(msg.len() as u16).to_le_bytes());
+    buf.extend_from_slice(msg);
     buf
 }
 
-/// Encodes a health report response in the requester's `version` (2 or 3).
-pub fn encode_health_response(
-    version: u8,
-    id: u64,
-    trace: TraceContext,
-    health: &HealthSnapshot,
-) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(70);
-    buf.push(version);
-    buf.push(STATUS_HEALTH);
-    buf.extend_from_slice(&id.to_le_bytes());
-    put_trace(&mut buf, version, trace);
+/// Encodes a health report response.
+pub fn encode_health_response(id: u64, trace: TraceContext, health: &HealthSnapshot) -> Vec<u8> {
+    let mut buf = header(STATUS_HEALTH, id, trace, 35);
     buf.push(u8::from(health.accepting));
     buf.push(u8::from(health.dispatcher_live));
     buf.push(u8::from(health.brownout));
@@ -678,16 +611,11 @@ pub fn encode_health_response(
     buf
 }
 
-/// Encodes a metrics-snapshot response (v3 only): the rest of the payload
-/// is the snapshot document as UTF-8 JSON.
+/// Encodes a metrics-snapshot response: the rest of the payload is the
+/// snapshot document as UTF-8 JSON.
 pub fn encode_metrics_response(id: u64, trace: TraceContext, snapshot: &str) -> Vec<u8> {
-    let json = snapshot.as_bytes();
-    let mut buf = Vec::with_capacity(35 + json.len());
-    buf.push(WIRE_VERSION);
-    buf.push(STATUS_METRICS);
-    buf.extend_from_slice(&id.to_le_bytes());
-    put_trace(&mut buf, WIRE_VERSION, trace);
-    buf.extend_from_slice(json);
+    let mut buf = header(STATUS_METRICS, id, trace, snapshot.len());
+    buf.extend_from_slice(snapshot.as_bytes());
     buf
 }
 
@@ -716,14 +644,8 @@ pub fn service_error_code(err: &ServiceError) -> ErrorCode {
 /// A structured [`DecodeError`] on any malformed field; pixel payloads are
 /// validated against the declared dimensions **before** any allocation.
 pub fn decode_response(payload: &[u8]) -> Result<WireResponse, DecodeError> {
-    if payload.is_empty() {
-        return Err(DecodeError::Empty);
-    }
     let mut c = Cursor::new(payload);
-    let version = check_version(c.u8()?)?;
-    let status = c.u8()?;
-    let id = c.u64()?;
-    let trace = take_trace(&mut c, version)?;
+    let (status, id, trace) = c.header()?;
     match status {
         STATUS_OK => {
             let tier = match c.u8()? {
@@ -731,20 +653,7 @@ pub fn decode_response(payload: &[u8]) -> Result<WireResponse, DecodeError> {
                 TIER_DEGRADED => ResponseTier::Degraded,
                 t => return Err(DecodeError::UnknownTier(t)),
             };
-            let (width, height) = c.dims()?;
-            let expected = width * height * 4;
-            if c.remaining() != expected {
-                return Err(DecodeError::PixelCountMismatch {
-                    expected,
-                    got: c.remaining(),
-                });
-            }
-            let mut pixels = Vec::with_capacity(width * height);
-            for _ in 0..width * height {
-                pixels.push(c.f32()?);
-            }
-            let output = Grid::from_vec(width, height, pixels)
-                .map_err(|e| DecodeError::BadGrid(e.to_string()))?;
+            let output = c.grid()?;
             Ok(WireResponse::Ok {
                 id,
                 trace,
@@ -767,7 +676,7 @@ pub fn decode_response(payload: &[u8]) -> Result<WireResponse, DecodeError> {
                 message,
             })
         }
-        STATUS_METRICS if version >= WIRE_VERSION => {
+        STATUS_METRICS => {
             let bytes = c.bytes(c.remaining())?;
             let snapshot = String::from_utf8_lossy(bytes).into_owned();
             Ok(WireResponse::Metrics {
@@ -848,27 +757,53 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
-    fn u128(&mut self) -> Result<u128, DecodeError> {
-        Ok(u128::from_le_bytes(self.bytes(16)?.try_into().unwrap()))
-    }
-
     fn f32(&mut self) -> Result<f32, DecodeError> {
         Ok(f32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
     }
 
-    /// Reads a `(width, height)` pair and bounds it against [`MAX_FRAME`]
-    /// before the caller allocates anything sized by it.
-    fn dims(&mut self) -> Result<(usize, usize), DecodeError> {
+    /// Reads the payload header: `(kind or status, id, trace)`. The version
+    /// is checked before anything else is read.
+    fn header(&mut self) -> Result<(u8, u64, TraceContext), DecodeError> {
+        if self.buf.is_empty() {
+            return Err(DecodeError::Empty);
+        }
+        let version = self.u8()?;
+        if version != WIRE_VERSION {
+            return Err(DecodeError::UnsupportedVersion(version));
+        }
+        let kind_or_status = self.u8()?;
+        let id = self.u64()?;
+        let trace = TraceContext {
+            trace_id: u128::from_le_bytes(self.bytes(16)?.try_into().unwrap()),
+            span_id: self.u64()?,
+            sampled: self.u8()? & FLAG_SAMPLED != 0,
+        };
+        Ok((kind_or_status, id, trace))
+    }
+
+    /// Reads width, height and the row-major pixels that fill the rest of
+    /// the payload. The dimensions are bounded against [`MAX_FRAME`] before
+    /// anything sized by them is allocated.
+    fn grid(&mut self) -> Result<Grid<f32>, DecodeError> {
         let width = self.u32()? as usize;
         let height = self.u32()? as usize;
-        let cells = width
+        let expected = width
             .checked_mul(height)
             .and_then(|n| n.checked_mul(4))
+            .filter(|&n| n <= MAX_FRAME)
             .ok_or(DecodeError::OversizedDimensions { width, height })?;
-        if cells > MAX_FRAME {
-            return Err(DecodeError::OversizedDimensions { width, height });
+        if self.remaining() != expected {
+            return Err(DecodeError::PixelCountMismatch {
+                expected,
+                got: self.remaining(),
+            });
         }
-        Ok((width, height))
+        let pixels = self
+            .bytes(expected)?
+            .chunks_exact(4)
+            .map(|px| f32::from_le_bytes(px.try_into().unwrap()))
+            .collect();
+        Grid::from_vec(width, height, pixels).map_err(|e| DecodeError::BadGrid(e.to_string()))
     }
 
     /// Asserts the payload is fully consumed.
@@ -944,7 +879,7 @@ mod tests {
 
     #[test]
     fn health_frames_round_trip() {
-        match decode_request(&encode_health_request(WIRE_VERSION, 13, sample_trace())).unwrap() {
+        match decode_request(&encode_health_request(13, sample_trace())).unwrap() {
             WireRequest::Health { id, trace } => {
                 assert_eq!(id, 13);
                 assert_eq!(trace, sample_trace());
@@ -961,7 +896,7 @@ mod tests {
             completed: 1000,
             last_solve_age: Some(Duration::from_millis(40)),
         };
-        let enc = encode_health_response(WIRE_VERSION, 13, sample_trace(), &snap);
+        let enc = encode_health_response(13, sample_trace(), &snap);
         match decode_response(&enc).unwrap() {
             WireResponse::Health { id, trace, health } => {
                 assert_eq!(id, 13);
@@ -975,76 +910,11 @@ mod tests {
             last_solve_age: None,
             ..snap
         };
-        let enc = encode_health_response(WIRE_VERSION, 1, TraceContext::NONE, &fresh);
+        let enc = encode_health_response(1, TraceContext::NONE, &fresh);
         match decode_response(&enc).unwrap() {
             WireResponse::Health { health, .. } => assert_eq!(health.last_solve_age, None),
             other => panic!("expected health: {other:?}"),
         }
-    }
-
-    #[test]
-    fn v2_frames_round_trip_with_tracing_silently_dropped() {
-        // A v3 build writing v2 frames (for a v2 peer) omits the trace
-        // block even when the caller holds an active context, and a v2
-        // frame decodes with TraceContext::NONE — same bytes a real v2
-        // build would produce and accept.
-        let input = Grid::from_fn(3, 2, |x, y| (x + y) as f32);
-        let params = ChambolleParams::with_iterations(9);
-        let v2 = encode_denoise_request(
-            WIRE_VERSION_V2,
-            21,
-            5,
-            sample_trace(),
-            Priority::Batch,
-            None,
-            &params,
-            &input,
-        );
-        assert_eq!(v2[0], WIRE_VERSION_V2);
-        assert_eq!(v2.len(), 43 + 4 * 3 * 2, "v2 layout has no trace block");
-        match decode_request(&v2).unwrap() {
-            WireRequest::Solve {
-                id, trace, request, ..
-            } => {
-                assert_eq!(id, 21);
-                assert_eq!(trace, TraceContext::NONE);
-                assert_eq!(request.trace, TraceContext::NONE);
-            }
-            other => panic!("expected a solve request: {other:?}"),
-        }
-        let ok = encode_ok_response(
-            WIRE_VERSION_V2,
-            21,
-            sample_trace(),
-            ResponseTier::Full,
-            &input,
-        );
-        assert_eq!(ok.len(), 19 + 4 * 3 * 2, "v2 ok layout has no trace block");
-        match decode_response(&ok).unwrap() {
-            WireResponse::Ok { trace, output, .. } => {
-                assert_eq!(trace, TraceContext::NONE);
-                assert_eq!(output.as_slice(), input.as_slice());
-            }
-            other => panic!("expected ok: {other:?}"),
-        }
-        let probe = encode_health_request(WIRE_VERSION_V2, 2, sample_trace());
-        assert_eq!(probe.len(), 10);
-        assert!(matches!(
-            decode_request(&probe).unwrap(),
-            WireRequest::Health { id: 2, trace } if trace == TraceContext::NONE
-        ));
-    }
-
-    #[test]
-    fn v2_peers_cannot_request_metrics() {
-        // KIND_METRICS is a v3 extension: the same byte under a v2 version
-        // prefix is an unknown kind, exactly as a real v2 build answers.
-        let mut raw = vec![WIRE_VERSION_V2, KIND_METRICS];
-        raw.extend_from_slice(&7u64.to_le_bytes());
-        assert_eq!(
-            decode_request(&raw).unwrap_err(),
-            DecodeError::UnknownKind(KIND_METRICS)
-        );
     }
 
     #[test]
@@ -1096,7 +966,6 @@ mod tests {
             other => panic!("expected ok: {other:?}"),
         }
         let err = encode_err_response(
-            WIRE_VERSION,
             11,
             TraceContext::NONE,
             true,
@@ -1127,6 +996,20 @@ mod tests {
             decode_request(&[9, 9]).unwrap_err(),
             DecodeError::UnsupportedVersion(9)
         ));
+        // Version 2 is as unknown as 9: a genuine v2 health probe (no trace
+        // block), and a response stamped with version 2.
+        let mut v2_probe = vec![2, KIND_HEALTH];
+        v2_probe.extend_from_slice(&5u64.to_le_bytes());
+        assert_eq!(
+            decode_request(&v2_probe).unwrap_err(),
+            DecodeError::UnsupportedVersion(2)
+        );
+        let mut v2_err = encode_err_response(5, TraceContext::NONE, true, ErrorCode::Protocol, "x");
+        v2_err[0] = 2;
+        assert_eq!(
+            decode_response(&v2_err).unwrap_err(),
+            DecodeError::UnsupportedVersion(2)
+        );
         let mut ok = encode_denoise_request(
             WIRE_VERSION,
             1,
@@ -1143,6 +1026,34 @@ mod tests {
             DecodeError::PixelCountMismatch { .. }
         ));
         assert!(decode_response(&[WIRE_VERSION, 7, 0, 0, 0, 0, 0, 0, 0, 0]).is_err());
+    }
+
+    #[test]
+    fn sub_millisecond_deadlines_encode_as_one_millisecond() {
+        // deadline_ms = 0 means "no deadline", so a set deadline below 1 ms
+        // must round up instead of vanishing.
+        for deadline in [Duration::from_micros(500), Duration::ZERO] {
+            let payload = encode_denoise_request(
+                WIRE_VERSION,
+                1,
+                0,
+                TraceContext::NONE,
+                Priority::Interactive,
+                Some(deadline),
+                &ChambolleParams::with_iterations(3),
+                &Grid::new(2, 1, 0.0f32),
+            );
+            match decode_request(&payload).unwrap() {
+                WireRequest::Solve { request, .. } => {
+                    assert_eq!(
+                        request.deadline,
+                        Some(Duration::from_millis(1)),
+                        "{deadline:?}"
+                    );
+                }
+                other => panic!("expected a solve request: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1183,12 +1094,90 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut probe = encode_health_request(WIRE_VERSION, 5, TraceContext::NONE);
+        let mut probe = encode_health_request(5, TraceContext::NONE);
         probe.push(0xAB);
         assert_eq!(
             decode_request(&probe).unwrap_err(),
             DecodeError::TrailingBytes { count: 1 }
         );
+    }
+
+    /// Asserts `payload` is the hex digits of `expected`, whitespace aside.
+    #[track_caller]
+    fn assert_hex(payload: &[u8], expected: &str) {
+        let digits: String = expected.split_whitespace().collect();
+        let bytes: Vec<u8> = (0..digits.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&digits[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(payload, bytes);
+    }
+
+    /// Pins the v3 layout byte for byte. The codec tests above only round-
+    /// trip, so a field misplaced the same way on both sides would pass
+    /// them and still break every deployed peer.
+    #[test]
+    fn v3_payloads_match_literal_bytes() {
+        // id = 7, then the trace block: trace id, span id, flags (sampled).
+        const ID_TRACE: &str =
+            "0700000000000000 efcdab89674523010df0fecaefbeadde bc9a78563412ed5e 01";
+        // Width 2, height 1, pixels [1.5, -2.0].
+        const GRID: &str = "02000000 01000000 0000c03f 000000c0";
+        let trace = sample_trace();
+        let grid = Grid::from_vec(2, 1, vec![1.5f32, -2.0]).unwrap();
+        let params = ChambolleParams {
+            theta: 0.25,
+            tau: 0.248,
+            iterations: 42,
+        };
+        let deadline = Some(Duration::from_millis(1500));
+        let request = encode_denoise_request(
+            WIRE_VERSION,
+            7,
+            99,
+            trace,
+            Priority::Interactive,
+            deadline,
+            &params,
+            &grid,
+        );
+        // Idempotency key 99, interactive, 1500 ms, theta, tau, 42 iterations.
+        let body = "6300000000000000 00 dc050000 0000803e b6f37d3e 2a000000";
+        assert_hex(&request, &format!("03 01 {ID_TRACE} {body} {GRID}"));
+        assert_hex(
+            &encode_health_request(7, trace),
+            &format!("03 02 {ID_TRACE}"),
+        );
+        assert_hex(
+            &encode_metrics_request(7, trace),
+            &format!("03 03 {ID_TRACE}"),
+        );
+
+        let ok = encode_ok_response(WIRE_VERSION, 7, trace, ResponseTier::Degraded, &grid);
+        assert_hex(&ok, &format!("03 00 {ID_TRACE} 01 {GRID}"));
+        let rejected = encode_err_response(7, trace, true, ErrorCode::QueueFull, "full");
+        assert_hex(&rejected, &format!("03 01 {ID_TRACE} 01 0400 66756c6c"));
+        let failed = encode_err_response(7, trace, false, ErrorCode::Solver, "boom");
+        assert_hex(&failed, &format!("03 02 {ID_TRACE} 06 0400 626f6f6d"));
+        let health = HealthSnapshot {
+            accepting: true,
+            dispatcher_live: true,
+            brownout: false,
+            queue_depth: 3,
+            queue_capacity: 64,
+            in_flight: 5,
+            completed: 1000,
+            last_solve_age: Some(Duration::from_millis(40)),
+        };
+        // Accepting, live, no brownout, depth 3, capacity 64, 5 in flight,
+        // 1000 completed, last solve 40 ms ago.
+        let body = "01 01 00 03000000 40000000 0500000000000000 e803000000000000 2800000000000000";
+        assert_hex(
+            &encode_health_response(7, trace, &health),
+            &format!("03 03 {ID_TRACE} {body}"),
+        );
+        let metrics = encode_metrics_response(7, trace, r#"{"k":1}"#);
+        assert_hex(&metrics, &format!("03 04 {ID_TRACE} 7b226b223a317d"));
     }
 
     #[test]
@@ -1200,6 +1189,13 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"x");
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+        assert!(read_frame(&mut io::empty()).unwrap().is_none(), "empty");
+
+        // A stream that ends inside a frame header is truncated, not clean.
+        for cut in 1..FRAME_HEADER {
+            let err = read_frame(&mut io::Cursor::new(buf[..cut].to_vec())).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{cut} bytes");
+        }
 
         // Zero-length frames are rejected on both sides.
         assert!(write_frame(&mut Vec::new(), b"").is_err());
@@ -1259,14 +1255,12 @@ mod tests {
             ) {
                 let input = Grid::from_fn(w, h, |x, y| (x * 7 + y) as f32 / 11.0);
                 let params = ChambolleParams::with_iterations(iters);
-                for version in [WIRE_VERSION_V2, WIRE_VERSION] {
-                    let payload = encode_denoise_request(
-                        version, 42, 7, super::sample_trace(), Priority::Batch,
-                        Some(Duration::from_millis(10)), &params, &input,
-                    );
-                    let mangled = corrupt(&payload, &flip_pos, trunc);
-                    let _ = decode_request(&mangled); // must not panic
-                }
+                let payload = encode_denoise_request(
+                    WIRE_VERSION, 42, 7, super::sample_trace(), Priority::Batch,
+                    Some(Duration::from_millis(10)), &params, &input,
+                );
+                let mangled = corrupt(&payload, &flip_pos, trunc);
+                let _ = decode_request(&mangled); // must not panic
             }
 
             /// Same totality for the response decoder.
@@ -1281,10 +1275,9 @@ mod tests {
                 let trace = super::sample_trace();
                 for payload in [
                     encode_ok_response(WIRE_VERSION, 3, trace, ResponseTier::Full, &grid),
-                    encode_ok_response(WIRE_VERSION_V2, 3, trace, ResponseTier::Full, &grid),
-                    encode_err_response(WIRE_VERSION, 3, trace, false, ErrorCode::Solver, "boom"),
+                    encode_err_response(3, trace, false, ErrorCode::Solver, "boom"),
                     encode_metrics_response(3, trace, r#"{"schema":"x"}"#),
-                    encode_health_response(WIRE_VERSION, 3, trace, &HealthSnapshot {
+                    encode_health_response(3, trace, &HealthSnapshot {
                         accepting: true,
                         dispatcher_live: true,
                         brownout: false,
@@ -1316,7 +1309,7 @@ mod tests {
                 flip_byte in 0usize..64,
                 flip_bit in 0u8..8,
             ) {
-                let payload = encode_health_request(WIRE_VERSION, 77, super::sample_trace());
+                let payload = encode_health_request(77, super::sample_trace());
                 let mut framed = Vec::new();
                 write_frame(&mut framed, &payload).unwrap();
                 // Flip one bit inside the payload region (past the header).

@@ -1,6 +1,7 @@
 //! End-to-end tests of the request-service layer: the framed TCP front-end
 //! and the deadline/cancellation semantics the service guarantees.
 
+use std::net::TcpStream;
 use std::time::Duration;
 
 use chambolle::core::{
@@ -9,7 +10,8 @@ use chambolle::core::{
 };
 use chambolle::imaging::{render_pair, Motion, NoiseTexture, Scene};
 use chambolle::service::{
-    wire, Priority, Request, Service, ServiceClient, ServiceConfig, TcpServer, Workload,
+    wire, Priority, Request, Service, ServiceClient, ServiceConfig, TcpServer, TraceContext,
+    Workload,
 };
 
 /// A TCP round-trip on an ephemeral port must return the exact bits the
@@ -53,6 +55,70 @@ fn tcp_round_trip_is_bit_identical_and_drains_cleanly() {
     let summary = service.shutdown();
     assert_eq!(summary.stats.completed, 2);
     assert_eq!(summary.stats.in_flight(), 0, "drain must lose nothing");
+}
+
+/// Every response is v3. A frame of any other version, a genuine v2 health
+/// probe included, gets exactly one v3 `Protocol` rejection with id 0 that
+/// names its version, and the connection goes on serving v3 frames.
+#[test]
+fn other_wire_versions_get_one_v3_protocol_rejection() {
+    let input = NoiseTexture::new(505).render(12, 9);
+    let params = ChambolleParams::with_iterations(10);
+    let service = Service::spawn(ServiceConfig::new(1, 8));
+    let server = TcpServer::bind(service.handle().clone(), "127.0.0.1:0").unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut exchange = |payload: &[u8]| {
+        wire::write_frame(&mut stream, payload).unwrap();
+        let frame = wire::read_frame(&mut stream).unwrap().expect("a response");
+        assert_eq!(frame[0], wire::WIRE_VERSION, "every answer is v3");
+        wire::decode_response(&frame).unwrap()
+    };
+
+    // A genuine 10-byte v2 health probe: version 2, kind 2, id 5.
+    let mut v2_probe = vec![2u8, 2];
+    v2_probe.extend_from_slice(&5u64.to_le_bytes());
+    // A v3 health probe with its version byte set to 9.
+    let mut v9_probe = wire::encode_health_request(6, TraceContext::NONE);
+    v9_probe[0] = 9;
+    for (payload, version) in [(v2_probe, 2), (v9_probe, 9)] {
+        match exchange(&payload) {
+            wire::WireResponse::Err {
+                id: 0,
+                rejected: true,
+                code: wire::ErrorCode::Protocol,
+                message,
+                ..
+            } => assert!(message.contains(&format!("version {version}")), "{message}"),
+            other => panic!("expected a protocol rejection, got {other:?}"),
+        }
+    }
+
+    // The next answer on the same connection is the v3 denoise's, so each
+    // bad frame got exactly one response.
+    let denoise = wire::encode_denoise_request(
+        wire::WIRE_VERSION,
+        7,
+        0,
+        TraceContext::NONE,
+        Priority::Interactive,
+        None,
+        &params,
+        &input,
+    );
+    let expected = SequentialSolver::new().denoise(&input, &params);
+    match exchange(&denoise) {
+        wire::WireResponse::Ok { id: 7, output, .. } => {
+            assert_eq!(output.as_slice(), expected.as_slice());
+        }
+        other => panic!("expected the denoised frame, got {other:?}"),
+    }
+
+    drop(stream);
+    server.shutdown();
+    service.shutdown();
 }
 
 /// A cancelled mid-pyramid TV-L1 solve must come back as a clean

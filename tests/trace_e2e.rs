@@ -1,16 +1,15 @@
 //! End-to-end tests of the observability plane: trace propagation over the
-//! v3 wire, span-tree causality across retries and idempotent replays, the
-//! live metrics snapshot, v3 -> v2 protocol downgrade, and the guarantee
-//! that tracing changes no solver bit.
+//! wire, span-tree causality across retries and idempotent replays, the
+//! live metrics snapshot, and the guarantee that tracing changes no solver
+//! bit.
 
-use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use chambolle::core::{ChambolleParams, SequentialSolver, TvDenoiser};
 use chambolle::imaging::{Grid, NoiseTexture, Scene};
 use chambolle::service::{
     wire, BreakerPolicy, ChaosConfig, Priority, RequestTrace, ResilientClient, ResilientConfig,
-    RetryPolicy, Service, ServiceClient, ServiceConfig, SloObjective, TcpServer, TraceContext,
+    RetryPolicy, Service, ServiceClient, ServiceConfig, SloObjective, TcpServer,
     METRICS_SNAPSHOT_SCHEMA,
 };
 use chambolle::telemetry::json::JsonValue;
@@ -262,98 +261,6 @@ fn metrics_snapshot_p99_brackets_client_measured_p99() {
     drop(client);
     server.shutdown();
     service.shutdown();
-}
-
-/// A v3 client talking to a v2-only peer downgrades transparently: the
-/// first attempt's version rejection costs one retry, after which the
-/// request completes bit-identically over v2 frames with tracing off.
-#[test]
-fn resilient_client_downgrades_to_v2_peers_bit_identically() {
-    let input = noisy(20, 16, 44);
-    let params = ChambolleParams::with_iterations(15);
-    let expected = SequentialSolver::new().denoise(&input, &params);
-
-    // A minimal v2-only server: rejects any v3 frame the way an old build
-    // would (a v2 Protocol error), solves v2 frames in-line.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let v2_server = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
-        while let Ok(Some(payload)) = wire::read_frame(&mut stream) {
-            let frame = if payload.first() != Some(&wire::WIRE_VERSION_V2) {
-                wire::encode_err_response(
-                    wire::WIRE_VERSION_V2,
-                    0,
-                    TraceContext::NONE,
-                    true,
-                    wire::ErrorCode::Protocol,
-                    &format!(
-                        "unsupported wire version {}",
-                        payload.first().copied().unwrap_or(0)
-                    ),
-                )
-            } else {
-                match wire::decode_request(&payload) {
-                    Ok(wire::WireRequest::Solve { id, request, .. }) => {
-                        let (grid, request_params) = match request.workload {
-                            chambolle::service::Workload::Denoise { input, params } => {
-                                (input, params)
-                            }
-                            other => panic!("unexpected workload {other:?}"),
-                        };
-                        let output = SequentialSolver::new().denoise(&grid, &request_params);
-                        wire::encode_ok_response(
-                            wire::WIRE_VERSION_V2,
-                            id,
-                            TraceContext::NONE,
-                            chambolle::service::ResponseTier::Full,
-                            &output,
-                        )
-                    }
-                    _ => break,
-                }
-            };
-            if wire::write_frame(&mut stream, &frame).is_err() {
-                break;
-            }
-        }
-    });
-
-    let mut client = ResilientClient::connect_with(
-        addr,
-        ResilientConfig {
-            jitter_seed: SEED,
-            ..ResilientConfig::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(client.wire_version(), wire::WIRE_VERSION);
-
-    let outcome = client
-        .denoise(&input, &params, Priority::Batch, None)
-        .unwrap();
-    assert_eq!(
-        client.wire_version(),
-        wire::WIRE_VERSION_V2,
-        "the version rejection must downgrade the client"
-    );
-    assert_eq!(outcome.attempts, 2, "one rejected v3 try, one v2 success");
-    assert_eq!(outcome.output.as_slice(), expected.as_slice());
-
-    // Once downgraded, requests go untraced and metrics are refused
-    // client-side.
-    let outcome2 = client
-        .denoise(&input, &params, Priority::Batch, None)
-        .unwrap();
-    assert_eq!(outcome2.attempts, 1, "the downgrade must stick");
-    assert_eq!(outcome2.trace, TraceContext::NONE);
-    assert_eq!(
-        client.metrics().unwrap_err().kind(),
-        std::io::ErrorKind::Unsupported
-    );
-
-    drop(client);
-    v2_server.join().unwrap();
 }
 
 /// Acceptance (d): with tracing and scraping fully disabled the solver
