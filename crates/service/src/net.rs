@@ -36,11 +36,10 @@ use std::time::Duration;
 use chambolle_core::ChambolleParams;
 use chambolle_imaging::Grid;
 use chambolle_telemetry::names;
-use chambolle_telemetry::trace::{SpanRecord, TraceContext};
+use chambolle_telemetry::trace::{entropy_seed, TraceContext};
 
 use crate::chaos::{ChaosConfig, ChaosInjector, ChaosStream};
 use crate::request::{Priority, ResponseTier};
-use crate::resilient::entropy_seed;
 use crate::service::{HealthSnapshot, ServiceHandle};
 use crate::wire::{
     decode_request, decode_response, encode_denoise_request, encode_err_response,
@@ -331,21 +330,13 @@ fn serve_connection<T: Transport>(
                 trace,
                 request,
             }) => {
-                let started_us = handle.now_us();
+                let started_us = handle.tracer().now_us();
                 // Server-side root context: a fresh span id under the
                 // propagated trace id, so queue/batch/solve spans parent
                 // under this request's "server.request" root. A retry of
                 // the same logical request reuses the trace id, so its
                 // spans accumulate into the same trace.
-                let server_ctx = if trace.is_active() && handle.tracer().is_enabled() {
-                    TraceContext {
-                        trace_id: trace.trace_id,
-                        span_id: handle.next_span_id(),
-                        sampled: true,
-                    }
-                } else {
-                    TraceContext::NONE
-                };
+                let server_ctx = handle.tracer().child(trace);
                 if idempotency != 0 {
                     if let Some((tier, cached)) = cache.get(idempotency) {
                         handle
@@ -445,33 +436,20 @@ fn record_server_spans(
     if !server_ctx.is_active() {
         return;
     }
-    let dur_us = handle.now_us().saturating_sub(started_us);
+    let tracer = handle.tracer();
+    let span_us = started_us..tracer.now_us();
     if replay {
-        handle.tracer().record_span(SpanRecord {
-            trace_id: server_ctx.trace_id,
-            span_id: handle.next_span_id(),
-            parent_span_id: server_ctx.span_id,
-            name: "replay".into(),
-            start_us: started_us,
-            dur_us,
-            attrs: Vec::new(),
-        });
+        tracer.record(server_ctx, None, "replay", span_us.clone(), Vec::new());
     }
-    handle.tracer().record_span(SpanRecord {
-        trace_id: server_ctx.trace_id,
-        span_id: server_ctx.span_id,
-        parent_span_id: 0,
-        name: "server.request".into(),
-        start_us: started_us,
-        dur_us,
-        attrs: vec![
-            (
-                "client_span_id".into(),
-                format!("{client_span_id:016x}").into(),
-            ),
-            ("replay".into(), replay.into()),
-        ],
-    });
+    let attrs = vec![
+        (
+            "client_span_id".into(),
+            format!("{client_span_id:016x}").into(),
+        ),
+        ("replay".into(), replay.into()),
+    ];
+    let root = Some(server_ctx.span_id);
+    tracer.record(server_ctx, root, "server.request", span_us, attrs);
     handle
         .telemetry()
         .counter_add(names::SERVICE_TRACE_SPANS, if replay { 2 } else { 1 });

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use chambolle_core::ChambolleParams;
 use chambolle_imaging::Grid;
-use chambolle_telemetry::trace::{SpanRecord, TraceContext, Tracer};
+use chambolle_telemetry::trace::{entropy_seed, splitmix_next, TraceContext, Tracer};
 use chambolle_telemetry::{names, Telemetry};
 
 use crate::net::{connect_stream, round_trip, unexpected};
@@ -261,7 +261,6 @@ pub struct ResilientClient {
     telemetry: Telemetry,
     trace_state: u64,
     tracer: Tracer,
-    epoch: Instant,
 }
 
 impl ResilientClient {
@@ -306,7 +305,6 @@ impl ResilientClient {
             telemetry: Telemetry::disabled(),
             trace_state: entropy_seed(),
             tracer: Tracer::disabled(),
-            epoch: Instant::now(),
         };
         client.ensure_connected()?;
         Ok(client)
@@ -321,13 +319,11 @@ impl ResilientClient {
         self
     }
 
-    /// Records `client.*` spans into `tracer`. Span start timestamps are
-    /// microseconds since `epoch` — pass the epoch of whoever owns the
-    /// tracer (e.g. the service handle's) so merged client/server traces
-    /// share one clock.
-    pub fn with_tracer(mut self, tracer: Tracer, epoch: Instant) -> Self {
+    /// Records `client.*` spans into `tracer`, on its clock. Sharing a
+    /// tracer with the server (its handle's) merges client and server
+    /// spans into one timeline.
+    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
-        self.epoch = epoch;
         self
     }
 
@@ -378,7 +374,7 @@ impl ResilientClient {
             params,
             input,
         );
-        let request_start_us = self.now_us();
+        let request_start_us = self.tracer.now_us();
 
         let max_attempts = self.config.retry.max_attempts.max(1);
         let mut attempts = 0u32;
@@ -393,7 +389,7 @@ impl ResilientClient {
                 self.telemetry.counter_add(names::SERVICE_RETRY_ATTEMPTS, 1);
             }
             self.wait_for_breaker();
-            let attempt_start_us = self.now_us();
+            let attempt_start_us = self.tracer.now_us();
             let outcome = self.attempt(&payload, id);
             self.record_attempt_span(trace, attempts, attempt_start_us, outcome.label());
             match outcome {
@@ -627,21 +623,11 @@ impl ResilientClient {
             base + Duration::from_nanos(self.next_u64() % (span.as_nanos() as u64 + 1))
         };
         self.prev_backoff = sleep;
-        let start_us = self.now_us();
+        let start_us = self.tracer.now_us();
         std::thread::sleep(sleep);
-        if trace.is_active() && self.tracer.is_enabled() {
-            let span_id = self.mint_span_id();
-            let dur_us = self.now_us().saturating_sub(start_us);
-            self.tracer.record_span(SpanRecord {
-                trace_id: trace.trace_id,
-                span_id,
-                parent_span_id: trace.span_id,
-                name: "client.backoff".into(),
-                start_us,
-                dur_us,
-                attrs: Vec::new(),
-            });
-        }
+        let span_us = start_us..self.tracer.now_us();
+        self.tracer
+            .record(trace, None, "client.backoff", span_us, Vec::new());
     }
 
     fn next_u64(&mut self) -> u64 {
@@ -670,23 +656,9 @@ impl ResilientClient {
         }
     }
 
-    fn mint_span_id(&mut self) -> u64 {
-        loop {
-            let id = splitmix_next(&mut self.trace_state);
-            if id != 0 {
-                return id;
-            }
-        }
-    }
-
-    /// Microseconds since the tracer epoch.
-    fn now_us(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-
     /// Records one `client.attempt` span under the request root.
     fn record_attempt_span(
-        &mut self,
+        &self,
         trace: TraceContext,
         attempt: u32,
         start_us: u64,
@@ -695,26 +667,19 @@ impl ResilientClient {
         if !trace.is_active() || !self.tracer.is_enabled() {
             return;
         }
-        let span_id = self.mint_span_id();
-        let dur_us = self.now_us().saturating_sub(start_us);
-        self.tracer.record_span(SpanRecord {
-            trace_id: trace.trace_id,
-            span_id,
-            parent_span_id: trace.span_id,
-            name: "client.attempt".into(),
-            start_us,
-            dur_us,
-            attrs: vec![
-                ("attempt".into(), attempt.into()),
-                ("outcome".into(), outcome.into()),
-            ],
-        });
+        let attrs = vec![
+            ("attempt".into(), attempt.into()),
+            ("outcome".into(), outcome.into()),
+        ];
+        let span_us = start_us..self.tracer.now_us();
+        self.tracer
+            .record(trace, None, "client.attempt", span_us, attrs);
     }
 
     /// Records the `client.request` root span and moves the finished trace
     /// into the ring.
     fn finish_request_span(
-        &mut self,
+        &self,
         trace: TraceContext,
         start_us: u64,
         attempts: u32,
@@ -723,50 +688,16 @@ impl ResilientClient {
         if !trace.is_active() || !self.tracer.is_enabled() {
             return;
         }
-        self.tracer.record_span(SpanRecord {
-            trace_id: trace.trace_id,
-            span_id: trace.span_id,
-            parent_span_id: 0,
-            name: "client.request".into(),
-            start_us,
-            dur_us: self.now_us().saturating_sub(start_us),
-            attrs: vec![
-                ("attempts".into(), attempts.into()),
-                ("outcome".into(), outcome.into()),
-            ],
-        });
+        let attrs = vec![
+            ("attempts".into(), attempts.into()),
+            ("outcome".into(), outcome.into()),
+        ];
+        let span_us = start_us..self.tracer.now_us();
+        let root = Some(trace.span_id);
+        self.tracer
+            .record(trace, root, "client.request", span_us, attrs);
         self.tracer.finish(trace.trace_id);
     }
-}
-
-/// SplitMix64 step, same generator the chaos injector uses.
-fn splitmix_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Per-client entropy for the idempotency-key stream: wall clock, process
-/// id, a process-wide counter (clients created in the same nanosecond), and
-/// an ASLR-perturbed stack address, whitened through SplitMix64. No
-/// dependency on any configured seed — key uniqueness must hold even when
-/// every client runs the same config.
-pub(crate) fn entropy_seed() -> u64 {
-    use std::sync::atomic::AtomicU64;
-    static CLIENT_SEQ: AtomicU64 = AtomicU64::new(0);
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
-    let seq = CLIENT_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let stack_probe = 0u8;
-    let mut state = nanos
-        ^ (u64::from(std::process::id()) << 32)
-        ^ seq.rotate_left(17)
-        ^ (std::ptr::addr_of!(stack_probe) as u64).rotate_left(47);
-    splitmix_next(&mut state)
 }
 
 impl std::fmt::Debug for ResilientClient {

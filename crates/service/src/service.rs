@@ -29,7 +29,7 @@ use chambolle_core::{
 };
 use chambolle_par::ThreadPool;
 use chambolle_telemetry::json::JsonValue;
-use chambolle_telemetry::trace::{splitmix_next, SpanRecord, Tracer, DEFAULT_TRACE_RING};
+use chambolle_telemetry::trace::{Tracer, DEFAULT_TRACE_RING};
 use chambolle_telemetry::window::{WindowConfig, WindowedMetrics};
 use chambolle_telemetry::{names, RunReport, Telemetry};
 
@@ -130,7 +130,8 @@ pub struct ServiceConfig {
     /// brownout exactly like queue congestion. `None` entries are
     /// unconstrained.
     pub slo: [Option<SloObjective>; 2],
-    /// Capacity of the recent-trace ring (0 disables server-side tracing).
+    /// Capacity of the recent-trace ring, which also caps the traces held
+    /// open awaiting their finish (0 disables server-side tracing).
     pub trace_ring: usize,
     /// Rolling-window shape of the live metrics plane.
     pub window: WindowConfig,
@@ -293,7 +294,8 @@ struct Shared {
     config: ServiceConfig,
     next_id: AtomicU64,
     stats: Stats,
-    /// Instant the service started; `last_solve_ms` is measured from here.
+    /// Instant the service started; `last_solve_ms` and the metrics
+    /// snapshot's `uptime_us` are measured from here.
     epoch: Instant,
     /// Milliseconds after `epoch` the most recent response was delivered;
     /// `u64::MAX` until the first one.
@@ -309,8 +311,6 @@ struct Shared {
     tracer: Tracer,
     /// Rolling-window rates and latency histograms (the live metrics plane).
     window: WindowedMetrics,
-    /// SplitMix64 sequence feeding server-side span ids.
-    span_counter: AtomicU64,
 }
 
 /// Point-in-time health/readiness report of a service instance.
@@ -483,28 +483,6 @@ impl ServiceHandle {
         &self.shared.window
     }
 
-    /// The service epoch — hand this to a client's
-    /// [`with_tracer`](crate::ResilientClient::with_tracer) so client and
-    /// server spans recorded into one tracer share a clock.
-    pub fn epoch(&self) -> Instant {
-        self.shared.epoch
-    }
-
-    /// Microseconds since the service epoch — the time base every span
-    /// record uses for `start_us`.
-    pub fn now_us(&self) -> u64 {
-        self.shared
-            .epoch
-            .elapsed()
-            .as_micros()
-            .min(u128::from(u64::MAX)) as u64
-    }
-
-    /// A fresh nonzero span id from the service-wide sequence.
-    pub fn next_span_id(&self) -> u64 {
-        next_span_id(&self.shared)
-    }
-
     /// A schema-stable (`chambolle.metrics_snapshot.v1`) live-metrics
     /// snapshot: queue occupancy per lane, rolling-window rates and latency
     /// histograms, SLO burn state, brownout, cumulative counters, and a
@@ -533,7 +511,10 @@ impl ServiceHandle {
             .collect();
         JsonValue::Object(vec![
             ("schema".into(), METRICS_SNAPSHOT_SCHEMA.into()),
-            ("uptime_us".into(), self.now_us().into()),
+            (
+                "uptime_us".into(),
+                micros(shared.epoch, Instant::now()).into(),
+            ),
             (
                 "window".into(),
                 JsonValue::Object(vec![
@@ -754,7 +735,6 @@ impl Service {
             slo_burning: AtomicBool::new(false),
             tracer,
             window,
-            span_counter: AtomicU64::new(0x7ACE_5EED),
         });
         let dispatcher_shared = Arc::clone(&shared);
         let dispatcher = std::thread::Builder::new()
@@ -827,18 +807,6 @@ fn dispatcher_loop(shared: &Shared) {
         dispatch_batch(shared, &pool, batch);
     }
     shared.dispatcher_live.store(false, Ordering::Relaxed);
-}
-
-/// A fresh nonzero span id: one SplitMix64 step over a shared sequence, so
-/// ids are unique service-wide without coordination.
-fn next_span_id(shared: &Shared) -> u64 {
-    let mut seq = shared.span_counter.fetch_add(1, Ordering::Relaxed);
-    loop {
-        let id = splitmix_next(&mut seq);
-        if id != 0 {
-            return id;
-        }
-    }
 }
 
 /// Point-in-time SLO evaluation over the rolling window: whether any lane
@@ -1149,40 +1117,20 @@ fn respond(
 
     // Span tree of this request's service-side life: queue wait and batch
     // residency under the propagated parent, the solve nested inside the
-    // batch span. Starts are measured from the service epoch; durations sum
-    // consistently (queue + batch == total, solve <= batch).
+    // batch span. Durations sum consistently (queue + batch == total,
+    // solve <= batch).
     if pending.trace.is_active() && shared.tracer.is_enabled() {
-        let trace_id = pending.trace.trace_id;
-        let parent = pending.trace.span_id;
-        let base_us = micros(shared.epoch, pending.submitted_at);
-        let batch_span = next_span_id(shared);
-        shared.tracer.record_span(SpanRecord {
-            trace_id,
-            span_id: next_span_id(shared),
-            parent_span_id: parent,
-            name: "queue".into(),
-            start_us: base_us,
-            dur_us: queue_us,
-            attrs: vec![("lane".into(), lane.into())],
-        });
-        shared.tracer.record_span(SpanRecord {
-            trace_id,
-            span_id: batch_span,
-            parent_span_id: parent,
-            name: "batch".into(),
-            start_us: base_us + queue_us,
-            dur_us: total_us.saturating_sub(queue_us),
-            attrs: vec![("batch_size".into(), batch_size.into())],
-        });
-        shared.tracer.record_span(SpanRecord {
-            trace_id,
-            span_id: next_span_id(shared),
-            parent_span_id: batch_span,
-            name: "solve".into(),
-            start_us: (base_us + total_us).saturating_sub(solve_us),
-            dur_us: solve_us,
-            attrs: vec![("ok".into(), result.is_ok().into())],
-        });
+        let tracer = &shared.tracer;
+        let trace = pending.trace;
+        let queued_us = tracer.offset_us(pending.submitted_at);
+        let (dequeued_us, done_us) = (queued_us + queue_us, queued_us + total_us);
+        let lane_attr = vec![("lane".into(), lane.into())];
+        tracer.record(trace, None, "queue", queued_us..dequeued_us, lane_attr);
+        let size_attr = vec![("batch_size".into(), batch_size.into())];
+        let batch = tracer.record(trace, None, "batch", dequeued_us..done_us, size_attr);
+        let ok_attr = vec![("ok".into(), result.is_ok().into())];
+        let solving_us = done_us.saturating_sub(solve_us)..done_us;
+        tracer.record(batch, None, "solve", solving_us, ok_attr);
         telemetry.counter_add(names::SERVICE_TRACE_SPANS, 3);
     }
 

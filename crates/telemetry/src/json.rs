@@ -226,6 +226,7 @@ impl JsonValue {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.parse_value()?;
@@ -293,9 +294,16 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest `[`/`{` nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so an unbounded document could overflow the
+/// stack; every document the workspace writes stays far below this.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -327,8 +335,19 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_literal("false", JsonValue::Bool(false)),
@@ -572,6 +591,7 @@ mod tests {
 
     #[test]
     fn malformed_inputs_rejected() {
+        let too_deep = "[".repeat(200_000);
         for text in [
             "",
             "{",
@@ -582,9 +602,15 @@ mod tests {
             "01x",
             "[1]extra",
             "\"\\q\"",
+            too_deep.as_str(),
         ] {
             assert!(JsonValue::parse(text).is_err(), "{text:?} should fail");
         }
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(
+            JsonValue::parse(&deepest).is_ok(),
+            "the deepest allowed nesting parses"
+        );
     }
 
     #[test]

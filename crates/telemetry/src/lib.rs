@@ -1,34 +1,36 @@
 //! Cross-crate telemetry for the Chambolle reproduction: a metric registry
 //! (counters, gauges, fixed-bucket histograms with p50/p90/p99), RAII span
-//! timers, pluggable event sinks (no-op, in-memory, JSON-lines, Chrome
-//! `trace_event`), and a serializable [`report::RunReport`].
+//! timers, request traces ([`trace`]), a rolling-window metrics plane
+//! ([`window`]), and a serializable [`report::RunReport`].
 //!
 //! Zero external dependencies — the workspace builds fully offline, and the
 //! instrumentation must never pull weight the kernels it observes don't.
 //!
 //! # Design
 //!
-//! A [`Telemetry`] handle is a cheap `Clone` (an `Arc` around the registry
-//! and sink). Instrumented code holds an `Option<Telemetry>` or a
-//! [`Telemetry::disabled`] handle; every recording method starts with a
-//! single branch on that option, so the disabled path costs one predictable
-//! branch and touches no locks, clocks, or allocations — the "measurable
-//! no-op" contract (`tests/telemetry_noop.rs` at the workspace root pins the
-//! bit-identical-output half of it).
+//! A [`Telemetry`] handle is a cheap `Clone` (an `Arc` around the metric
+//! registry). Instrumented code holds a [`Telemetry::disabled`] handle
+//! unless a caller hands it an enabled one; every recording method starts
+//! with a single branch on that option, so the disabled path costs one
+//! predictable branch and touches no locks, clocks, or allocations — the
+//! "measurable no-op" contract (`tests/disabled_cost.rs` pins the
+//! allocation half of it, `tests/telemetry_noop.rs` at the workspace root
+//! the bit-identical-output half).
 //!
-//! Aggregation happens in [`metrics::Metrics`]; the configured
-//! [`sink::Sink`] additionally sees the raw ordered event stream, which is
-//! how the JSON-lines log and the `about://tracing` export are produced.
-//! Cycle-accurate waveforms stay in `hwsim::trace` (VCD) — the two layers
-//! complement each other: VCD answers "what did the BRAM schedule do each
-//! cycle", telemetry answers "what did this run do end to end".
+//! Every counter, gauge, observation and span timing lands in one
+//! [`metrics::Metrics`] registry; a span is a scoped timer feeding the
+//! histogram `span.<name>`. Request-scoped span trees live in
+//! [`trace::Tracer`], the one place a request span is made. Cycle-accurate
+//! waveforms stay in `hwsim::trace` (VCD) — VCD answers "what did the BRAM
+//! schedule do each cycle", telemetry answers "what did this run do end to
+//! end".
 //!
 //! # Examples
 //!
 //! ```
 //! use chambolle_telemetry::{names, Telemetry};
 //!
-//! let tele = Telemetry::null(); // metrics on, event stream discarded
+//! let tele = Telemetry::null(); // metrics on
 //! {
 //!     let _solve = tele.span("solve");
 //!     tele.counter_add(names::SOLVER_ITERATIONS, 100);
@@ -43,18 +45,13 @@
 pub mod json;
 pub mod metrics;
 pub mod report;
-pub mod sink;
 pub mod span;
 pub mod trace;
 pub mod window;
 
-use std::io;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-use json::JsonValue;
 use metrics::Metrics;
-use sink::{Event, EventKind, MemorySink, NullSink, Sink};
 use span::Span;
 
 pub use report::{RunReport, RUN_REPORT_SCHEMA};
@@ -75,8 +72,6 @@ pub mod names {
     pub const SOLVER_FINAL_ENERGY: &str = "solver.final_energy";
     /// Gauge: last observed duality gap.
     pub const SOLVER_FINAL_GAP: &str = "solver.final_gap";
-    /// Instant event: one convergence checkpoint (iteration, energy, gap).
-    pub const SOLVER_CONVERGENCE_POINT: &str = "solver.convergence_point";
 
     /// Counter: tile-solver rounds executed (⌈N/K⌉ per denoise).
     pub const TILING_ROUNDS: &str = "tiling.rounds";
@@ -255,26 +250,20 @@ pub mod names {
     pub const TUNE_TRIAL_MS: &str = "tune.trial_ms";
 }
 
-struct Inner {
-    metrics: Metrics,
-    sink: Box<dyn Sink>,
-    depth: u32,
-}
-
 /// A shareable telemetry handle.
 ///
-/// Cloning shares the underlying registry and sink. A disabled handle
-/// ([`Telemetry::disabled`]) makes every operation a single branch.
-#[derive(Clone)]
+/// Cloning shares the underlying registry. A disabled handle
+/// ([`Telemetry::disabled`], also the `Default`) makes every operation a
+/// single branch.
+#[derive(Clone, Default)]
 pub struct Telemetry {
-    inner: Option<Arc<Mutex<Inner>>>,
-    epoch: Instant,
+    metrics: Option<Arc<Mutex<Metrics>>>,
 }
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
-            .field("enabled", &self.inner.is_some())
+            .field("enabled", &self.metrics.is_some())
             .finish()
     }
 }
@@ -282,174 +271,54 @@ impl std::fmt::Debug for Telemetry {
 impl Telemetry {
     /// A handle that records nothing and costs one branch per call.
     pub fn disabled() -> Self {
-        Telemetry {
-            inner: None,
-            epoch: Instant::now(),
-        }
+        Telemetry { metrics: None }
     }
 
-    /// An enabled handle feeding `sink`.
-    pub fn new(sink: Box<dyn Sink>) -> Self {
-        Telemetry {
-            inner: Some(Arc::new(Mutex::new(Inner {
-                metrics: Metrics::new(),
-                sink,
-                depth: 0,
-            }))),
-            epoch: Instant::now(),
-        }
-    }
-
-    /// Metrics on, event stream discarded ([`sink::NullSink`]).
+    /// An enabled handle recording into a fresh metric registry.
     pub fn null() -> Self {
-        Telemetry::new(Box::new(NullSink))
-    }
-
-    /// Metrics on, events buffered in memory; returns the handle plus the
-    /// shared event buffer.
-    pub fn memory() -> (Self, Arc<Mutex<Vec<Event>>>) {
-        let sink = MemorySink::new();
-        let events = sink.events();
-        (Telemetry::new(Box::new(sink)), events)
+        Telemetry {
+            metrics: Some(Arc::new(Mutex::new(Metrics::new()))),
+        }
     }
 
     /// Whether this handle records anything.
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.metrics.is_some()
     }
 
-    fn now_micros(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-
-    fn emit(&self, name: &str, kind: EventKind) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let micros = self.now_micros();
-        let mut inner = inner.lock().expect("telemetry poisoned");
-        match &kind {
-            EventKind::CounterAdd(delta) => inner.metrics.counter_add(name, *delta),
-            EventKind::GaugeSet(value) => inner.metrics.gauge_set(name, *value),
-            EventKind::Observe(value) => inner.metrics.observe(name, *value),
-            _ => {}
+    fn record(&self, update: impl FnOnce(&mut Metrics)) {
+        if let Some(metrics) = &self.metrics {
+            update(&mut metrics.lock().expect("telemetry poisoned"));
         }
-        let event = Event {
-            micros,
-            name: name.to_string(),
-            kind,
-            depth: inner.depth,
-        };
-        inner.sink.record(&event);
     }
 
     /// Adds to a counter.
     pub fn counter_add(&self, name: &str, delta: u64) {
-        if self.inner.is_none() {
-            return;
-        }
-        self.emit(name, EventKind::CounterAdd(delta));
+        self.record(|m| m.counter_add(name, delta));
     }
 
     /// Sets a gauge.
     pub fn gauge_set(&self, name: &str, value: f64) {
-        if self.inner.is_none() {
-            return;
-        }
-        self.emit(name, EventKind::GaugeSet(value));
+        self.record(|m| m.gauge_set(name, value));
     }
 
     /// Records a histogram observation.
     pub fn observe(&self, name: &str, value: f64) {
-        if self.inner.is_none() {
-            return;
-        }
-        self.emit(name, EventKind::Observe(value));
+        self.record(|m| m.observe(name, value));
     }
 
-    /// Emits a point-in-time event with a free-form payload.
-    pub fn event(&self, name: &str, fields: Vec<(String, JsonValue)>) {
-        if self.inner.is_none() {
-            return;
-        }
-        self.emit(name, EventKind::Instant(fields));
-    }
-
-    /// Opens a RAII span; the returned guard times its own scope.
+    /// Opens a RAII span; the returned guard times its own scope into the
+    /// histogram `span.<name>`. A disabled handle returns an empty guard.
     pub fn span(&self, name: &str) -> Span {
-        let Some(inner) = &self.inner else {
-            return Span {
-                telemetry: Telemetry::disabled(),
-                name: name.to_string(),
-                begin_micros: None,
-            };
-        };
-        let micros = self.now_micros();
-        {
-            let mut inner = inner.lock().expect("telemetry poisoned");
-            let event = Event {
-                micros,
-                name: name.to_string(),
-                kind: EventKind::SpanBegin,
-                depth: inner.depth,
-            };
-            inner.sink.record(&event);
-            inner.depth += 1;
-        }
-        Span {
-            telemetry: self.clone(),
-            name: name.to_string(),
-            begin_micros: Some(micros),
-        }
-    }
-
-    pub(crate) fn close_span(&self, name: &str, begin_micros: u64) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let now = self.now_micros();
-        let elapsed = now.saturating_sub(begin_micros);
-        let mut inner = inner.lock().expect("telemetry poisoned");
-        inner.depth = inner.depth.saturating_sub(1);
-        inner
-            .metrics
-            .observe(&span::span_metric_name(name), elapsed as f64);
-        let event = Event {
-            micros: now,
-            name: name.to_string(),
-            kind: EventKind::SpanEnd {
-                elapsed_micros: elapsed,
-            },
-            depth: inner.depth,
-        };
-        inner.sink.record(&event);
+        Span::open(self.metrics.as_ref(), name)
     }
 
     /// A clone of the current metric registry.
     pub fn snapshot(&self) -> Metrics {
-        match &self.inner {
-            Some(inner) => inner.lock().expect("telemetry poisoned").metrics.clone(),
+        match &self.metrics {
+            Some(metrics) => metrics.lock().expect("telemetry poisoned").clone(),
             None => Metrics::new(),
         }
-    }
-
-    /// Flushes the sink (closes the Chrome trace array, flushes writers).
-    ///
-    /// # Errors
-    ///
-    /// Returns the sink's first buffered I/O error, if any.
-    pub fn flush(&self) -> io::Result<()> {
-        match &self.inner {
-            Some(inner) => inner.lock().expect("telemetry poisoned").sink.flush(),
-            None => Ok(()),
-        }
-    }
-}
-
-impl Default for Telemetry {
-    /// The disabled handle.
-    fn default() -> Self {
-        Telemetry::disabled()
     }
 }
 
@@ -463,11 +332,9 @@ mod tests {
         tele.counter_add("c", 5);
         tele.gauge_set("g", 1.0);
         tele.observe("h", 2.0);
-        tele.event("e", vec![]);
         drop(tele.span("s"));
         assert!(!tele.is_enabled());
         assert!(tele.snapshot().is_empty());
-        tele.flush().unwrap();
     }
 
     #[test]
@@ -477,17 +344,6 @@ mod tests {
         tele.counter_add("c", 1);
         other.counter_add("c", 2);
         assert_eq!(tele.snapshot().counter("c"), Some(3));
-    }
-
-    #[test]
-    fn memory_handle_captures_the_stream() {
-        let (tele, events) = Telemetry::memory();
-        tele.counter_add("a", 1);
-        tele.event("point", vec![("k".into(), JsonValue::from(9u64))]);
-        let events = events.lock().unwrap();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].name, "a");
-        assert_eq!(events[1].name, "point");
     }
 
     #[test]

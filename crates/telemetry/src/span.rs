@@ -1,16 +1,18 @@
 //! RAII span timers.
 
-use crate::Telemetry;
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
-/// An open span: created by [`Telemetry::span`], closed (and timed) on drop.
+use crate::metrics::Metrics;
+
+/// An open span: created by [`crate::Telemetry::span`], closed (and timed)
+/// on drop.
 ///
-/// Closing emits a `span_end` event and records the elapsed wall time, in
-/// microseconds, into the histogram `span.<name>` — so p50/p90/p99 of every
-/// instrumented region come for free in the final report.
-///
-/// Spans nest: the event stream carries the nesting depth, and a span opened
-/// while another is alive is a child of it (the Chrome trace renders them as
-/// stacked slices).
+/// Closing records the elapsed wall time, in microseconds, into the
+/// histogram `span.<name>` — so p50/p90/p99 of every instrumented region
+/// come for free in the final report. A span of a disabled handle is an
+/// empty guard: opening and dropping it reads no clock and allocates
+/// nothing.
 ///
 /// # Examples
 ///
@@ -28,25 +30,39 @@ use crate::Telemetry;
 #[derive(Debug)]
 #[must_use = "a span measures the scope it is bound to; bind it to a named variable"]
 pub struct Span {
-    pub(crate) telemetry: Telemetry,
-    pub(crate) name: String,
-    /// Begin timestamp; `None` when the owning telemetry is disabled.
-    pub(crate) begin_micros: Option<u64>,
+    open: Option<OpenSpan>,
+}
+
+#[derive(Debug)]
+struct OpenSpan {
+    metrics: Arc<Mutex<Metrics>>,
+    metric: String,
+    start: Instant,
 }
 
 impl Span {
-    /// The span's name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub(crate) fn open(metrics: Option<&Arc<Mutex<Metrics>>>, name: &str) -> Span {
+        Span {
+            open: metrics.map(|metrics| OpenSpan {
+                metrics: Arc::clone(metrics),
+                metric: span_metric_name(name),
+                start: Instant::now(),
+            }),
+        }
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(begin) = self.begin_micros else {
+        let Some(span) = &self.open else {
             return;
         };
-        self.telemetry.close_span(&self.name, begin);
+        let micros = span.start.elapsed().as_micros() as f64;
+        // A poisoned registry loses this one sample; panicking in drop
+        // could abort an unwinding thread.
+        if let Ok(mut metrics) = span.metrics.lock() {
+            metrics.observe(&span.metric, micros);
+        }
     }
 }
 
@@ -57,89 +73,33 @@ pub fn span_metric_name(span_name: &str) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::sink::{Event, EventKind as EK, MemorySink};
-
-    fn kinds(events: &[Event]) -> Vec<(String, &'static str, u32)> {
-        events
-            .iter()
-            .map(|e| {
-                let tag = match e.kind {
-                    EK::SpanBegin => "B",
-                    EK::SpanEnd { .. } => "E",
-                    _ => "other",
-                };
-                (e.name.clone(), tag, e.depth)
-            })
-            .collect()
-    }
+    use crate::Telemetry;
 
     #[test]
-    fn spans_nest_and_unwind_in_order() {
-        let sink = MemorySink::new();
-        let events = sink.events();
-        let tele = Telemetry::new(Box::new(sink));
+    fn nested_spans_each_time_their_own_scope() {
+        let tele = Telemetry::null();
         {
             let _outer = tele.span("outer");
             {
                 let _mid = tele.span("mid");
                 let _inner = tele.span("inner");
-                // `inner` drops before `mid` (reverse declaration order).
             }
             let _sibling = tele.span("sibling");
         }
-        let events = events.lock().unwrap();
-        assert_eq!(
-            kinds(&events),
-            vec![
-                ("outer".to_string(), "B", 0),
-                ("mid".to_string(), "B", 1),
-                ("inner".to_string(), "B", 2),
-                ("inner".to_string(), "E", 2),
-                ("mid".to_string(), "E", 1),
-                ("sibling".to_string(), "B", 1),
-                ("sibling".to_string(), "E", 1),
-                ("outer".to_string(), "E", 0),
-            ]
-        );
-        // Every span also produced a duration observation.
         let snap = tele.snapshot();
+        let hist = |name: &str| snap.get(name).unwrap().as_histogram().unwrap().clone();
         for name in ["span.outer", "span.mid", "span.inner", "span.sibling"] {
-            assert_eq!(
-                snap.get(name).unwrap().as_histogram().unwrap().count(),
-                1,
-                "{name}"
-            );
+            assert_eq!(hist(name).count(), 1, "{name}");
         }
-    }
-
-    #[test]
-    fn span_end_elapsed_is_monotone_with_nesting() {
-        let sink = MemorySink::new();
-        let events = sink.events();
-        let tele = Telemetry::new(Box::new(sink));
-        {
-            let _outer = tele.span("outer");
-            let _inner = tele.span("inner");
-        }
-        let events = events.lock().unwrap();
-        let elapsed: Vec<u64> = events
-            .iter()
-            .filter_map(|e| match e.kind {
-                EK::SpanEnd { elapsed_micros } => Some(elapsed_micros),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(elapsed.len(), 2);
-        // inner closes first; the outer span covers it, so outer >= inner.
-        assert!(elapsed[1] >= elapsed[0]);
+        // The outer span covers the inner one, so it is never shorter.
+        assert!(hist("span.outer").max() >= hist("span.inner").max());
     }
 
     #[test]
     fn disabled_span_is_inert() {
         let tele = Telemetry::disabled();
         let span = tele.span("anything");
-        assert_eq!(span.name(), "anything");
+        assert!(span.open.is_none());
         drop(span);
         assert!(tele.snapshot().is_empty());
     }

@@ -3,21 +3,25 @@
 //!
 //! A [`TraceContext`] is minted once per logical request (client side) and
 //! propagated across the wire so every hop — admission, batching, solve,
-//! retry, idempotent replay — records [`SpanRecord`]s under the same
-//! 128-bit trace id. A [`Tracer`] collects those spans, assembles them into
-//! [`RequestTrace`] trees when a trace finishes, and keeps the most recent
-//! traces in a bounded ring with a "slowest N" view.
+//! retry, idempotent replay — records spans under the same 128-bit trace
+//! id. A [`Tracer`] is the one place a request span is made: it owns the
+//! clock every span's start is measured on and the sequence its span ids
+//! come from, assembles a trace's [`SpanRecord`]s into a [`RequestTrace`]
+//! tree when the trace finishes, and keeps the most recent traces in a
+//! bounded ring with a "slowest N" view.
 //!
 //! Zero external dependencies, like the rest of the crate. A disabled
-//! tracer costs one branch per call; recording never blocks the caller on
-//! I/O (sink export happens through the owning [`crate::Telemetry`]).
+//! tracer costs one branch per call and never blocks the caller on I/O.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use crate::json::JsonValue;
 
-/// Default capacity of the finished-trace ring.
+/// Default capacity of the finished-trace ring (and of the open traces).
 pub const DEFAULT_TRACE_RING: usize = 64;
 
 /// A propagated trace identity: which request this work belongs to and
@@ -65,22 +69,6 @@ impl TraceContext {
         }
     }
 
-    /// A child context: same trace, fresh span id, parented at `self`.
-    pub fn child(&self, state: &mut u64) -> TraceContext {
-        if !self.is_active() {
-            return TraceContext::NONE;
-        }
-        let mut span_id = splitmix_next(state);
-        while span_id == 0 {
-            span_id = splitmix_next(state);
-        }
-        TraceContext {
-            trace_id: self.trace_id,
-            span_id,
-            sampled: self.sampled,
-        }
-    }
-
     /// Whether this context carries a real trace (nonzero id and sampled).
     pub fn is_active(&self) -> bool {
         self.trace_id != 0 && self.sampled
@@ -93,14 +81,38 @@ impl Default for TraceContext {
     }
 }
 
-/// SplitMix64: the same tiny deterministic generator the service layer uses
-/// for jitter and idempotency keys.
+/// The SplitMix64 increment: one step of [`splitmix_next`] adds it to the
+/// state.
+const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64: the tiny deterministic generator behind trace and span ids,
+/// and the service layer's jitter and idempotency keys.
 pub fn splitmix_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    *state = state.wrapping_add(SPLITMIX_GAMMA);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// A fresh 64-bit seed per call: wall clock, process id, a process-wide
+/// counter (calls in the same nanosecond), and an ASLR-perturbed stack
+/// address, whitened through SplitMix64. No dependency on any configured
+/// seed — id streams seeded from it stay distinct even when every
+/// producer runs the same config.
+pub fn entropy_seed() -> u64 {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_nanos() as u64)
+        .unwrap_or(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let stack_probe = 0u8;
+    let mut state = nanos
+        ^ (u64::from(std::process::id()) << 32)
+        ^ seq.rotate_left(17)
+        ^ (std::ptr::addr_of!(stack_probe) as u64).rotate_left(47);
+    splitmix_next(&mut state)
 }
 
 /// One completed span within a trace.
@@ -114,7 +126,7 @@ pub struct SpanRecord {
     pub parent_span_id: u64,
     /// Stage name, e.g. `request`, `queue`, `batch`, `solve`, `retry`.
     pub name: String,
-    /// Start, microseconds since the tracer's owner epoch.
+    /// Start, microseconds since the recording tracer was created.
     pub start_us: u64,
     /// Duration in microseconds.
     pub dur_us: u64,
@@ -217,19 +229,42 @@ impl RequestTrace {
 }
 
 struct TracerInner {
-    /// Spans of traces still in flight, keyed by trace id.
-    open: HashMap<u128, Vec<SpanRecord>>,
+    /// The clock origin: every span start is microseconds after it.
+    epoch: Instant,
+    /// SplitMix64 state of the span-id sequence, seeded per tracer.
+    span_ids: AtomicU64,
+    traces: Mutex<Traces>,
+}
+
+impl TracerInner {
+    /// The next nonzero id of the span-id sequence: one SplitMix64 step,
+    /// taken atomically so concurrent recorders never share an id.
+    fn next_span_id(&self) -> u64 {
+        loop {
+            let mut state = self.span_ids.fetch_add(SPLITMIX_GAMMA, Ordering::Relaxed);
+            let id = splitmix_next(&mut state);
+            if id != 0 {
+                return id;
+            }
+        }
+    }
+}
+
+struct Traces {
+    /// Spans of traces still in flight, oldest opened first; at most
+    /// `capacity` of them.
+    open: VecDeque<(u128, Vec<SpanRecord>)>,
     /// Finished traces, oldest first, bounded by `capacity`.
     finished: VecDeque<RequestTrace>,
     capacity: usize,
 }
 
-/// Collects spans and assembles finished request traces into a bounded
-/// ring. Cloning shares the ring; a [`Tracer::disabled`] handle makes every
-/// call a single branch.
-#[derive(Clone)]
+/// Records request spans and assembles finished request traces into a
+/// bounded ring. Cloning shares the clock, the id sequence and the ring; a
+/// [`Tracer::disabled`] handle makes every call a single branch.
+#[derive(Clone, Default)]
 pub struct Tracer {
-    inner: Option<Arc<Mutex<TracerInner>>>,
+    inner: Option<Arc<TracerInner>>,
 }
 
 impl std::fmt::Debug for Tracer {
@@ -241,14 +276,20 @@ impl std::fmt::Debug for Tracer {
 }
 
 impl Tracer {
-    /// An enabled tracer keeping the most recent `capacity` traces.
+    /// An enabled tracer keeping the most recent `capacity` finished traces
+    /// and at most `capacity` open ones.
     pub fn with_capacity(capacity: usize) -> Tracer {
+        let capacity = capacity.max(1);
         Tracer {
-            inner: Some(Arc::new(Mutex::new(TracerInner {
-                open: HashMap::new(),
-                finished: VecDeque::new(),
-                capacity: capacity.max(1),
-            }))),
+            inner: Some(Arc::new(TracerInner {
+                epoch: Instant::now(),
+                span_ids: AtomicU64::new(entropy_seed()),
+                traces: Mutex::new(Traces {
+                    open: VecDeque::new(),
+                    finished: VecDeque::new(),
+                    capacity,
+                }),
+            })),
         }
     }
 
@@ -257,7 +298,7 @@ impl Tracer {
         Tracer::with_capacity(DEFAULT_TRACE_RING)
     }
 
-    /// A tracer that records nothing.
+    /// A tracer that records nothing (also the `Default`).
     pub fn disabled() -> Tracer {
         Tracer { inner: None }
     }
@@ -267,17 +308,91 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// Records one completed span. Spans with an inactive trace id are
-    /// dropped silently.
-    pub fn record_span(&self, span: SpanRecord) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        if span.trace_id == 0 {
-            return;
+    /// Microseconds since this tracer was created: the clock every span it
+    /// records is measured on. 0 when disabled.
+    pub fn now_us(&self) -> u64 {
+        if self.is_enabled() {
+            self.offset_us(Instant::now())
+        } else {
+            0
         }
-        let mut inner = inner.lock().expect("tracer poisoned");
-        inner.open.entry(span.trace_id).or_default().push(span);
+    }
+
+    /// Microseconds from this tracer's creation to `at` (0 for an earlier
+    /// instant, or when disabled).
+    pub fn offset_us(&self, at: Instant) -> u64 {
+        self.inner.as_ref().map_or(0, |inner| {
+            let micros = at.saturating_duration_since(inner.epoch).as_micros();
+            u64::try_from(micros).unwrap_or(u64::MAX)
+        })
+    }
+
+    /// A new span context in `parent`'s trace: the same trace id and a
+    /// fresh nonzero span id from this tracer's sequence.
+    /// [`TraceContext::NONE`] for an inactive parent or a disabled tracer.
+    pub fn child(&self, parent: TraceContext) -> TraceContext {
+        match &self.inner {
+            Some(inner) if parent.is_active() => TraceContext {
+                span_id: inner.next_span_id(),
+                ..parent
+            },
+            _ => TraceContext::NONE,
+        }
+    }
+
+    /// Records one finished span of `parent`'s trace, covering `span_us` on
+    /// this tracer's clock, and returns the span's own context (to parent
+    /// further spans under it).
+    ///
+    /// With `root == None` the span gets a fresh id and hangs under
+    /// `parent.span_id`. A root whose id is already on the wire passes it
+    /// as `Some(id)` and hangs at parent 0. A no-op returning
+    /// [`TraceContext::NONE`] for an inactive `parent` or a disabled
+    /// tracer.
+    pub fn record(
+        &self,
+        parent: TraceContext,
+        root: Option<u64>,
+        name: &str,
+        span_us: Range<u64>,
+        attrs: Vec<(String, JsonValue)>,
+    ) -> TraceContext {
+        let Some(inner) = &self.inner else {
+            return TraceContext::NONE;
+        };
+        if !parent.is_active() {
+            return TraceContext::NONE;
+        }
+        let (span_id, parent_span_id) = match root {
+            Some(id) => (id, 0),
+            None => (inner.next_span_id(), parent.span_id),
+        };
+        let span = SpanRecord {
+            trace_id: parent.trace_id,
+            span_id,
+            parent_span_id,
+            name: name.to_string(),
+            start_us: span_us.start,
+            dur_us: span_us.end.saturating_sub(span_us.start),
+            attrs,
+        };
+        let mut traces = inner.traces.lock().expect("tracer poisoned");
+        match traces
+            .open
+            .iter_mut()
+            .find(|(id, _)| *id == parent.trace_id)
+        {
+            Some((_, spans)) => spans.push(span),
+            None => {
+                // A trace nobody finishes (its response write failed, or an
+                // in-process submission) must not pin memory forever.
+                if traces.open.len() == traces.capacity {
+                    traces.open.pop_front();
+                }
+                traces.open.push_back((parent.trace_id, vec![span]));
+            }
+        }
+        TraceContext { span_id, ..parent }
     }
 
     /// Finishes a trace: moves its spans into the ring as a
@@ -286,28 +401,23 @@ impl Tracer {
         let Some(inner) = &self.inner else {
             return;
         };
-        if trace_id == 0 {
-            return;
-        }
-        let mut inner = inner.lock().expect("tracer poisoned");
-        let Some(spans) = inner.open.remove(&trace_id) else {
+        let mut traces = inner.traces.lock().expect("tracer poisoned");
+        let Some(at) = traces.open.iter().position(|(id, _)| *id == trace_id) else {
             return;
         };
-        if spans.is_empty() {
-            return;
-        }
+        let (_, spans) = traces.open.remove(at).expect("position is in range");
         let trace = RequestTrace::assemble(trace_id, spans);
-        if inner.finished.len() == inner.capacity {
-            inner.finished.pop_front();
+        if traces.finished.len() == traces.capacity {
+            traces.finished.pop_front();
         }
-        inner.finished.push_back(trace);
+        traces.finished.push_back(trace);
     }
 
     /// A finished trace by id, if still in the ring.
     pub fn get(&self, trace_id: u128) -> Option<RequestTrace> {
         let inner = self.inner.as_ref()?;
-        let inner = inner.lock().expect("tracer poisoned");
-        inner
+        let traces = inner.traces.lock().expect("tracer poisoned");
+        traces
             .finished
             .iter()
             .find(|t| t.trace_id == trace_id)
@@ -318,6 +428,7 @@ impl Tracer {
     pub fn recent(&self) -> Vec<RequestTrace> {
         match &self.inner {
             Some(inner) => inner
+                .traces
                 .lock()
                 .expect("tracer poisoned")
                 .finished
@@ -339,7 +450,7 @@ impl Tracer {
     /// Number of finished traces currently held.
     pub fn len(&self) -> usize {
         match &self.inner {
-            Some(inner) => inner.lock().expect("tracer poisoned").finished.len(),
+            Some(inner) => inner.traces.lock().expect("tracer poisoned").finished.len(),
             None => 0,
         }
     }
@@ -350,26 +461,19 @@ impl Tracer {
     }
 }
 
-impl Default for Tracer {
-    /// The disabled handle.
-    fn default() -> Self {
-        Tracer::disabled()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+    use std::time::Duration;
+
     use super::*;
 
-    fn span(trace: u128, id: u64, parent: u64, name: &str, start: u64, dur: u64) -> SpanRecord {
-        SpanRecord {
+    /// An active context of trace `trace` whose current span is `span`.
+    fn ctx(trace: u128, span: u64) -> TraceContext {
+        TraceContext {
             trace_id: trace,
-            span_id: id,
-            parent_span_id: parent,
-            name: name.into(),
-            start_us: start,
-            dur_us: dur,
-            attrs: vec![],
+            span_id: span,
+            sampled: true,
         }
     }
 
@@ -389,52 +493,83 @@ mod tests {
 
     #[test]
     fn child_keeps_trace_id_and_none_stays_none() {
-        let mut state = 7u64;
-        let root = TraceContext::mint(&mut state);
-        let child = root.child(&mut state);
+        let tracer = Tracer::new();
+        let root = TraceContext::mint(&mut 7u64);
+        let child = tracer.child(root);
         assert_eq!(child.trace_id, root.trace_id);
         assert_ne!(child.span_id, root.span_id);
         assert!(child.sampled);
-        assert_eq!(TraceContext::NONE.child(&mut state), TraceContext::NONE);
+        assert_eq!(tracer.child(TraceContext::NONE), TraceContext::NONE);
+        assert_eq!(Tracer::disabled().child(root), TraceContext::NONE);
         assert!(!TraceContext::default().is_active());
+    }
+
+    #[test]
+    fn tracers_mint_distinct_span_ids() {
+        let root = ctx(1, 1);
+        let mut seen = HashSet::new();
+        for tracer in [Tracer::new(), Tracer::new()] {
+            for _ in 0..1000 {
+                let id = tracer.child(root).span_id;
+                assert_ne!(id, 0);
+                assert!(seen.insert(id), "span id {id:#x} minted twice");
+            }
+        }
+    }
+
+    #[test]
+    fn clock_counts_from_creation() {
+        let before = Instant::now();
+        let tracer = Tracer::new();
+        assert_eq!(tracer.offset_us(before), 0, "earlier instants clamp to 0");
+        let later = Instant::now() + Duration::from_millis(5);
+        assert!(tracer.offset_us(later) >= 5_000);
     }
 
     #[test]
     fn tracer_assembles_sorted_complete_trees() {
         let tracer = Tracer::new();
-        tracer.record_span(span(9, 2, 1, "solve", 50, 20));
-        tracer.record_span(span(9, 3, 1, "queue", 10, 30));
-        tracer.record_span(span(9, 1, 0, "request", 0, 100));
+        let root = ctx(9, 1);
+        let batch = tracer.record(root, None, "batch", 40..90, vec![]);
+        let solve = tracer.record(batch, None, "solve", 50..70, vec![]);
+        tracer.record(root, None, "queue", 10..40, vec![]);
+        tracer.record(root, Some(1), "request", 0..100, vec![]);
         tracer.finish(9);
         let trace = tracer.get(9).expect("finished trace is retrievable");
         assert_eq!(trace.total_us, 100);
         assert!(trace.is_complete());
         let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["request", "queue", "solve"], "sorted by start");
+        assert_eq!(
+            names,
+            ["request", "queue", "batch", "solve"],
+            "sorted by start"
+        );
         assert_eq!(trace.roots().count(), 1);
         assert_eq!(trace.children(1).count(), 2);
         assert_eq!(trace.find("queue").unwrap().dur_us, 30);
+        let solve_span = trace.find("solve").unwrap();
+        assert_eq!(solve_span.span_id, solve.span_id);
+        assert_eq!(solve_span.parent_span_id, batch.span_id);
     }
 
     #[test]
     fn orphan_spans_make_a_trace_incomplete() {
         let tracer = Tracer::new();
-        tracer.record_span(span(5, 1, 0, "request", 0, 10));
-        tracer.record_span(span(5, 7, 99, "stray", 1, 2)); // parent 99 missing
+        tracer.record(ctx(5, 1), Some(1), "request", 0..10, vec![]);
+        tracer.record(ctx(5, 99), None, "stray", 1..3, vec![]); // parent 99 missing
         tracer.finish(5);
         assert!(!tracer.get(5).unwrap().is_complete());
 
-        let tracer2 = Tracer::new();
-        tracer2.record_span(span(6, 2, 1, "child-without-root", 0, 1));
-        tracer2.finish(6);
-        assert!(!tracer2.get(6).unwrap().is_complete(), "no root span");
+        tracer.record(ctx(6, 1), None, "child-without-root", 0..1, vec![]);
+        tracer.finish(6);
+        assert!(!tracer.get(6).unwrap().is_complete(), "no root span");
     }
 
     #[test]
     fn ring_is_bounded_and_slowest_sorts() {
         let tracer = Tracer::with_capacity(3);
         for i in 1..=5u128 {
-            tracer.record_span(span(i, 1, 0, "request", 0, (i as u64) * 10));
+            tracer.record(ctx(i, 1), Some(1), "request", 0..(i as u64) * 10, vec![]);
             tracer.finish(i);
         }
         assert_eq!(tracer.len(), 3, "ring holds the most recent 3");
@@ -446,11 +581,33 @@ mod tests {
     }
 
     #[test]
+    fn open_traces_are_bounded_dropping_the_first_opened() {
+        let tracer = Tracer::with_capacity(2);
+        tracer.record(ctx(1, 1), Some(1), "request", 0..1, vec![]);
+        tracer.record(ctx(2, 1), Some(1), "request", 0..2, vec![]);
+        // A second span of an open trace opens nothing new.
+        tracer.record(ctx(1, 1), None, "queue", 0..1, vec![]);
+        // A third unfinished trace drops trace 1, the first opened.
+        tracer.record(ctx(3, 1), Some(1), "request", 0..3, vec![]);
+        for id in 1..=3 {
+            tracer.finish(id);
+        }
+        assert!(
+            tracer.get(1).is_none(),
+            "the first opened trace was dropped"
+        );
+        assert_eq!(tracer.get(2).unwrap().spans.len(), 1);
+        assert_eq!(tracer.get(3).unwrap().spans.len(), 1);
+    }
+
+    #[test]
     fn disabled_tracer_records_nothing() {
         let tracer = Tracer::disabled();
-        tracer.record_span(span(1, 1, 0, "request", 0, 1));
+        let recorded = tracer.record(ctx(1, 1), Some(1), "request", 0..1, vec![]);
+        assert_eq!(recorded, TraceContext::NONE);
         tracer.finish(1);
         assert!(!tracer.is_enabled());
+        assert_eq!(tracer.now_us(), 0);
         assert!(tracer.is_empty());
         assert!(tracer.get(1).is_none());
         assert!(tracer.slowest(10).is_empty());
@@ -459,9 +616,8 @@ mod tests {
     #[test]
     fn trace_json_carries_hex_id_and_spans() {
         let tracer = Tracer::new();
-        let mut s = span(0xAB, 1, 0, "request", 0, 42);
-        s.attrs.push(("attempt".into(), 1u64.into()));
-        tracer.record_span(s);
+        let attrs = vec![("attempt".into(), 1u64.into())];
+        tracer.record(ctx(0xAB, 1), Some(1), "request", 0..42, attrs);
         tracer.finish(0xAB);
         let json = tracer.get(0xAB).unwrap().to_json();
         assert_eq!(
@@ -482,8 +638,16 @@ mod tests {
         let tracer = Tracer::new();
         tracer.finish(77);
         assert!(tracer.is_empty());
-        tracer.record_span(span(0, 1, 0, "dropped", 0, 1)); // inactive trace id
+        let unsampled = TraceContext {
+            sampled: false,
+            ..ctx(8, 1)
+        };
+        for inactive in [TraceContext::NONE, unsampled] {
+            let recorded = tracer.record(inactive, None, "dropped", 0..1, vec![]);
+            assert_eq!(recorded, TraceContext::NONE);
+        }
         tracer.finish(0);
+        tracer.finish(8);
         assert!(tracer.is_empty());
     }
 }

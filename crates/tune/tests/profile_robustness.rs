@@ -174,6 +174,13 @@ proptest! {
     }
 }
 
+/// A document nested far deeper than any profile falls back instead of
+/// overflowing the parser's stack.
+#[test]
+fn deeply_nested_profile_falls_back() {
+    assert_total("[".repeat(200_000).as_bytes(), "deep").expect("the loader stays total");
+}
+
 #[test]
 fn version_bumped_schema_falls_back() {
     let bumped = Profile::new(Fingerprint::detect(), Tunables::default())

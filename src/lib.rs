@@ -17,8 +17,8 @@
 //!   spawn-once park/unpark workers, deterministic row partitions, and a
 //!   work-stealing tile queue;
 //! - [`telemetry`] — the dependency-free observability layer: metric
-//!   registry, span timers, event sinks (JSON lines, Chrome trace) and the
-//!   machine-readable [`telemetry::RunReport`];
+//!   registry, span timers, request traces and the machine-readable
+//!   [`telemetry::RunReport`];
 //! - [`service`] — the long-running request service: bounded admission
 //!   queue, micro-batching of compatible requests, per-request deadlines
 //!   with cooperative cancellation, priority lanes, graceful drain-based

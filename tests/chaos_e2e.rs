@@ -88,7 +88,7 @@ fn chaotic_server_still_serves_every_request_bit_identically() {
     let mut client = ResilientClient::connect_with(addr, config)
         .unwrap()
         .with_telemetry(client_telemetry.clone())
-        .with_tracer(handle.tracer().clone(), handle.epoch());
+        .with_tracer(handle.tracer().clone());
 
     let mut recovered_any = false;
     let mut trace_ids = Vec::new();

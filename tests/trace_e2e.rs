@@ -90,7 +90,7 @@ fn retried_and_replayed_request_has_a_complete_causal_span_tree() {
     // clock, so the merged tree is readable end to end.
     let mut client = ResilientClient::connect_with(server.local_addr(), config)
         .unwrap()
-        .with_tracer(handle.tracer().clone(), handle.epoch());
+        .with_tracer(handle.tracer().clone());
 
     let outcome = client
         .denoise(&input, &params, Priority::Interactive, None)
