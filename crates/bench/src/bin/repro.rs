@@ -15,6 +15,7 @@
 //! `--json table1` / `--json table2` restrict the report to that table.
 
 use std::env;
+use std::sync::Arc;
 
 use chambolle_bench::baselines::{
     best_baseline, PAPER_SPEEDUP_RANGE, TABLE2_BASELINES, TABLE2_PROPOSED,
@@ -25,7 +26,7 @@ use chambolle_bench::workloads::{measure_host_chambolle, timing_frame};
 use chambolle_core::dependency::{best_group_shape, cone_stats};
 use chambolle_core::{
     chambolle_denoise, chambolle_denoise_monitored, chambolle_denoise_monitored_with_ctx,
-    ChambolleParams, ExecCtx, TileConfig, TilePlan, TiledSolver, TvDenoiser, TvL1Params,
+    ChambolleParams, ExecCtx, ParallelSolver, TileConfig, TilePlan, TvDenoiser, TvL1Params,
     TvL1Solver,
 };
 use chambolle_fixed::{sqrt_accuracy, SqrtLut};
@@ -34,9 +35,10 @@ use chambolle_hwsim::{
     ChambolleAccel, DeviceCapacity, FaultConfig, FaultInjector, HwParams, PeArray, ResourceModel,
     SqrtKind, ThroughputModel,
 };
+use chambolle_par::ThreadPool;
 use chambolle_telemetry::json::JsonValue;
 use chambolle_telemetry::report::RunReport;
-use chambolle_telemetry::Telemetry;
+use chambolle_telemetry::{names, Telemetry};
 
 fn main() {
     let mut args: Vec<String> = env::args().skip(1).collect();
@@ -99,9 +101,10 @@ fn json_table_report(tool: &str, section: &str, value: JsonValue) -> RunReport {
 
 /// The default `--json` suite: runs instrumented versions of the fast
 /// experiments and collects every cross-crate metric the telemetry layer
-/// exposes — solver iterations and duality-gap trajectory, tiling redundancy,
-/// accelerator cycle and per-port BRAM counters, throughput-model gauges, and
-/// fault-recovery counters — into one schema-versioned report.
+/// exposes — solver iterations and duality-gap trajectory, pool scheduling,
+/// the paper geometry's halo redundancy, accelerator cycle and per-port BRAM
+/// counters, throughput-model gauges, and fault-recovery counters — into one
+/// schema-versioned report.
 fn json_full_report() -> RunReport {
     let telemetry = Telemetry::null();
 
@@ -130,12 +133,20 @@ fn json_full_report() -> RunReport {
             .collect(),
     );
 
-    // Tiling: the sliding-window solver on a multi-window frame (records
-    // rounds, window loads, and the halo-redundancy ratio).
+    // Parallel solve: the banded solver on a 2-thread pool (pool tasks,
+    // broadcasts and block spans). The halo-redundancy ratio is the paper
+    // geometry's window plan for the same frame.
     let v32 = timing_frame(256, 256);
-    let tiled = TiledSolver::new(TileConfig::new(92, 88, 2, 2).expect("valid config"))
-        .with_telemetry(telemetry.clone());
-    let _ = tiled.denoise(&v32, &ChambolleParams::paper(6));
+    let pool = Arc::new(ThreadPool::new(2).with_telemetry(telemetry.clone()));
+    let ctx = ExecCtx::default().with_telemetry(telemetry.clone());
+    let _ =
+        ParallelSolver::with_pool(pool).denoise_with_ctx(&v32, &ChambolleParams::paper(6), &ctx);
+    let plan = TilePlan::new(
+        v32.width(),
+        v32.height(),
+        TileConfig::paper_hardware(2).expect("valid config"),
+    );
+    telemetry.gauge_set(names::TILING_REDUNDANCY_RATIO, plan.redundancy_fraction());
 
     // Accelerator: a cycle-level two-window frame (cycle totals, per-port
     // BRAM access/idle counts, sqrt-LUT usage).

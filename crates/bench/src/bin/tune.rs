@@ -11,11 +11,12 @@
 //!
 //! Two searches run, one per workload family:
 //!
-//! 1. `tiled_denoise` — the solver knobs (tile geometry, merge depth K,
-//!    halo margin, pool width, band divisor, kernel backend) against the
-//!    tiled ROF denoise. Candidates are installed as the process-wide
-//!    schedule for the duration of their measurement, so the trial runs
-//!    through exactly the `Tunables`-reading paths production uses.
+//! 1. `banded_denoise` — the solver knobs (pool width, band divisor, kernel
+//!    backend, numerics tier) against the banded ROF denoise on a pool of
+//!    the candidate's `threads`, the solve the CLIs run. Candidates are
+//!    installed as the process-wide schedule for the duration of their
+//!    measurement, so the trial runs through exactly the `Tunables`-reading
+//!    paths production uses.
 //! 2. `service_replay` — the service knobs (micro-batch window, admission
 //!    watermarks) against an open-loop in-process request replay.
 //!
@@ -36,7 +37,7 @@ use std::time::Instant;
 use chambolle_bench::tunereport::{parse_args, validate_tuning, Args, BENCH_TUNING, SCHEMA};
 use chambolle_bench::workloads::timing_frame;
 use chambolle_core::{
-    rof_energy, ChambolleParams, ExecCtx, NumericsPolicy, TileConfig, TiledSolver, TvDenoiser,
+    rof_energy, ChambolleParams, ExecCtx, NumericsPolicy, ParallelSolver, TvDenoiser,
 };
 use chambolle_imaging::Image;
 use chambolle_par::ThreadPool;
@@ -72,7 +73,7 @@ fn main() {
 
     let solver = search_solver_knobs(&args, max_threads, &telemetry)
         .unwrap_or_else(|| abort("solver baseline could not be measured"));
-    report_outcome("tiled_denoise", &solver);
+    report_outcome("banded_denoise", &solver);
     let service = search_service_knobs(&args, &telemetry)
         .unwrap_or_else(|| abort("service baseline could not be measured"));
     report_outcome("service_replay", &service);
@@ -153,7 +154,7 @@ fn main() {
         (
             "workloads".into(),
             JsonValue::Array(vec![
-                outcome_to_json("tiled_denoise", &solver),
+                outcome_to_json("banded_denoise", &solver),
                 outcome_to_json("service_replay", &service),
             ]),
         ),
@@ -241,14 +242,17 @@ fn with_installed<T>(t: &Tunables, f: impl FnOnce() -> T) -> Option<T> {
     Some(out)
 }
 
-/// One timed tiled denoise under the candidate schedule, in milliseconds.
-/// The solver is built from `TileConfig::default()` *after* installation,
-/// so the measurement exercises the same `Tunables`-reading path every
-/// production entry point uses.
+/// The banded solver on a pool of the candidate's `threads`.
+fn banded_solver(t: &Tunables) -> ParallelSolver {
+    ParallelSolver::with_pool(Arc::new(ThreadPool::new(t.threads)))
+}
+
+/// One timed banded denoise under the candidate schedule, in milliseconds.
+/// The solve runs *after* installation, so the measurement exercises the
+/// same `Tunables`-reading path every production entry point uses.
 fn time_denoise(t: &Tunables, frame: &Image, params: &ChambolleParams) -> Option<f64> {
     with_installed(t, || {
-        let pool = Arc::new(ThreadPool::new(t.threads));
-        let solver = TiledSolver::new(TileConfig::default()).with_pool(pool);
+        let solver = banded_solver(t);
         let start = Instant::now();
         let u = solver.denoise(frame, params);
         let ms = start.elapsed().as_secs_f64() * 1e3;
@@ -268,8 +272,8 @@ fn search_solver_knobs(
         SearchSpace::full(max_threads)
     };
     // The proxy is a small frame at few iterations — enough to rank
-    // schedules; the full measurement uses a heavier frame so window and
-    // pool overheads are amortized the way real runs amortize them.
+    // schedules; the full measurement uses a heavier frame so pool
+    // overheads are amortized the way real runs amortize them.
     let proxy_frame = timing_frame(64, 56);
     let proxy_params = ChambolleParams::with_iterations(6);
     let (fw, fh, fi) = if args.smoke {
@@ -353,11 +357,8 @@ fn solve_at_tier(
     params: &ChambolleParams,
 ) -> Option<Image> {
     with_installed(t, || {
-        let pool = Arc::new(ThreadPool::new(t.threads));
         let ctx = ExecCtx::default().with_numerics(tier);
-        TiledSolver::new(TileConfig::default())
-            .with_pool(pool)
-            .denoise_with_ctx(frame, params, &ctx)
+        banded_solver(t).denoise_with_ctx(frame, params, &ctx)
     })
 }
 

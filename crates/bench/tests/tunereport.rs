@@ -28,26 +28,34 @@ fn tune_flags_round_trip_through_the_public_parser() {
     assert!(parse_args(&strings(&["--bogus"])).is_err());
 }
 
-/// A real search over the smoke solver grid, driven by a synthetic cost so
-/// the test is fast and deterministic.
-fn searched_outcome() -> SearchOutcome {
-    let cost = |t: &Tunables| {
-        t.validate().ok()?;
-        Some((t.tile_width as f64 - 128.0).abs() + t.halo_margin as f64 + 10.0)
+/// Real searches over the smoke solver grid and the smoke service grid,
+/// as the binary runs them, driven by a synthetic cost so the test is fast
+/// and deterministic.
+fn searched_outcomes() -> (SearchOutcome, SearchOutcome) {
+    let search = |space: &SearchSpace| {
+        let cost = |t: &Tunables| {
+            t.validate().ok()?;
+            Some(t.threads.abs_diff(4) as f64 + t.batch_window as f64 + 10.0)
+        };
+        coordinate_descent(
+            space,
+            Tunables::default(),
+            &SearchOptions::default(),
+            &Telemetry::disabled(),
+            &mut cost.clone(),
+            &mut cost.clone(),
+        )
+        .expect("measurable baseline")
     };
-    coordinate_descent(
-        &SearchSpace::smoke(4),
-        Tunables::default(),
-        &SearchOptions::default(),
-        &Telemetry::disabled(),
-        &mut cost.clone(),
-        &mut cost.clone(),
+    (
+        search(&SearchSpace::smoke(4)),
+        search(&SearchSpace::service(true)),
     )
-    .expect("measurable baseline")
 }
 
-/// Assembles the pr9 document the binary emits from a search outcome.
-fn pr9_doc(outcome: &SearchOutcome) -> JsonValue {
+/// Assembles the pr9 document the binary emits from its two search
+/// outcomes.
+fn pr9_doc((solver, service): &(SearchOutcome, SearchOutcome)) -> JsonValue {
     let workload = |name: &str, o: &SearchOutcome| {
         JsonValue::Object(vec![
             ("name".into(), name.into()),
@@ -72,13 +80,16 @@ fn pr9_doc(outcome: &SearchOutcome) -> JsonValue {
         ("fingerprint".into(), Fingerprint::detect().to_json()),
         (
             "workloads".into(),
-            JsonValue::Array(vec![workload("tiled_denoise", outcome)]),
+            JsonValue::Array(vec![
+                workload("banded_denoise", solver),
+                workload("service_replay", service),
+            ]),
         ),
         (
             "dimensions_searched_total".into(),
-            (outcome.dimensions_searched as u64).into(),
+            ((solver.dimensions_searched + service.dimensions_searched) as u64).into(),
         ),
-        ("best".into(), outcome.best.to_json()),
+        ("best".into(), solver.best.to_json()),
         (
             "profile".into(),
             JsonValue::Object(vec![
@@ -94,19 +105,21 @@ fn pr9_doc(outcome: &SearchOutcome) -> JsonValue {
 
 #[test]
 fn a_document_from_a_real_search_outcome_validates() {
-    let outcome = searched_outcome();
+    let outcomes = searched_outcomes();
+    let (solver, service) = &outcomes;
     assert!(
-        outcome.dimensions_searched >= MIN_DIMENSIONS,
-        "the smoke grid must satisfy the dimension floor"
+        solver.dimensions_searched + service.dimensions_searched >= MIN_DIMENSIONS,
+        "the smoke grids must satisfy the dimension floor together"
     );
-    let text = pr9_doc(&outcome).to_string_pretty();
+    let text = pr9_doc(&outcomes).to_string_pretty();
     validate_tuning(&text).expect("pr9 document validates");
 }
 
 #[test]
 fn the_validator_rejects_broken_attestations() {
-    let outcome = searched_outcome();
-    let good = pr9_doc(&outcome).to_string_pretty();
+    let outcomes = searched_outcomes();
+    let (solver, service) = &outcomes;
+    let good = pr9_doc(&outcomes).to_string_pretty();
 
     // Wrong bench identifier.
     let wrong_bench = good.replace("\"pr9\"", "\"pr8\"");
@@ -115,7 +128,7 @@ fn the_validator_rejects_broken_attestations() {
     // Too few searched dimensions.
     let dims = format!(
         "\"dimensions_searched_total\": {}",
-        outcome.dimensions_searched
+        solver.dimensions_searched + service.dimensions_searched
     );
     let shallow = good.replace(&dims, "\"dimensions_searched_total\": 2");
     assert!(

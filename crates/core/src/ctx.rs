@@ -4,7 +4,7 @@
 //! registry, cancellation token and [`KernelBackend`] — and every solve
 //! family exposes a single `*_with_ctx` entry point taking it, instead of
 //! one twin per capability. The plain forms (`chambolle_denoise`,
-//! `chambolle_iterate_tiled`, ...) build an inert context and delegate.
+//! `chambolle_iterate`, ...) build an inert context and delegate.
 //!
 //! [`ExecCtx::default`] is fully inert: no pool (sequential execution),
 //! disabled telemetry (a single branch per probe), no cancellation. The
@@ -41,7 +41,6 @@ use chambolle_telemetry::Telemetry;
 use chambolle_tune::{NumericsChoice, Tunables};
 
 use crate::cancel::{CancelToken, Cancelled};
-use crate::tiling::TileConfig;
 
 /// Environment variable that overrides the process-wide numerics tier
 /// (`exact` or `fast`).
@@ -287,9 +286,8 @@ impl ExecCtx {
             .with_pool(pool)
     }
 
-    /// An otherwise-inert context running the schedule in `tunables`;
-    /// [`ExecCtx::tile_config`] reflects its tile geometry. No pool is
-    /// attached (callers that want the tuned pool width use
+    /// An otherwise-inert context running the schedule in `tunables`. No
+    /// pool is attached (callers that want the tuned pool width use
     /// [`ExecCtx::auto`] or attach one explicitly).
     ///
     /// - The kernel backend is the tunables' `backend` knob: an explicit
@@ -418,15 +416,6 @@ impl ExecCtx {
     /// The schedule knobs this context was built from.
     pub fn tunables(&self) -> &Tunables {
         &self.tunables
-    }
-
-    /// The tiled-solver geometry the context's tunables select.
-    ///
-    /// Falls back to [`TileConfig::default`] if the tunables' tile knobs
-    /// are somehow unconstructible (cannot happen for tunables that passed
-    /// [`Tunables::validate`], which every install and profile load does).
-    pub fn tile_config(&self) -> TileConfig {
-        TileConfig::from_tunables(&self.tunables).unwrap_or_default()
     }
 
     /// The iteration budget a solve asking for `requested` iterations gets

@@ -1,7 +1,7 @@
 //! Guarded solver pipeline: input validation, divergence detection, and
 //! graceful degradation for the Chambolle/TV-L1 stack.
 //!
-//! The unguarded solvers ([`crate::solver`], [`crate::tiling`]) assume
+//! The unguarded solvers ([`crate::solver`]) assume
 //! well-formed inputs and a fault-free substrate; a single NaN or corrupted
 //! intermediate silently poisons the whole output. This module adds the
 //! error-handling architecture around them:
@@ -36,7 +36,6 @@ use crate::ctx::ExecCtx;
 use crate::diagnostics::{chambolle_denoise_monitored, SolveReport};
 use crate::params::{ChambolleParams, InvalidParamsError};
 use crate::solver::{chambolle_denoise_with_ctx, rof_energy, SequentialSolver, TvDenoiser};
-use crate::tiling::{TileConfig, TiledSolver};
 
 /// One corrective step taken by a guarded solver path.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -372,7 +371,7 @@ pub fn output_is_valid(u: &Grid<f32>, v: &Grid<f32>, theta: f32, check_energy: b
 /// A [`TvDenoiser`] wrapper adding validation, bounded retries, and fallback
 /// to a reference backend.
 ///
-/// `P` is the primary backend (tiled solver, FPGA simulator, ...); `F` is
+/// `P` is the primary backend (banded solver, FPGA simulator, ...); `F` is
 /// the fallback, by default the [`SequentialSolver`] reference. On every
 /// solve the input is scrubbed, the primary output validated, invalid
 /// outputs retried up to [`RecoveryPolicy::max_retries`] times, and finally
@@ -393,14 +392,6 @@ impl<P: TvDenoiser> GuardedDenoiser<P, SequentialSolver> {
             fallback: SequentialSolver::new(),
             policy: RecoveryPolicy::default(),
         }
-    }
-}
-
-impl GuardedDenoiser<TiledSolver, SequentialSolver> {
-    /// Guards a tiled solver with the given window configuration — the
-    /// tiled→sequential degradation pair of the paper's software stack.
-    pub fn tiled(config: TileConfig) -> Self {
-        GuardedDenoiser::new(TiledSolver::new(config))
     }
 }
 
@@ -637,7 +628,7 @@ fn solve_diverged(solve: &SolveReport<f32>) -> bool {
 mod tests {
     use super::*;
     use crate::cancel::CancelToken;
-    use crate::solver::chambolle_denoise;
+    use crate::solver::{chambolle_denoise, ParallelSolver};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn noisy(w: usize, h: usize, seed: u64) -> Grid<f32> {
@@ -726,12 +717,11 @@ mod tests {
     #[test]
     fn clean_solve_has_clean_report() {
         let v = noisy(20, 16, 2);
-        let guard = GuardedDenoiser::tiled(TileConfig::new(12, 10, 2, 2).unwrap());
+        let guard = GuardedDenoiser::new(ParallelSolver::new(2));
         let (u, report) = guard.denoise_checked(&v, &params(15)).unwrap();
         assert!(report.is_clean());
-        // Same result as the unguarded tiled solver (no behavioral change).
-        let plain =
-            TiledSolver::new(TileConfig::new(12, 10, 2, 2).unwrap()).denoise(&v, &params(15));
+        // Same result as the unguarded banded solver (no behavioral change).
+        let plain = ParallelSolver::new(2).denoise(&v, &params(15));
         assert_eq!(u.as_slice(), plain.as_slice());
     }
 
@@ -821,7 +811,7 @@ mod tests {
     fn trait_denoise_never_panics_or_poisons() {
         let mut v = noisy(10, 8, 7);
         v[(0, 0)] = f32::NAN;
-        let guard = GuardedDenoiser::tiled(TileConfig::new(8, 8, 1, 1).unwrap());
+        let guard = GuardedDenoiser::new(ParallelSolver::new(1));
         let u = guard.denoise(&v, &params(8));
         assert!(u.as_slice().iter().all(|x| x.is_finite()));
         assert_eq!(guard.name(), "guarded");

@@ -5,13 +5,15 @@
 //! The crate contains:
 //!
 //! - [`ops`] — the discrete gradient/divergence operators of Algorithm 1;
-//! - [`solver`] — the sequential Chambolle fixed-point iteration
-//!   ([`chambolle_denoise`]) plus the [`TvDenoiser`] backend abstraction;
+//! - [`solver`] — the Chambolle fixed-point iteration
+//!   ([`chambolle_denoise`]), the [`TvDenoiser`] backend abstraction, and
+//!   [`ParallelSolver`], the paper's loop decomposition on a CPU: row
+//!   bands with K halo rows above and K+1 below per block of iterations,
+//!   bit-identical to the sequential solver;
 //! - [`dependency`] — the Figure-1 dependency-cone analysis that justifies
 //!   loop decomposition and the sliding-window halo;
-//! - [`tiling`] — the paper's contribution: the loop-decomposed,
-//!   sliding-window parallel solver ([`chambolle_iterate_tiled`],
-//!   [`TiledSolver`]), bit-identical to the sequential solver;
+//! - [`tiling`] — the paper's 2-D sliding-window geometry ([`TileConfig`],
+//!   [`TilePlan`]) that the hardware simulator plans its windows with;
 //! - [`tvl1`] — the TV-L1 optical-flow outer loop ([`TvL1Solver`]) with
 //!   profiling that reproduces the "~90% of time in Chambolle" claim;
 //! - [`guard`] — the guarded solver pipeline: input scrubbing, divergence
@@ -36,13 +38,12 @@
 //!
 //! # Examples
 //!
-//! Denoise an image with the tiled parallel solver and verify it matches the
-//! sequential reference exactly:
+//! Denoise an image with the banded parallel solver and verify it matches
+//! the sequential reference exactly:
 //!
 //! ```
 //! use chambolle_core::{
-//!     ChambolleParams, ExecCtx, NumericsPolicy, SequentialSolver, TileConfig, TiledSolver,
-//!     TvDenoiser,
+//!     ChambolleParams, ExecCtx, NumericsPolicy, ParallelSolver, SequentialSolver, TvDenoiser,
 //! };
 //! use chambolle_imaging::Grid;
 //!
@@ -52,10 +53,8 @@
 //! // here so the example holds even under `CHAMBOLLE_NUMERICS=fast`).
 //! let exact = ExecCtx::default().with_numerics(NumericsPolicy::Exact);
 //! let seq = SequentialSolver::new().denoise_with_ctx(&v, &params, &exact);
-//! let tiled =
-//!     TiledSolver::new(TileConfig::new(24, 24, 2, 2)?).denoise_with_ctx(&v, &params, &exact);
-//! assert_eq!(seq.as_slice(), tiled.as_slice());
-//! # Ok::<(), chambolle_core::InvalidParamsError>(())
+//! let banded = ParallelSolver::new(2).denoise_with_ctx(&v, &params, &exact);
+//! assert_eq!(seq.as_slice(), banded.as_slice());
 //! ```
 
 #![warn(missing_docs)]
@@ -100,10 +99,7 @@ pub use solver::{
     recover_u, rof_energy, try_rof_energy, Convention, DualField, ParallelSolver, SequentialSolver,
     TvDenoiser,
 };
-pub use tiling::{
-    chambolle_iterate_tiled, chambolle_iterate_tiled_with_ctx, Tile, TileConfig, TilePlan,
-    TiledSolver,
-};
+pub use tiling::{chambolle_iterate_tiled_with_ctx, Tile, TileConfig, TilePlan};
 pub use tvl1::{threshold_step, FlowError, FlowStats, TvL1Solver, VideoFlowTracker};
 pub use weighted::{
     chambolle_denoise_weighted, chambolle_denoise_weighted_with_ctx, edge_stopping_weights,

@@ -12,9 +12,9 @@
 //! ```
 //!
 //! and finally `u = v − θ·div p`. The per-cell arithmetic lives in
-//! [`compute_term_into`] / [`update_p_inplace`], which the tiled parallel
-//! solver reuses verbatim so that tiled and sequential results are
-//! **bit-identical** on profitable cells.
+//! [`compute_term_into`] / [`update_p_inplace`]; the parallel schedules run
+//! the same arithmetic, so their results are **bit-identical** to the
+//! sequential ones.
 
 use std::sync::Arc;
 
@@ -674,7 +674,7 @@ pub fn try_rof_energy<R: Real>(
 }
 
 /// Something that can run the Chambolle inner solve of TV-L1: the sequential
-/// reference, the tiled parallel solver, or the FPGA cycle simulator.
+/// reference, the banded parallel solver, or the FPGA cycle simulator.
 ///
 /// The solve is per-component (`u1` from `v1`, `u2` from `v2`), exactly as
 /// the paper's hardware instantiates one PE array per component. The TV-L1
@@ -868,8 +868,8 @@ impl ParallelSolver {
         }
     }
 
-    /// Creates a solver sharing an existing pool (e.g. with the tiled
-    /// solver or the TV-L1 pipeline).
+    /// Creates a solver sharing an existing pool (e.g. with the TV-L1
+    /// pipeline).
     pub fn with_pool(pool: Arc<ThreadPool>) -> Self {
         ParallelSolver { pool }
     }

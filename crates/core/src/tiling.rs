@@ -1,5 +1,5 @@
 //! Loop decomposition + sliding windows: the paper's parallelization of the
-//! Chambolle iteration (Section III).
+//! Chambolle iteration (Section III), as 2-D window geometry.
 //!
 //! The frame is divided into overlapping sub-matrices. Each window runs
 //! `merge_factor` (K) iterations *locally*; by the dependency analysis in
@@ -14,35 +14,37 @@
 //! further per iteration than the data cone alone.
 //! The profitable regions are chosen to partition the frame, so stitching
 //! them back reconstructs the global state after K iterations, and the
-//! process repeats for ⌈N / K⌉ rounds. Windows are independent within a
-//! round and are processed by a pool of worker threads (the hardware's two
-//! concurrent sliding windows; here: any number of CPU threads).
+//! process repeats for ⌈N / K⌉ rounds.
 //!
-//! Because the per-cell arithmetic is shared with the sequential solver
-//! ([`crate::solver::compute_term_into`] / [`crate::solver::update_p_inplace`]),
-//! the tiled result is **bit-identical** to the sequential one — the paper's
-//! redundancy is extra *computation*, never a different *result*.
+//! [`TileConfig`] and [`TilePlan`] are that geometry; the hardware
+//! simulator's accelerator, timing model and fault injector plan their
+//! windows with them. The software solvers do not slide 2-D windows: the
+//! banded solver of [`crate::solver`] is the CPU form of the same
+//! decomposition (K halo rows above and K+1 below each band per block of
+//! iterations), and it is faster at every frame size.
+//! [`chambolle_iterate_tiled_with_ctx`] keeps a pooled f32 window executor
+//! so the benchmark's solver probe can still time the 2-D schedule against
+//! the bands; it is bit-identical to the sequential solver, because the
+//! per-cell arithmetic is shared ([`crate::kernels`]).
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use chambolle_imaging::Grid;
 use chambolle_par::{KernelBackend, ThreadPool, UnsafeSharedSlice};
-use chambolle_telemetry::{names, Telemetry};
+use chambolle_telemetry::names;
 
 use crate::cancel::Cancelled;
 use crate::ctx::{ExecCtx, NumericsPolicy};
 use crate::kernels::{band_iteration, BandHalo};
 use crate::params::{ChambolleParams, InvalidParamsError};
 use crate::real::Real;
-use crate::solver::{recover_u, DualField, TvDenoiser};
+use crate::solver::DualField;
 
-/// Geometry and scheduling parameters of the tiled solver.
+/// Geometry and scheduling parameters of a sliding-window decomposition.
 ///
-/// The defaults mirror the hardware: 92×88 sub-matrices (Section IV) and two
-/// concurrent windows — unless a tuning profile is active, in which case
-/// [`TileConfig::default`] reflects the tuned schedule
-/// (see [`chambolle_tune`]).
+/// [`TileConfig::default`] is the hardware's: 92×88 sub-matrices
+/// (Section IV), K = 2, and two concurrent windows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileConfig {
     /// Sub-matrix width in cells (the paper's 92 columns).
@@ -52,12 +54,6 @@ pub struct TileConfig {
     /// Iterations merged per window pass (K). The halo is K cells on the
     /// leading sides and K+1 on the trailing sides (see the module docs).
     pub merge_factor: u32,
-    /// Extra halo cells on every side beyond the exactness-required
-    /// K / K+1. Pure redundancy: a wider halo trades larger windows for
-    /// fewer of them without moving the profitable-region guarantee —
-    /// corruption still travels at most K (leading) / K+1 (trailing)
-    /// cells per pass, strictly inside the enlarged halo.
-    pub halo_margin: usize,
     /// Worker threads processing windows concurrently (the hardware has 2
     /// sliding windows).
     pub threads: usize,
@@ -100,40 +96,8 @@ impl TileConfig {
             tile_width,
             tile_height,
             merge_factor,
-            halo_margin: 0,
             threads,
         })
-    }
-
-    /// Copy of the configuration with `halo_margin` extra halo cells per
-    /// side (see the field docs — schedule only, never bits).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidParamsError`] if the widened halo leaves no
-    /// profitable interior (`2(K + margin) + 1 >= tile dimension`).
-    pub fn with_halo_margin(mut self, halo_margin: usize) -> Result<Self, InvalidParamsError> {
-        let halo = 2 * (self.merge_factor as usize + halo_margin) + 1;
-        if halo >= self.tile_width || halo >= self.tile_height {
-            return Err(InvalidParamsError::new(format!(
-                "halo 2(K+margin)+1 = {halo} leaves no profitable interior in a {}x{} tile",
-                self.tile_width, self.tile_height
-            )));
-        }
-        self.halo_margin = halo_margin;
-        Ok(self)
-    }
-
-    /// The tiled-solver geometry a set of schedule knobs selects.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidParamsError`] for knob combinations that fail
-    /// [`TileConfig::new`] — impossible for tunables that passed
-    /// [`chambolle_tune::Tunables::validate`].
-    pub fn from_tunables(t: &chambolle_tune::Tunables) -> Result<Self, InvalidParamsError> {
-        TileConfig::new(t.tile_width, t.tile_height, t.merge_factor, t.threads)?
-            .with_halo_margin(t.halo_margin)
     }
 
     /// The paper's hardware geometry: 92×88 windows, two of them, with the
@@ -147,15 +111,13 @@ impl TileConfig {
         TileConfig::new(92, 88, merge_factor, 2)
     }
 
-    /// Halo cells on the leading (left/top) window sides: K plus the
-    /// margin.
+    /// Halo cells on the leading (left/top) window sides: K.
     pub fn leading_halo(&self) -> usize {
-        self.merge_factor as usize + self.halo_margin
+        self.merge_factor as usize
     }
 
-    /// Halo cells on the trailing (right/bottom) window sides: K+1 plus
-    /// the margin (the divergence boundary rule costs one extra cell, see
-    /// the module docs).
+    /// Halo cells on the trailing (right/bottom) window sides: K+1 (the
+    /// divergence boundary rule costs one extra cell, see the module docs).
     pub fn trailing_halo(&self) -> usize {
         self.leading_halo() + 1
     }
@@ -173,12 +135,10 @@ impl TileConfig {
 }
 
 impl Default for TileConfig {
-    /// The process-wide active schedule ([`chambolle_tune::active`]):
-    /// 92×88 tiles, K = 2, no extra halo, two worker threads unless a
-    /// tuning profile says otherwise.
+    /// The paper's hardware geometry at K = 2
+    /// ([`TileConfig::paper_hardware`]).
     fn default() -> Self {
-        TileConfig::from_tunables(&chambolle_tune::active())
-            .unwrap_or_else(|_| TileConfig::paper_hardware(2).expect("paper geometry is valid"))
+        TileConfig::paper_hardware(2).expect("paper geometry is valid")
     }
 }
 
@@ -322,30 +282,9 @@ impl fmt::Display for TilePlan {
     }
 }
 
-/// Runs `iterations` Chambolle iterations on `p` using the tiled parallel
-/// scheme; the result is bit-identical to
-/// [`crate::solver::chambolle_iterate`].
-///
-/// Spawns one worker pool with `config.threads` workers for the whole call
-/// (not one set of threads per round — attach a longer-lived pool to the
-/// context of [`chambolle_iterate_tiled_with_ctx`] to share it).
-///
-/// # Panics
-///
-/// Panics if `p` and `v` dimensions differ.
-pub fn chambolle_iterate_tiled<R: Real>(
-    p: &mut DualField<R>,
-    v: &Grid<R>,
-    params: &ChambolleParams,
-    iterations: u32,
-    config: &TileConfig,
-) {
-    chambolle_iterate_tiled_with_ctx(p, v, params, iterations, config, &ExecCtx::default())
-        .expect("an inert context carries no cancellation token");
-}
-
-/// The consolidated tiled entry point: one [`ExecCtx`] carries the pool,
-/// telemetry, cancellation token and kernel backend.
+/// Runs `iterations` Chambolle iterations on `p` over sliding 2-D windows;
+/// one [`ExecCtx`] carries the pool, telemetry, cancellation token and
+/// kernel backend.
 ///
 /// With a pool attached the windows run on it (its worker count takes
 /// precedence over `config.threads`); without one, a pool with
@@ -561,103 +500,14 @@ fn process_window_fused<R: Real>(
     }
 }
 
-/// The tiled parallel Chambolle solver as a [`TvDenoiser`] backend.
-///
-/// By default each `denoise` call spawns its own short-lived pool with
-/// `config.threads` workers; attach a persistent pool with
-/// [`TiledSolver::with_pool`] to amortize thread startup across calls
-/// (e.g. over a whole TV-L1 pyramid).
-#[derive(Debug, Clone, Default)]
-pub struct TiledSolver {
-    config: TileConfig,
-    telemetry: Telemetry,
-    pool: Option<Arc<ThreadPool>>,
-}
-
-impl TiledSolver {
-    /// Creates a tiled solver with the given window configuration.
-    pub fn new(config: TileConfig) -> Self {
-        TiledSolver {
-            config,
-            telemetry: Telemetry::disabled(),
-            pool: None,
-        }
-    }
-
-    /// Copy of the solver emitting metrics and round spans into `telemetry`
-    /// on every [`TvDenoiser::denoise`] call.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Copy of the solver running its windows on `pool` instead of spawning
-    /// a pool per call. The pool's worker count takes precedence over
-    /// `config.threads`.
-    pub fn with_pool(mut self, pool: Arc<ThreadPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// The window configuration in use.
-    pub fn config(&self) -> &TileConfig {
-        &self.config
-    }
-}
-
-impl TvDenoiser for TiledSolver {
-    fn denoise(&self, v: &Grid<f32>, params: &ChambolleParams) -> Grid<f32> {
-        let _span = self.telemetry.span("tiling.denoise");
-        let mut p = DualField::zeros(v.width(), v.height());
-        let mut ctx = ExecCtx::default().with_telemetry(self.telemetry.clone());
-        if let Some(pool) = &self.pool {
-            ctx = ctx.with_pool(Arc::clone(pool));
-        }
-        chambolle_iterate_tiled_with_ctx(&mut p, v, params, params.iterations, &self.config, &ctx)
-            .expect("a context without a token cannot be cancelled");
-        recover_u(v, &p, params.theta)
-    }
-
-    fn denoise_with_ctx(
-        &self,
-        v: &Grid<f32>,
-        params: &ChambolleParams,
-        ctx: &ExecCtx,
-    ) -> Grid<f32> {
-        let _span = self.telemetry.span("tiling.denoise");
-        let mut p = DualField::zeros(v.width(), v.height());
-        // Keep this solver's schedule (config, pool, telemetry) but honor the
-        // caller's kernel backend and numerics tier.
-        let mut tiled_ctx = ExecCtx::default()
-            .with_telemetry(self.telemetry.clone())
-            .with_backend(ctx.backend())
-            .with_numerics(ctx.numerics());
-        if let Some(pool) = &self.pool {
-            tiled_ctx = tiled_ctx.with_pool(Arc::clone(pool));
-        }
-        chambolle_iterate_tiled_with_ctx(
-            &mut p,
-            v,
-            params,
-            params.iterations,
-            &self.config,
-            &tiled_ctx,
-        )
-        .expect("a context without a token cannot be cancelled");
-        recover_u(v, &p, params.theta)
-    }
-
-    fn name(&self) -> &str {
-        "tiled"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::solver::chambolle_iterate_with_ctx;
+    use chambolle_telemetry::Telemetry;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::sync::Arc;
 
     fn params(iters: u32) -> ChambolleParams {
         ChambolleParams::paper(iters)
@@ -686,7 +536,7 @@ mod tests {
     }
 
     /// Checks that every non-frame-border side of the window has its full
-    /// halo (K+margin leading, K+margin+1 trailing).
+    /// halo (K leading, K+1 trailing).
     fn window_halo_is_full(tile: &Tile, plan: &TilePlan) -> bool {
         let lead = plan.config().leading_halo();
         let trail = plan.config().trailing_halo();
@@ -739,65 +589,10 @@ mod tests {
         assert!(TileConfig::new(10, 10, 5, 1).is_err()); // halo swallows tile
         assert!(TileConfig::new(10, 10, 4, 1).is_ok()); // 2K+1 = 9 < 10
         assert!(TileConfig::paper_hardware(2).is_ok());
-        // Margin validation: 2(1+3)+1 = 9 < 10 fits, 2(1+4)+1 = 11 doesn't.
-        assert!(TileConfig::new(10, 10, 1, 1)
-            .unwrap()
-            .with_halo_margin(3)
-            .is_ok());
-        assert!(TileConfig::new(10, 10, 1, 1)
-            .unwrap()
-            .with_halo_margin(4)
-            .is_err());
-    }
-
-    #[test]
-    fn config_from_tunables_mirrors_every_knob() {
-        let t = chambolle_tune::Tunables {
-            tile_width: 30,
-            tile_height: 26,
-            merge_factor: 3,
-            halo_margin: 2,
-            threads: 5,
-            ..chambolle_tune::Tunables::default()
-        };
-        let cfg = TileConfig::from_tunables(&t).unwrap();
-        assert_eq!((cfg.tile_width, cfg.tile_height), (30, 26));
-        assert_eq!(cfg.merge_factor, 3);
-        assert_eq!(cfg.halo_margin, 2);
-        assert_eq!(cfg.threads, 5);
-        assert_eq!(cfg.leading_halo(), 5);
-        assert_eq!(cfg.trailing_halo(), 6);
-        // The default tunables reproduce the historical default geometry.
         assert_eq!(
-            TileConfig::from_tunables(&chambolle_tune::Tunables::default()).unwrap(),
+            TileConfig::default(),
             TileConfig::paper_hardware(2).unwrap()
         );
-    }
-
-    #[test]
-    fn halo_margin_is_pure_redundancy_bit_exact() {
-        let v = random_image(61, 47, 9);
-        let pr = params(11);
-        let mut p_seq = DualField::zeros(61, 47);
-        iterate_exact(&mut p_seq, &v, &pr, 11);
-        for margin in [0usize, 1, 2, 4] {
-            let cfg = TileConfig::new(24, 20, 2, 2)
-                .unwrap()
-                .with_halo_margin(margin)
-                .unwrap();
-            let plan = TilePlan::new(61, 47, cfg);
-            for t in plan.tiles() {
-                assert!(window_halo_is_full(t, &plan), "margin {margin}: {t:?}");
-            }
-            let mut p_tiled = DualField::zeros(61, 47);
-            iterate_tiled_exact(&mut p_tiled, &v, &pr, 11, &cfg);
-            assert_eq!(
-                p_seq.px.as_slice(),
-                p_tiled.px.as_slice(),
-                "margin {margin} changed px bits"
-            );
-            assert_eq!(p_seq.py.as_slice(), p_tiled.py.as_slice());
-        }
     }
 
     #[test]
@@ -904,43 +699,6 @@ mod tests {
         let mut p_tiled = DualField::zeros(10, 8);
         iterate_tiled_exact(&mut p_tiled, &v, &pr, 5, &cfg);
         assert_eq!(p_seq.px.as_slice(), p_tiled.px.as_slice());
-    }
-
-    #[test]
-    fn tiled_denoiser_matches_sequential_denoiser() {
-        use crate::solver::SequentialSolver;
-        let v = random_image(50, 40, 77);
-        let pr = params(10);
-        let seq = SequentialSolver::new().denoise_with_ctx(&v, &pr, &exact_ctx());
-        let tiled = TiledSolver::new(TileConfig::new(24, 20, 2, 2).unwrap()).denoise_with_ctx(
-            &v,
-            &pr,
-            &exact_ctx(),
-        );
-        assert_eq!(seq.as_slice(), tiled.as_slice());
-        assert_eq!(TiledSolver::default().name(), "tiled");
-    }
-
-    #[test]
-    fn tiled_solver_with_shared_pool_matches_and_reuses_it() {
-        use crate::solver::SequentialSolver;
-        let pool = Arc::new(ThreadPool::new(3));
-        let solver =
-            TiledSolver::new(TileConfig::new(24, 20, 2, 2).unwrap()).with_pool(Arc::clone(&pool));
-        let pr = params(8);
-        for seed in [1u64, 2] {
-            let v = random_image(47, 33, seed);
-            let seq = SequentialSolver::new().denoise_with_ctx(&v, &pr, &exact_ctx());
-            assert_eq!(
-                seq.as_slice(),
-                solver.denoise_with_ctx(&v, &pr, &exact_ctx()).as_slice()
-            );
-        }
-        let stats = pool.stats();
-        assert!(
-            stats.tasks > 0 && stats.broadcasts > 0,
-            "both denoise calls must run on the shared pool: {stats:?}"
-        );
     }
 
     #[test]

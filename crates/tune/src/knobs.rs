@@ -2,16 +2,15 @@
 //! pulled into one serializable [`Tunables`] value.
 //!
 //! The defaults are **exactly** the constants the code shipped with before
-//! auto-tuning existed — 92×88 paper windows at K=2 on two workers
-//! (`core::tiling::TileConfig::default`), the `height / (threads * 4)` band
-//! heuristic of `imaging::grid::par_band_rows`, batches of up to 8 with
-//! watermarks at 3/4 and 1/4 of queue capacity
+//! auto-tuning existed — two pool workers, the `height / (threads * 4)`
+//! band heuristic of `imaging::grid::par_band_rows`, batches of up to 8
+//! with watermarks at 3/4 and 1/4 of queue capacity
 //! (`service::ServiceConfig::new`), and the auto-detected kernel backend —
 //! so a process that never loads a profile behaves byte-for-byte as before.
 //!
-//! Every knob is a *schedule* choice: by the exactness contracts pinned
-//! across the workspace (tiled == sequential, pooled == sequential, every
-//! backend bit-identical, batched == solo), changing a knob changes **time,
+//! Every knob but `numerics` is a *schedule* choice: by the exactness
+//! contracts pinned across the workspace (pooled == sequential, every
+//! backend bit-identical, batched == solo), changing it changes **time,
 //! never bits**.
 
 use chambolle_par::KernelBackend;
@@ -80,10 +79,7 @@ impl NumericsChoice {
 ///
 /// | knob | replaces | layer |
 /// |------|----------|-------|
-/// | `tile_width`/`tile_height` | the paper's hardcoded 92×88 window | `core::tiling` |
-/// | `merge_factor` | decomposition depth K = 2 | `core::tiling` |
-/// | `halo_margin` | extra halo cells beyond the required K / K+1 | `core::tiling` |
-/// | `threads` | two sliding windows / pool workers | `core`, `par` |
+/// | `threads` | the hardware's two sliding windows / pool workers | `core`, `par`, CLIs |
 /// | `band_rows_divisor` | the `4` in `height / (threads * 4)` | `imaging::grid` |
 /// | `backend` | runtime SIMD detection | `par::simd` |
 /// | `numerics` | the process-wide numerics tier (Exact) | `core::ctx` |
@@ -94,18 +90,8 @@ impl NumericsChoice {
 /// gates every value that could make a schedule unconstructible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tunables {
-    /// Solver sub-matrix width in cells.
-    pub tile_width: usize,
-    /// Solver sub-matrix height in cells.
-    pub tile_height: usize,
-    /// Iterations merged per window pass (the paper's K).
-    pub merge_factor: u32,
-    /// Extra halo cells loaded beyond the exactness-required K leading /
-    /// K+1 trailing. Pure redundancy-vs-window-count trade; never changes
-    /// bits.
-    pub halo_margin: usize,
-    /// Worker-pool width: tiled-solver windows, solver row bands, and the
-    /// pool `ExecCtx::auto` attaches.
+    /// Worker-pool width: the pool the CLIs solve on by default and the
+    /// one `ExecCtx::auto` attaches. At most [`Tunables::MAX_THREADS`].
     pub threads: usize,
     /// Divisor of the row-band heuristic `height / (threads * divisor)`
     /// used by the pooled imaging kernels.
@@ -129,10 +115,6 @@ impl Default for Tunables {
     /// The pre-auto-tuning constants, verbatim.
     fn default() -> Self {
         Tunables {
-            tile_width: 92,
-            tile_height: 88,
-            merge_factor: 2,
-            halo_margin: 0,
             threads: 2,
             band_rows_divisor: 4,
             backend: None,
@@ -145,6 +127,12 @@ impl Default for Tunables {
 }
 
 impl Tunables {
+    /// The widest pool a profile may ask for. A pool spawns `threads − 1`
+    /// OS threads up front, so an absurd width in a profile picked up from
+    /// the working directory would otherwise fail (or exhaust the host)
+    /// before a single pixel is solved. 1024 is far above any tuned width.
+    pub const MAX_THREADS: usize = 1024;
+
     /// Checks every knob for a value that would make the schedule
     /// unconstructible.
     ///
@@ -152,21 +140,12 @@ impl Tunables {
     ///
     /// Returns a human-readable description of the first invalid knob.
     pub fn validate(&self) -> Result<(), String> {
-        if self.tile_width == 0 || self.tile_height == 0 {
-            return Err("tile dimensions must be positive".into());
-        }
-        if self.merge_factor == 0 {
-            return Err("merge_factor must be at least 1".into());
-        }
-        let halo = 2 * (self.merge_factor as usize + self.halo_margin) + 1;
-        if halo >= self.tile_width || halo >= self.tile_height {
+        if self.threads == 0 || self.threads > Tunables::MAX_THREADS {
             return Err(format!(
-                "halo 2(K+margin)+1 = {halo} leaves no profitable interior in a {}x{} tile",
-                self.tile_width, self.tile_height
+                "threads must be in 1..={} (got {})",
+                Tunables::MAX_THREADS,
+                self.threads
             ));
-        }
-        if self.threads == 0 {
-            return Err("threads must be at least 1".into());
         }
         if self.band_rows_divisor == 0 {
             return Err("band_rows_divisor must be at least 1".into());
@@ -207,10 +186,6 @@ impl Tunables {
     /// Serializes the knobs as a JSON object (profile `tunables` section).
     pub fn to_json(&self) -> JsonValue {
         JsonValue::Object(vec![
-            ("tile_width".into(), (self.tile_width as u64).into()),
-            ("tile_height".into(), (self.tile_height as u64).into()),
-            ("merge_factor".into(), u64::from(self.merge_factor).into()),
-            ("halo_margin".into(), (self.halo_margin as u64).into()),
             ("threads".into(), (self.threads as u64).into()),
             (
                 "band_rows_divisor".into(),
@@ -232,7 +207,8 @@ impl Tunables {
 
     /// Parses a profile `tunables` object. Every knob must be present with
     /// the right type and the combination must pass [`Tunables::validate`];
-    /// unknown keys are ignored (forward compatibility).
+    /// unknown keys are ignored, so profiles that still carry the four
+    /// retired window-geometry knobs keep loading.
     ///
     /// # Errors
     ///
@@ -261,12 +237,8 @@ impl Tunables {
         let numerics = NumericsChoice::parse(numerics_raw)
             .ok_or_else(|| format!("unknown numerics tier {numerics_raw:?}"))?;
         let tunables = Tunables {
-            tile_width: num(value, "tile_width")? as usize,
-            tile_height: num(value, "tile_height")? as usize,
-            merge_factor: u32::try_from(num(value, "merge_factor")?)
-                .map_err(|_| "merge_factor out of range".to_string())?,
-            halo_margin: num(value, "halo_margin")? as usize,
-            threads: num(value, "threads")? as usize,
+            threads: usize::try_from(num(value, "threads")?)
+                .map_err(|_| "threads out of range".to_string())?,
             band_rows_divisor: num(value, "band_rows_divisor")? as usize,
             backend,
             numerics,
@@ -288,9 +260,6 @@ mod tests {
     #[test]
     fn defaults_reproduce_the_historical_constants() {
         let t = Tunables::default();
-        assert_eq!((t.tile_width, t.tile_height), (92, 88));
-        assert_eq!(t.merge_factor, 2);
-        assert_eq!(t.halo_margin, 0);
         assert_eq!(t.threads, 2);
         assert_eq!(t.backend, None);
         assert_eq!(t.numerics, NumericsChoice::Auto);
@@ -314,34 +283,6 @@ mod tests {
     fn validate_rejects_every_degenerate_knob() {
         let ok = Tunables::default();
         let cases: Vec<(Tunables, &str)> = vec![
-            (
-                Tunables {
-                    tile_width: 0,
-                    ..ok
-                },
-                "tile",
-            ),
-            (
-                Tunables {
-                    merge_factor: 0,
-                    ..ok
-                },
-                "merge_factor",
-            ),
-            (
-                Tunables {
-                    merge_factor: 50,
-                    ..ok
-                },
-                "halo",
-            ),
-            (
-                Tunables {
-                    halo_margin: 60,
-                    ..ok
-                },
-                "halo",
-            ),
             (Tunables { threads: 0, ..ok }, "threads"),
             (
                 Tunables {
@@ -381,10 +322,6 @@ mod tests {
     #[test]
     fn json_round_trip_preserves_every_knob() {
         let t = Tunables {
-            tile_width: 48,
-            tile_height: 40,
-            merge_factor: 3,
-            halo_margin: 1,
             threads: 6,
             band_rows_divisor: 2,
             backend: Some(KernelBackend::Sse2),
@@ -402,11 +339,9 @@ mod tests {
         let mut doc = Tunables::default().to_json();
         assert!(Tunables::from_json(&doc).is_ok());
         if let JsonValue::Object(fields) = &mut doc {
-            fields.retain(|(k, _)| k != "tile_width");
+            fields.retain(|(k, _)| k != "threads");
         }
-        assert!(Tunables::from_json(&doc)
-            .unwrap_err()
-            .contains("tile_width"));
+        assert!(Tunables::from_json(&doc).unwrap_err().contains("threads"));
 
         let parsed = JsonValue::parse(
             &Tunables::default()
@@ -420,12 +355,34 @@ mod tests {
             .contains("quantum"));
 
         // A structurally valid document with an invalid combination: the
-        // halo 2(K+margin)+1 = 101 exceeds the default 92x88 tile.
+        // low watermark sits above the high one.
         let t = Tunables {
-            merge_factor: 50,
+            low_watermark_pct: 80,
             ..Tunables::default()
         };
         assert!(Tunables::from_json(&t.to_json()).is_err());
+    }
+
+    #[test]
+    fn threads_are_capped_far_above_any_tuned_width() {
+        let at = |threads| Tunables {
+            threads,
+            ..Tunables::default()
+        };
+        at(Tunables::MAX_THREADS).validate().unwrap();
+        for threads in [Tunables::MAX_THREADS + 1, 1_000_000, usize::MAX] {
+            let err = at(threads).validate().unwrap_err();
+            assert!(err.contains("threads"), "{err:?}");
+        }
+        // The same cap holds when the width arrives through a document.
+        let doc = JsonValue::parse(
+            &Tunables::default()
+                .to_json()
+                .to_string()
+                .replace("\"threads\":2", "\"threads\":1000000"),
+        )
+        .unwrap();
+        assert!(Tunables::from_json(&doc).unwrap_err().contains("threads"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Auto-tuning subsystem (ROADMAP item 3).
 //!
-//! The schedule knobs of this workspace — solver tile geometry and
-//! decomposition depth, imaging band heuristics, kernel backend, pool
-//! width, service batching and admission watermarks — were constants
+//! The schedule knobs of this workspace — pool width, imaging band
+//! heuristics, kernel backend, numerics tier, service batching and
+//! admission watermarks — were constants
 //! picked for the paper's 2011-era hardware. This crate makes them
 //! first-class:
 //!
@@ -105,8 +105,8 @@ mod tests {
         assert_eq!(initial, Tunables::default());
 
         let custom = Tunables {
-            tile_width: 64,
-            tile_height: 48,
+            threads: 3,
+            band_rows_divisor: 2,
             ..Tunables::default()
         };
         let previous = install(custom).unwrap();
@@ -115,7 +115,7 @@ mod tests {
 
         // Invalid knobs are rejected without clobbering the active set.
         let invalid = Tunables {
-            tile_width: 0,
+            threads: 0,
             ..Tunables::default()
         };
         assert!(install(invalid).is_err());

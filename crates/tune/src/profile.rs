@@ -8,7 +8,7 @@
 //!   "schema": "chambolle.tuning_profile.v2",
 //!   "fingerprint": { "arch": "x86_64", "cores": 8, "sse2": true,
 //!                    "avx2": true, "cache_line": 64 },
-//!   "tunables": { "tile_width": 92, ... },
+//!   "tunables": { "threads": 2, ... },
 //!   "provenance": { ... }
 //! }
 //! ```
@@ -270,8 +270,8 @@ mod tests {
         let profile = Profile::new(
             Fingerprint::detect(),
             Tunables {
-                tile_width: 60,
-                tile_height: 52,
+                threads: 3,
+                batch_window: 4,
                 ..Tunables::default()
             },
         )

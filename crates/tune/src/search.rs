@@ -34,14 +34,6 @@ use crate::knobs::{NumericsChoice, Tunables};
 /// one space type serves solver-only, service-only and combined searches.
 #[derive(Debug, Clone, Default)]
 pub struct SearchSpace {
-    /// Candidate solver tile widths.
-    pub tile_widths: Vec<usize>,
-    /// Candidate solver tile heights.
-    pub tile_heights: Vec<usize>,
-    /// Candidate decomposition depths K.
-    pub merge_factors: Vec<u32>,
-    /// Candidate extra-halo widths.
-    pub halo_margins: Vec<usize>,
     /// Candidate worker-pool widths.
     pub threads: Vec<usize>,
     /// Candidate imaging band-row divisors.
@@ -62,14 +54,9 @@ type Setter = Box<dyn Fn(&Tunables) -> Tunables>;
 
 impl SearchSpace {
     /// A coarse grid sized for CI: seconds of wall time, still covering
-    /// every solver dimension the acceptance contract requires (tile
-    /// geometry, K, halo, threads, band divisor, backend).
+    /// every solver dimension (threads, band divisor, backend, numerics).
     pub fn smoke(max_threads: usize) -> SearchSpace {
         SearchSpace {
-            tile_widths: vec![48, 92, 128],
-            tile_heights: vec![40, 88, 120],
-            merge_factors: vec![1, 2, 4],
-            halo_margins: vec![0, 2],
             threads: thread_grid(max_threads, 3),
             band_rows_divisors: vec![1, 4],
             backends: vec![None, Some(KernelBackend::Scalar)],
@@ -82,10 +69,6 @@ impl SearchSpace {
     /// The full solver grid for real tuning runs.
     pub fn full(max_threads: usize) -> SearchSpace {
         SearchSpace {
-            tile_widths: vec![32, 48, 64, 92, 128, 192],
-            tile_heights: vec![24, 40, 64, 88, 120, 176],
-            merge_factors: vec![1, 2, 3, 4, 6, 8],
-            halo_margins: vec![0, 1, 2, 4],
             threads: thread_grid(max_threads, 6),
             band_rows_divisors: vec![1, 2, 4, 8, 16],
             backends: vec![
@@ -151,12 +134,6 @@ impl SearchSpace {
             Some((name, setters))
         }
         [
-            dim("tile_width", &self.tile_widths, |t, v| t.tile_width = v),
-            dim("tile_height", &self.tile_heights, |t, v| t.tile_height = v),
-            dim("merge_factor", &self.merge_factors, |t, v| {
-                t.merge_factor = v;
-            }),
-            dim("halo_margin", &self.halo_margins, |t, v| t.halo_margin = v),
             dim("threads", &self.threads, |t, v| t.threads = v),
             dim("band_rows_divisor", &self.band_rows_divisors, |t, v| {
                 t.band_rows_divisor = v;
@@ -409,12 +386,8 @@ mod tests {
             Some(KernelBackend::Scalar) => 10.0,
         };
         Some(
-            (t.tile_width as f64 - 128.0).abs()
-                + (t.tile_height as f64 - 120.0).abs()
-                + f64::from(t.merge_factor.abs_diff(4)) * 3.0
-                + (t.threads as f64 - 4.0).abs() * 2.0
+            (t.threads as f64 - 4.0).abs() * 2.0
                 + (t.band_rows_divisor as f64 - 1.0).abs()
-                + t.halo_margin as f64
                 + backend_cost
                 + 100.0,
         )
@@ -426,7 +399,11 @@ mod tests {
             threads: vec![1, 2, 4],
             ..SearchSpace::smoke(4)
         };
-        assert!(space.dimension_count() >= 5, "acceptance: >= 5 dimensions");
+        assert_eq!(
+            space.dimension_count(),
+            4,
+            "threads, band divisor, backend, numerics"
+        );
         let tele = Telemetry::null();
         let outcome = coordinate_descent(
             &space,
@@ -437,9 +414,6 @@ mod tests {
             &mut synthetic_cost,
         )
         .unwrap();
-        assert_eq!(outcome.best.tile_width, 128);
-        assert_eq!(outcome.best.tile_height, 120);
-        assert_eq!(outcome.best.merge_factor, 4);
         assert_eq!(outcome.best.threads, 4);
         assert_eq!(outcome.best.band_rows_divisor, 1);
         assert_eq!(outcome.best.backend, None); // smoke space has no avx2
@@ -518,7 +492,7 @@ mod tests {
         .unwrap();
         assert_eq!(outcome.best.batch_window, 1);
         // Solver knobs never moved.
-        assert_eq!(outcome.best.tile_width, Tunables::default().tile_width);
+        assert_eq!(outcome.best.threads, Tunables::default().threads);
     }
 
     #[test]

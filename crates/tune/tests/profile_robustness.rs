@@ -33,12 +33,7 @@ fn tmp(name: &str) -> PathBuf {
 
 /// An arbitrary *valid* schedule drawn from the given raw knob values
 /// (`None` if the combination fails validation — callers `prop_assume`).
-#[allow(clippy::too_many_arguments)]
 fn tunables_from(
-    tile_width: usize,
-    tile_height: usize,
-    merge_factor: u32,
-    halo_margin: usize,
     threads: usize,
     band_rows_divisor: usize,
     backend: u8,
@@ -59,10 +54,6 @@ fn tunables_from(
         _ => Some(KernelBackend::Avx512),
     };
     let t = Tunables {
-        tile_width,
-        tile_height,
-        merge_factor,
-        halo_margin,
         threads,
         band_rows_divisor,
         backend,
@@ -123,15 +114,12 @@ proptest! {
     /// Save → parse round-trips every valid schedule exactly.
     #[test]
     fn round_trip_preserves_arbitrary_valid_schedules(
-        geometry in (8usize..160, 8usize..160, 1u32..8, 0usize..4),
         schedule in (1usize..17, 1usize..17, any::<u8>(), 1usize..33),
         watermarks in (0u8..60, 40u8..101),
     ) {
-        let (tw, th, k, margin) = geometry;
         let (threads, divisor, backend, batch) = schedule;
         let (low, high) = watermarks;
-        let candidate =
-            tunables_from(tw, th, k, margin, threads, divisor, backend, batch, low, high);
+        let candidate = tunables_from(threads, divisor, backend, batch, low, high);
         prop_assume!(candidate.is_some());
         let profile = Profile::new(Fingerprint::detect(), candidate.unwrap());
         let back = Profile::parse(&profile.to_json().to_string_pretty())
@@ -259,7 +247,7 @@ fn wrong_fingerprint_falls_back() {
     let profile = Profile::new(
         other,
         Tunables {
-            tile_width: 64,
+            threads: 3,
             ..Tunables::default()
         },
     );
@@ -283,14 +271,13 @@ fn wrong_fingerprint_falls_back() {
 
 #[test]
 fn valid_knobs_that_fail_validation_fall_back() {
-    // Structurally perfect JSON, semantically impossible schedule: the halo
-    // swallows the whole tile.
+    // Structurally perfect JSON, semantically impossible schedule: a batch
+    // window that coalesces no request.
     let profile = Profile::new(Fingerprint::detect(), Tunables::default());
     let text = profile
         .to_json()
         .to_string_pretty()
-        .replace("\"tile_width\": 92", "\"tile_width\": 4")
-        .replace("\"tile_height\": 88", "\"tile_height\": 4");
+        .replace("\"batch_window\": 8", "\"batch_window\": 0");
     let path = tmp("invalid_knobs");
     std::fs::write(&path, text).unwrap();
     let (tunables, err) = serialized(|| load_with_fallback(path.to_str(), &Telemetry::disabled()));
@@ -298,4 +285,28 @@ fn valid_knobs_that_fail_validation_fall_back() {
 
     assert_eq!(tunables, Tunables::default());
     assert!(matches!(err, Some(ProfileError::Invalid(_))));
+}
+
+/// This host's own profile asking for a million workers would make every
+/// default solve try to spawn them. It falls back to the defaults instead.
+/// The check runs through parsing and validation only; no pool is built.
+#[test]
+fn absurd_thread_count_falls_back() {
+    let text = Profile::new(Fingerprint::detect(), Tunables::default())
+        .to_json()
+        .to_string_pretty()
+        .replace("\"threads\": 2", "\"threads\": 1000000");
+    assert!(text.contains("1000000"), "the knob was rewritten");
+    let path = tmp("absurd_threads");
+    std::fs::write(&path, text).unwrap();
+    let telemetry = Telemetry::null();
+    let (tunables, err) = serialized(|| load_with_fallback(path.to_str(), &telemetry));
+    std::fs::remove_file(&path).ok();
+
+    assert_eq!(tunables, Tunables::default());
+    assert!(matches!(err, Some(ProfileError::Invalid(msg)) if msg.contains("threads")));
+    assert_eq!(
+        telemetry.snapshot().counter(names::TUNE_PROFILE_FALLBACK),
+        Some(1)
+    );
 }

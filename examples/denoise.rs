@@ -1,14 +1,12 @@
 //! Plain ROF/TV denoising with the Chambolle solver — the algorithm the
 //! accelerator implements, outside the optical-flow wrapper — comparing the
-//! sequential, tiled-parallel and simulated-FPGA backends.
+//! sequential, banded-parallel and simulated-FPGA backends.
 //!
 //! ```text
 //! cargo run --example denoise --release
 //! ```
 
-use chambolle::core::{
-    rof_energy, ChambolleParams, SequentialSolver, TileConfig, TiledSolver, TvDenoiser,
-};
+use chambolle::core::{rof_energy, ChambolleParams, ParallelSolver, SequentialSolver, TvDenoiser};
 use chambolle::hwsim::{AccelConfig, AccelDenoiser, ChambolleAccel};
 use chambolle::imaging::{write_pgm, Grid, NoiseTexture, Scene};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -25,7 +23,7 @@ fn main() -> chambolle::Result<()> {
     let params = ChambolleParams::with_iterations(120);
     let backends: Vec<Box<dyn TvDenoiser>> = vec![
         Box::new(SequentialSolver::new()),
-        Box::new(TiledSolver::new(TileConfig::default())),
+        Box::new(ParallelSolver::new(2)),
         Box::new(AccelDenoiser::new(ChambolleAccel::new(
             AccelConfig::default(),
         ))),
@@ -41,7 +39,7 @@ fn main() -> chambolle::Result<()> {
         let u = backend.denoise(&noisy, &params);
         let e = rof_energy(&u, &noisy, params.theta);
         let note = match (&reference, backend.name()) {
-            (Some(seq), "tiled") => {
+            (Some(seq), "parallel") => {
                 if seq.as_slice() == u.as_slice() {
                     " (bit-identical to sequential)"
                 } else {

@@ -7,7 +7,7 @@
 //! cargo run --release --example fault_tolerance
 //! ```
 
-use chambolle::core::{ChambolleParams, GuardedDenoiser, TileConfig};
+use chambolle::core::{ChambolleParams, GuardedDenoiser, ParallelSolver};
 use chambolle::hwsim::{AccelConfig, AccelGuardConfig, ChambolleAccel, FaultConfig, FaultInjector};
 use chambolle::imaging::{NoiseTexture, Scene};
 
@@ -58,7 +58,7 @@ fn main() -> chambolle::Result<()> {
     let mut poisoned = v.clone();
     poisoned[(5, 5)] = f32::NAN;
     poisoned[(64, 40)] = f32::INFINITY;
-    let guard = GuardedDenoiser::tiled(TileConfig::new(48, 48, 2, 2)?);
+    let guard = GuardedDenoiser::new(ParallelSolver::new(2));
     let (u, report) = guard.denoise_checked(&poisoned, &params)?;
     println!("\nsoftware guard: {report}");
     assert!(u.as_slice().iter().all(|x| x.is_finite()));

@@ -6,10 +6,13 @@
 //! cargo run --example quickstart --release
 //! ```
 
-use chambolle::core::{TileConfig, TiledSolver, TvL1Params, TvL1Solver};
+use std::sync::Arc;
+
+use chambolle::core::{ExecCtx, ParallelSolver, TvL1Params, TvL1Solver};
 use chambolle::imaging::{
     average_endpoint_error, colorize_flow, render_pair, write_ppm, Motion, NoiseTexture,
 };
+use chambolle::par::ThreadPool;
 use chambolle::telemetry::json::JsonValue;
 use chambolle::telemetry::report::RunReport;
 use chambolle::telemetry::Telemetry;
@@ -21,14 +24,20 @@ fn main() -> chambolle::Result<()> {
     let pair = render_pair(&scene, 128, 96, motion);
 
     // 2. Estimate the flow with the TV-L1 solver. The inner Chambolle
-    //    backend is the paper's tiled sliding-window solver, instrumented
-    //    with a telemetry handle so the run leaves a metrics report (see
-    //    the `fpga_frame_rate` example for the simulated accelerator
-    //    backend).
+    //    backend is the banded parallel solver on a 2-thread pool, which
+    //    also runs the pyramid and warps. The context carries a telemetry
+    //    handle, so the run leaves a metrics report (see the
+    //    `fpga_frame_rate` example for the simulated accelerator backend).
     let telemetry = Telemetry::null();
-    let backend = TiledSolver::new(TileConfig::default()).with_telemetry(telemetry.clone());
-    let solver = TvL1Solver::with_backend(TvL1Params::default(), backend);
-    let (flow, stats) = solver.flow(&pair.i0, &pair.i1)?;
+    let pool = Arc::new(ThreadPool::new(2).with_telemetry(telemetry.clone()));
+    let solver = TvL1Solver::with_backend(
+        TvL1Params::default(),
+        ParallelSolver::with_pool(Arc::clone(&pool)),
+    );
+    let ctx = ExecCtx::default()
+        .with_telemetry(telemetry.clone())
+        .with_pool(pool);
+    let (flow, stats) = solver.flow_with_ctx(&pair.i0, &pair.i1, None, &ctx)?;
 
     // 3. Compare against the ground truth.
     let aee = average_endpoint_error(&flow, &pair.truth);
@@ -45,9 +54,9 @@ fn main() -> chambolle::Result<()> {
     write_ppm(path, &rgb)?;
     println!("flow visualization written to {path}");
 
-    // 5. Leave a machine-readable run report: every solver-level metric the
-    //    telemetry layer collected (tiling rounds, window loads, the halo
-    //    redundancy ratio, span timings) plus a free-form result section.
+    // 5. Leave a machine-readable run report: every metric the telemetry
+    //    layer collected (solver iterations, pool tasks and broadcasts, the
+    //    kernel backend, span timings) plus a free-form result section.
     let mut report = RunReport::from_telemetry("quickstart", &telemetry);
     report.add_section(
         "result",

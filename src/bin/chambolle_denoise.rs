@@ -5,10 +5,9 @@
 //! chambolle_denoise IN.pgm OUT.pgm [options]
 //!   --iterations N   Chambolle iterations                  [100]
 //!   --theta T        coupling constant θ                   [0.25]
-//!   --backend B      seq | tiled | fpga                    [tiled]
-//!   --threads N      size the shared worker pool explicitly; `seq` upgrades
-//!                    to the bit-identical row-parallel solver, `tiled` runs
-//!                    its windows on N workers (fpga/--gap-tol ignore it)
+//!   --backend B      seq | fpga                            [seq]
+//!   --threads N      workers of the `seq` solver's pool    [threads knob: 2]
+//!                    (fpga and --gap-tol ignore it)
 //!   --gap-tol G      stop early once the duality gap < G (seq backend only)
 //!   --telemetry P    write a JSON run report (metrics + run summary) to P
 //!   --profile P      load a tuning profile (chambolle.tuning_profile.v2,
@@ -16,14 +15,18 @@
 //!                    CHAMBOLLE_PROFILE environment variable. A missing or
 //!                    invalid profile falls back to defaults with a warning.
 //! ```
+//!
+//! `seq` is the banded parallel solver on one pool of `--threads` workers,
+//! bit-identical to the sequential loop at every width; a 1-thread pool
+//! runs inline, so `--threads 1` is that loop. `fpga` runs the cycle-level
+//! simulation of the paper's accelerator.
 
 use std::process::ExitCode;
-
 use std::sync::Arc;
 
 use chambolle::core::{
     chambolle_denoise_monitored_with_ctx, rof_energy, ChambolleParams, ExecCtx, ParallelSolver,
-    SequentialSolver, TileConfig, TiledSolver, TvDenoiser,
+    TvDenoiser,
 };
 use chambolle::hwsim::{AccelConfig, AccelDenoiser, ChambolleAccel};
 use chambolle::imaging::{read_pgm, write_pgm};
@@ -31,6 +34,7 @@ use chambolle::par::ThreadPool;
 use chambolle::telemetry::json::JsonValue;
 use chambolle::telemetry::report::RunReport;
 use chambolle::telemetry::Telemetry;
+use chambolle::tune::Tunables;
 
 #[derive(Debug, Clone, PartialEq)]
 struct Options {
@@ -38,11 +42,30 @@ struct Options {
     output: String,
     iterations: u32,
     theta: f32,
-    backend: String,
+    backend: Backend,
     threads: Option<usize>,
     gap_tol: Option<f64>,
     telemetry: Option<String>,
     profile: Option<String>,
+}
+
+/// The `--backend` choices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Backend {
+    /// `seq`: the banded software solver.
+    Software,
+    /// `fpga`: the simulated accelerator.
+    Fpga,
+}
+
+impl Backend {
+    /// The `--backend` token, echoed in the run report.
+    fn as_str(self) -> &'static str {
+        match self {
+            Backend::Software => "seq",
+            Backend::Fpga => "fpga",
+        }
+    }
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -52,7 +75,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         output: String::new(),
         iterations: 100,
         theta: 0.25,
-        backend: "tiled".into(),
+        backend: Backend::Software,
         threads: None,
         gap_tol: None,
         telemetry: None,
@@ -76,13 +99,22 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|_| "invalid --theta".to_string())?
             }
-            "--backend" => opts.backend = value("--backend")?,
+            "--backend" => {
+                opts.backend = match value("--backend")?.as_str() {
+                    "seq" => Backend::Software,
+                    "fpga" => Backend::Fpga,
+                    other => return Err(format!("unknown backend {other:?}")),
+                }
+            }
             "--threads" => {
                 let threads: usize = value("--threads")?
                     .parse()
                     .map_err(|_| "invalid --threads".to_string())?;
-                if threads == 0 {
-                    return Err("--threads must be at least 1".into());
+                if threads == 0 || threads > Tunables::MAX_THREADS {
+                    return Err(format!(
+                        "--threads must be in 1..={}",
+                        Tunables::MAX_THREADS
+                    ));
                 }
                 opts.threads = Some(threads);
             }
@@ -144,31 +176,22 @@ fn run(opts: &Options) -> chambolle::Result<()> {
         );
         report.u
     } else {
-        // One explicitly sized pool shared by whichever backend runs.
-        let pool = opts
-            .threads
-            .map(|threads| Arc::new(ThreadPool::new(threads).with_telemetry(telemetry.clone())));
-        let backend: Box<dyn TvDenoiser> = match opts.backend.as_str() {
-            "seq" => match &pool {
-                Some(pool) => Box::new(ParallelSolver::with_pool(Arc::clone(pool))),
-                None => Box::new(SequentialSolver::new()),
-            },
-            "tiled" => {
-                let solver =
-                    TiledSolver::new(TileConfig::default()).with_telemetry(telemetry.clone());
-                Box::new(match &pool {
-                    Some(pool) => solver.with_pool(Arc::clone(pool)),
-                    None => solver,
-                })
+        match opts.backend {
+            Backend::Software => {
+                // The `threads` knob is read only now, after `--profile`.
+                let threads = opts
+                    .threads
+                    .unwrap_or_else(|| chambolle::tune::active().threads);
+                let pool = ThreadPool::new(threads).with_telemetry(telemetry.clone());
+                let ctx = ExecCtx::default().with_telemetry(telemetry.clone());
+                ParallelSolver::with_pool(Arc::new(pool)).denoise_with_ctx(&v, &params, &ctx)
             }
-            "fpga" => {
+            Backend::Fpga => {
                 let mut accel = ChambolleAccel::new(AccelConfig::default());
                 accel.attach_telemetry(telemetry.clone());
-                Box::new(AccelDenoiser::new(accel))
+                AccelDenoiser::new(accel).denoise(&v, &params)
             }
-            other => return Err(format!("unknown backend {other:?}").into()),
-        };
-        backend.denoise(&v, &params)
+        }
     };
 
     let energy_in = rof_energy(&v, &v, params.theta);
@@ -208,8 +231,8 @@ fn main() -> ExitCode {
             if msg != "help" {
                 eprintln!("error: {msg}");
             }
-            eprintln!("usage: chambolle_denoise IN.pgm OUT.pgm [--iterations N] [--theta T] [--backend seq|tiled|fpga] [--threads N] [--gap-tol G] [--telemetry REPORT.json] [--profile PROFILE.json]");
-            eprintln!("  --threads N sizes the shared worker pool explicitly: seq upgrades to the bit-identical row-parallel solver, tiled runs its windows on N workers (fpga and --gap-tol ignore it)");
+            eprintln!("usage: chambolle_denoise IN.pgm OUT.pgm [--iterations N] [--theta T] [--backend seq|fpga] [--threads N] [--gap-tol G] [--telemetry REPORT.json] [--profile PROFILE.json]");
+            eprintln!("  --threads N sizes the pool of the seq solver (default: the threads knob, 2 unless a profile sets it); every width writes the same pixels, and fpga and --gap-tol ignore it");
             eprintln!("  --profile P loads a chambolle.tuning_profile.v2 written by the tune bin (takes precedence over CHAMBOLLE_PROFILE; invalid profiles fall back to defaults with a warning)");
             return if msg == "help" {
                 ExitCode::SUCCESS
@@ -239,7 +262,7 @@ mod tests {
     fn parses_defaults_and_options() {
         let o = parse_args(&args(&["in.pgm", "out.pgm"])).unwrap();
         assert_eq!(o.iterations, 100);
-        assert_eq!(o.backend, "tiled");
+        assert_eq!(o.backend, Backend::Software);
         assert_eq!(o.threads, None);
         assert_eq!(o.gap_tol, None);
 
@@ -262,7 +285,7 @@ mod tests {
         .unwrap();
         assert_eq!(o.iterations, 50);
         assert_eq!(o.theta, 0.5);
-        assert_eq!(o.backend, "fpga");
+        assert_eq!(o.backend, Backend::Fpga);
         assert_eq!(o.threads, Some(4));
         assert_eq!(o.gap_tol, Some(0.1));
         assert_eq!(o.telemetry.as_deref(), Some("report.json"));
@@ -280,5 +303,12 @@ mod tests {
         assert!(parse_args(&args(&["a", "b", "--bogus"])).is_err());
         assert!(parse_args(&args(&["a", "b", "--threads", "0"])).is_err());
         assert!(parse_args(&args(&["a", "b", "--threads", "x"])).is_err());
+        assert!(parse_args(&args(&["a", "b", "--backend", "quantum"])).is_err());
+        assert!(parse_args(&args(&["a", "b", "--backend", "tiled"])).is_err());
+        assert!(parse_args(&args(&["a", "b", "--backend"])).is_err());
+        assert!(parse_args(&args(&["a", "b", "--threads", "1025"])).is_err());
+        let widest = Tunables::MAX_THREADS.to_string();
+        let o = parse_args(&args(&["a", "b", "--threads", &widest])).unwrap();
+        assert_eq!(o.threads, Some(Tunables::MAX_THREADS));
     }
 }

@@ -8,11 +8,11 @@
 //!   --lambda L          data weight (unit-intensity scale)   [38]
 //!   --warps N           warps per pyramid level              [5]
 //!   --levels N          pyramid levels                       [5]
-//!   --backend B         seq | tiled | fpga (TV-L1 inner)     [seq]
-//!   --threads N         size the shared worker pool explicitly; the TV-L1
-//!                       outer loop and the seq/tiled inner solvers all run
-//!                       on it, bit-identical to the 1-thread result
-//!                       (hs/bm estimators and fpga inner ignore it)
+//!   --backend B         seq | fpga (TV-L1 inner)             [seq]
+//!   --threads N         workers of the shared pool [threads knob: 2]; the
+//!                       TV-L1 outer loop and the seq inner solver run on
+//!                       it, bit-identical to the 1-thread result (hs/bm
+//!                       estimators and the fpga inner solver ignore it)
 //!   --method M          tvl1 | hs | bm (estimator)           [tvl1]
 //!   --median            3x3 median filter between warps
 //!   --telemetry P       write a JSON run report (metrics + run summary) to P
@@ -21,13 +21,17 @@
 //!                       CHAMBOLLE_PROFILE. A missing or invalid profile
 //!                       falls back to defaults with a warning.
 //! ```
+//!
+//! `seq` is the banded parallel solver, which solves the two flow
+//! components side by side on the pool; a 1-thread pool runs inline, so
+//! `--threads 1` solves them one after the other on the calling thread.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use chambolle::core::{
-    block_matching_flow, BlockMatchingParams, ChambolleParams, HornSchunck, HornSchunckParams,
-    ParallelSolver, SequentialSolver, TileConfig, TiledSolver, TvDenoiser, TvL1Params, TvL1Solver,
+    block_matching_flow, BlockMatchingParams, ChambolleParams, ExecCtx, HornSchunck,
+    HornSchunckParams, ParallelSolver, TvDenoiser, TvL1Params, TvL1Solver,
 };
 use chambolle::hwsim::{AccelConfig, AccelDenoiser, ChambolleAccel};
 use chambolle::imaging::FlowField;
@@ -36,6 +40,7 @@ use chambolle::par::ThreadPool;
 use chambolle::telemetry::json::JsonValue;
 use chambolle::telemetry::report::RunReport;
 use chambolle::telemetry::Telemetry;
+use chambolle::tune::Tunables;
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,10 +68,12 @@ enum Method {
     BlockMatching,
 }
 
+/// The `--backend` choices for the TV-L1 inner solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Backend {
-    Sequential,
-    Tiled,
+    /// `seq`: the banded software solver.
+    Software,
+    /// `fpga`: the simulated accelerator.
     Fpga,
 }
 
@@ -81,7 +88,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         lambda: 38.0,
         warps: 5,
         levels: 5,
-        backend: Backend::Sequential,
+        backend: Backend::Software,
         threads: None,
         method: Method::TvL1,
         median: false,
@@ -120,8 +127,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--backend" => {
                 opts.backend = match value("--backend")?.as_str() {
-                    "seq" => Backend::Sequential,
-                    "tiled" => Backend::Tiled,
+                    "seq" => Backend::Software,
                     "fpga" => Backend::Fpga,
                     other => return Err(format!("unknown backend {other:?}")),
                 }
@@ -130,8 +136,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let threads: usize = value("--threads")?
                     .parse()
                     .map_err(|_| "invalid --threads".to_string())?;
-                if threads == 0 {
-                    return Err("--threads must be at least 1".into());
+                if threads == 0 || threads > Tunables::MAX_THREADS {
+                    return Err(format!(
+                        "--threads must be in 1..={}",
+                        Tunables::MAX_THREADS
+                    ));
                 }
                 opts.threads = Some(threads);
             }
@@ -180,35 +189,26 @@ fn estimate(
             if opts.median {
                 params = params.with_median_filter();
             }
-            // One explicitly sized pool shared by the inner denoiser and the
-            // TV-L1 outer-loop image operations.
-            let pool = opts.threads.map(|threads| {
-                Arc::new(ThreadPool::new(threads).with_telemetry(telemetry.clone()))
-            });
+            // One pool shared by the inner solver and the TV-L1 outer-loop
+            // image operations; the `threads` knob is read only now, after
+            // `--profile`.
+            let threads = opts
+                .threads
+                .unwrap_or_else(|| chambolle::tune::active().threads);
+            let pool = Arc::new(ThreadPool::new(threads).with_telemetry(telemetry.clone()));
             let backend: Box<dyn TvDenoiser> = match opts.backend {
-                Backend::Sequential => match &pool {
-                    Some(pool) => Box::new(ParallelSolver::with_pool(Arc::clone(pool))),
-                    None => Box::new(SequentialSolver::new()),
-                },
-                Backend::Tiled => {
-                    let solver =
-                        TiledSolver::new(TileConfig::default()).with_telemetry(telemetry.clone());
-                    Box::new(match &pool {
-                        Some(pool) => solver.with_pool(Arc::clone(pool)),
-                        None => solver,
-                    })
-                }
+                Backend::Software => Box::new(ParallelSolver::with_pool(Arc::clone(&pool))),
                 Backend::Fpga => {
                     let mut accel = ChambolleAccel::new(AccelConfig::default());
                     accel.attach_telemetry(telemetry.clone());
                     Box::new(AccelDenoiser::new(accel))
                 }
             };
-            let mut solver = TvL1Solver::with_backend(params, backend);
-            if let Some(pool) = pool {
-                solver = solver.with_pool(pool);
-            }
-            let (flow, stats) = solver.flow(i0, i1)?;
+            let ctx = ExecCtx::default()
+                .with_telemetry(telemetry.clone())
+                .with_pool(pool);
+            let (flow, stats) =
+                TvL1Solver::with_backend(params, backend).flow_with_ctx(i0, i1, None, &ctx)?;
             eprintln!("{stats}");
             Ok(flow)
         }
@@ -295,8 +295,8 @@ fn main() -> ExitCode {
             if msg != "help" {
                 eprintln!("error: {msg}");
             }
-            eprintln!("usage: chambolle_flow I0.pgm I1.pgm [--out F.flo] [--vis F.ppm] [--iterations N] [--lambda L] [--warps N] [--levels N] [--backend seq|tiled|fpga] [--threads N] [--method tvl1|hs|bm] [--median] [--telemetry REPORT.json] [--profile PROFILE.json]");
-            eprintln!("  --threads N sizes the shared worker pool explicitly; the TV-L1 outer loop and the seq/tiled inner solvers run on it, bit-identical to the 1-thread result (hs/bm and fpga ignore it)");
+            eprintln!("usage: chambolle_flow I0.pgm I1.pgm [--out F.flo] [--vis F.ppm] [--iterations N] [--lambda L] [--warps N] [--levels N] [--backend seq|fpga] [--threads N] [--method tvl1|hs|bm] [--median] [--telemetry REPORT.json] [--profile PROFILE.json]");
+            eprintln!("  --threads N sizes the shared pool (default: the threads knob, 2 unless a profile sets it); the TV-L1 outer loop and the seq inner solver run on it, bit-identical to the 1-thread result (hs/bm and the fpga inner solver ignore it)");
             eprintln!("  --profile P loads a chambolle.tuning_profile.v2 written by the tune bin (takes precedence over CHAMBOLLE_PROFILE; invalid profiles fall back to defaults with a warning)");
             return if msg == "help" {
                 ExitCode::SUCCESS
@@ -328,7 +328,7 @@ mod tests {
         assert_eq!(o.input0, "a.pgm");
         assert_eq!(o.input1, "b.pgm");
         assert_eq!(o.iterations, 30);
-        assert_eq!(o.backend, Backend::Sequential);
+        assert_eq!(o.backend, Backend::Software);
         assert!(!o.median);
     }
 
@@ -394,6 +394,8 @@ mod tests {
         assert!(parse_args(&args(&["a.pgm"])).is_err());
         assert!(parse_args(&args(&["a", "b", "c"])).is_err());
         assert!(parse_args(&args(&["a", "b", "--backend", "gpu"])).is_err());
+        assert!(parse_args(&args(&["a", "b", "--backend", "tiled"])).is_err());
+        assert!(parse_args(&args(&["a", "b", "--threads", "1025"])).is_err());
         assert!(parse_args(&args(&["a", "b", "--iterations", "x"])).is_err());
         assert!(parse_args(&args(&["a", "b", "--threads", "0"])).is_err());
         assert!(parse_args(&args(&["a", "b", "--frob"])).is_err());

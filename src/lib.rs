@@ -6,8 +6,8 @@
 //! - [`imaging`] — grids, pyramids, warping, synthetic ground-truth scenes,
 //!   flow metrics and I/O;
 //! - [`fixed`] — the accelerator's Q-format datapath and LUT square root;
-//! - [`core`] — the Chambolle solver (sequential and the paper's tiled
-//!   parallel scheme), TV-L1, baselines, diagnostics, and the tiered
+//! - [`core`] — the Chambolle solver (sequential and the paper's loop
+//!   decomposition over row bands), TV-L1, baselines, diagnostics, and the tiered
 //!   numerics policy (`Exact` bit-reproducible kernels vs the `Fast`
 //!   FMA/temporally-fused tier, selected per call through
 //!   [`core::ExecCtx`] or `CHAMBOLLE_NUMERICS=fast`);

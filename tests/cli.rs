@@ -168,6 +168,25 @@ fn flow_cli_rejects_bad_usage() {
     assert_eq!(status.code(), Some(2));
 }
 
+/// The 2-D tiled backend is gone and an unknown one never existed: both
+/// bins reject them as usage errors, before touching any file.
+#[test]
+fn both_clis_reject_the_tiled_backend_as_usage() {
+    for bin in [
+        env!("CARGO_BIN_EXE_chambolle_denoise"),
+        env!("CARGO_BIN_EXE_chambolle_flow"),
+    ] {
+        for backend in ["tiled", "quantum"] {
+            let status = Command::new(bin)
+                .args(["/nonexistent/a.pgm", "/nonexistent/b.pgm"])
+                .args(["--backend", backend])
+                .status()
+                .expect("spawn cli");
+            assert_eq!(status.code(), Some(2), "{bin} --backend {backend}");
+        }
+    }
+}
+
 #[test]
 fn flow_cli_reports_missing_files() {
     let status = Command::new(env!("CARGO_BIN_EXE_chambolle_flow"))
@@ -178,9 +197,9 @@ fn flow_cli_reports_missing_files() {
 }
 
 /// `--profile` (and the `CHAMBOLLE_PROFILE` env var) steer the schedule but
-/// never the pixels: a valid profile with different tile geometry produces a
-/// byte-identical output, and a corrupt profile falls back with a warning
-/// instead of failing the run.
+/// never the pixels: a valid profile with a different pool width produces a
+/// byte-identical output, as does `--threads 1`, and a corrupt profile
+/// falls back with a warning instead of failing the run.
 #[test]
 fn denoise_cli_profiles_are_bit_exact_and_fall_back() {
     use chambolle::tune::{Fingerprint, Profile, Tunables};
@@ -207,12 +226,18 @@ fn denoise_cli_profiles_are_bit_exact_and_fall_back() {
     run(&default_out, &[], &[]);
     let reference = std::fs::read(&default_out).expect("read default output");
 
+    // `--threads 1` runs the pool inline: the sequential loop, same bytes.
+    let inline_out = tmp("prof_inline.pgm");
+    run(&inline_out, &["--threads", "1"], &[]);
+    assert_eq!(
+        std::fs::read(&inline_out).expect("read inline output"),
+        reference,
+        "--threads 1 must not change pixels"
+    );
+
     // A valid profile with a different schedule: same pixels, byte for byte.
     let profile_path = tmp("prof_valid.json");
     let tunables = Tunables {
-        tile_width: 64,
-        tile_height: 60,
-        merge_factor: 3,
         threads: 3,
         ..Tunables::default()
     };
@@ -261,6 +286,7 @@ fn denoise_cli_profiles_are_bit_exact_and_fall_back() {
     for f in [
         input,
         default_out,
+        inline_out,
         profile_path,
         flag_out,
         env_out,

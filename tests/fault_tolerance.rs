@@ -2,14 +2,14 @@
 //! guarded solver pipeline.
 //!
 //! The contract under test: with faults injected at a nonzero rate, the
-//! guarded tiled path detects every injected corruption that lands in a
+//! guarded accelerator detects every injected corruption that lands in a
 //! profitable region, recovers, and produces output **bit-identical** to the
 //! fault-free sequential reference; with the rate at zero the guarded path
 //! changes nothing.
 
 use chambolle::core::{
-    ChambolleParams, GuardedDenoiser, RecoveryPolicy, SequentialSolver, TileConfig, TiledSolver,
-    TvDenoiser, TvL1Params, TvL1Solver,
+    ChambolleParams, GuardedDenoiser, ParallelSolver, RecoveryPolicy, SequentialSolver, TvDenoiser,
+    TvL1Params, TvL1Solver,
 };
 use chambolle::hwsim::{
     dequantize, fixed_chambolle_reference, quantize_input, AccelConfig, AccelGuardConfig,
@@ -87,13 +87,12 @@ fn zero_rate_guard_is_behaviorally_invisible() {
 }
 
 #[test]
-fn software_guard_zero_faults_matches_unguarded_tiled() {
+fn software_guard_zero_faults_matches_unguarded_banded() {
     let v = noisy_frame(96, 72);
     let params = ChambolleParams::with_iterations(30);
-    let tile = TileConfig::new(40, 40, 2, 2).unwrap();
 
-    let unguarded = TiledSolver::new(tile).denoise(&v, &params);
-    let (guarded, report) = GuardedDenoiser::tiled(tile)
+    let unguarded = ParallelSolver::new(2).denoise(&v, &params);
+    let (guarded, report) = GuardedDenoiser::new(ParallelSolver::new(2))
         .denoise_checked(&v, &params)
         .unwrap();
 
@@ -109,8 +108,7 @@ fn software_guard_scrubs_poisoned_input_and_converges() {
     v[(79, 59)] = f32::INFINITY;
     let params = ChambolleParams::with_iterations(20);
 
-    let guard = GuardedDenoiser::tiled(TileConfig::new(32, 32, 2, 2).unwrap())
-        .with_policy(RecoveryPolicy::default());
+    let guard = GuardedDenoiser::new(ParallelSolver::new(2)).with_policy(RecoveryPolicy::default());
     let (u, report) = guard.denoise_checked(&v, &params).unwrap();
 
     assert_eq!(report.detections, 1, "one scrub pass expected");

@@ -6,8 +6,7 @@
 
 use chambolle::core::{
     chambolle_denoise, chambolle_denoise_monitored, chambolle_denoise_monitored_with_ctx,
-    chambolle_iterate_tiled, chambolle_iterate_tiled_with_ctx, ChambolleParams, DualField, ExecCtx,
-    TileConfig, TiledSolver, TvDenoiser,
+    chambolle_iterate_tiled_with_ctx, recover_u, ChambolleParams, DualField, ExecCtx, TileConfig,
 };
 use chambolle::imaging::{NoiseTexture, Scene};
 use chambolle::telemetry::{names, Telemetry};
@@ -51,7 +50,8 @@ fn disabled_telemetry_tiled_solver_is_bit_identical() {
     let cfg = TileConfig::paper_hardware(3).expect("valid config");
 
     let mut p_plain = DualField::zeros(150, 110);
-    chambolle_iterate_tiled(&mut p_plain, &v, &params, 7, &cfg);
+    chambolle_iterate_tiled_with_ctx(&mut p_plain, &v, &params, 7, &cfg, &ExecCtx::default())
+        .expect("no cancellation token installed");
 
     for (label, telemetry) in [
         ("disabled", Telemetry::disabled()),
@@ -63,13 +63,12 @@ fn disabled_telemetry_tiled_solver_is_bit_identical() {
             .expect("no cancellation token installed");
         assert_eq!(p_plain.px.as_slice(), p_inst.px.as_slice(), "{label}: px");
         assert_eq!(p_plain.py.as_slice(), p_inst.py.as_slice(), "{label}: py");
+        assert_eq!(
+            recover_u(&v, &p_plain, params.theta).as_slice(),
+            recover_u(&v, &p_inst, params.theta).as_slice(),
+            "{label}: u"
+        );
     }
-
-    let u_plain = TiledSolver::new(cfg).denoise(&v, &params);
-    let u_inst = TiledSolver::new(cfg)
-        .with_telemetry(Telemetry::null())
-        .denoise(&v, &params);
-    assert_eq!(u_plain.as_slice(), u_inst.as_slice());
 }
 
 #[test]

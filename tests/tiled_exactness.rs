@@ -8,7 +8,7 @@ use std::sync::Arc;
 use chambolle::core::{
     chambolle_iterate_tiled_with_ctx, chambolle_iterate_with_ctx, recover_u, rof_energy,
     ChambolleParams, DualField, ExecCtx, NumericsPolicy, ParallelSolver, SequentialSolver,
-    TileConfig, TilePlan, TiledSolver, TvDenoiser,
+    TileConfig, TilePlan, TvDenoiser,
 };
 use chambolle::imaging::{NoiseTexture, Scene};
 use chambolle::par::ThreadPool;
@@ -41,11 +41,17 @@ fn paper_geometry_exact_on_vga_like_frame() {
 fn many_threads_agree() {
     let v = NoiseTexture::new(32).render(150, 110);
     let params = ChambolleParams::paper(6);
-    let reference =
-        TiledSolver::new(TileConfig::new(48, 40, 2, 1).expect("cfg")).denoise(&v, &params);
-    for threads in [2usize, 3, 8] {
+    // No pool on the context: each call spawns one of `cfg.threads` workers.
+    let denoise = |threads: usize| {
         let cfg = TileConfig::new(48, 40, 2, threads).expect("cfg");
-        let u = TiledSolver::new(cfg).denoise(&v, &params);
+        let mut p = DualField::zeros(150, 110);
+        chambolle_iterate_tiled_with_ctx(&mut p, &v, &params, 6, &cfg, &exact_ctx())
+            .expect("no token");
+        recover_u(&v, &p, params.theta)
+    };
+    let reference = denoise(1);
+    for threads in [2usize, 3, 8] {
+        let u = denoise(threads);
         assert_eq!(reference.as_slice(), u.as_slice(), "threads={threads}");
     }
 }

@@ -1,12 +1,13 @@
 //! The exactness contract of the auto-tuning subsystem: a tuning profile
-//! reshapes the schedule (tile geometry, merge depth, halo redundancy,
-//! pool width, kernel backend) but never the pixels. Every schedule below
-//! must reproduce the sequential solver's output bit for bit.
+//! reshapes the schedule (pool width, band divisor, kernel backend) but
+//! never the pixels. Every schedule below must reproduce the sequential
+//! solver's output bit for bit.
 
 use std::sync::Arc;
 
 use chambolle::core::{
-    chambolle_denoise_with_ctx, ChambolleParams, ExecCtx, KernelBackend, NumericsPolicy, TileConfig,
+    chambolle_denoise_with_ctx, ChambolleParams, ExecCtx, KernelBackend, NumericsPolicy,
+    ParallelSolver, TvDenoiser,
 };
 use chambolle::imaging::{render_pair, Image, Motion, NoiseTexture};
 use chambolle::par::ThreadPool;
@@ -23,34 +24,23 @@ fn profiles() -> Vec<(&'static str, Tunables)> {
     vec![
         ("defaults", Tunables::default()),
         (
-            "small_tiles_deep_merge",
+            "three_threads_scalar",
             Tunables {
-                tile_width: 32,
-                tile_height: 28,
-                merge_factor: 4,
                 threads: 3,
                 backend: Some(KernelBackend::Scalar),
                 ..Tunables::default()
             },
         ),
         (
-            "redundant_halo",
+            "inline",
             Tunables {
-                tile_width: 48,
-                tile_height: 40,
-                merge_factor: 1,
-                halo_margin: 3,
                 threads: 1,
                 ..Tunables::default()
             },
         ),
         (
-            "wide_tiles_many_threads",
+            "many_threads_fine_bands",
             Tunables {
-                tile_width: 120,
-                tile_height: 96,
-                merge_factor: 2,
-                halo_margin: 1,
                 threads: 4,
                 band_rows_divisor: 2,
                 ..Tunables::default()
@@ -59,13 +49,11 @@ fn profiles() -> Vec<(&'static str, Tunables)> {
     ]
 }
 
-/// Every profile's tiled schedule reproduces the sequential solver's
-/// pixels exactly — the contract that makes auto-tuning safe to apply
-/// blindly at startup.
+/// Every profile's banded solve, on a pool of the profile's `threads`,
+/// reproduces the sequential solver's pixels exactly — the contract that
+/// makes auto-tuning safe to apply blindly at startup.
 #[test]
 fn every_profile_is_bit_identical_to_sequential() {
-    use chambolle::core::{chambolle_iterate_tiled_with_ctx, recover_u, DualField};
-
     let v = test_frame();
     let params = ChambolleParams::with_iterations(13);
     // Pixel neutrality is the *schedule* contract and holds at the Exact
@@ -78,14 +66,9 @@ fn every_profile_is_bit_identical_to_sequential() {
         tunables
             .validate()
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let config = TileConfig::from_tunables(&tunables)
-            .unwrap_or_else(|e| panic!("{name}: unconstructible schedule: {e}"));
+        let ctx = ExecCtx::from_tunables(tunables).with_numerics(NumericsPolicy::Exact);
         let pool = Arc::new(ThreadPool::new(tunables.threads));
-        let ctx = exact.clone().with_pool(pool);
-        let mut p = DualField::zeros(v.width(), v.height());
-        chambolle_iterate_tiled_with_ctx(&mut p, &v, &params, params.iterations, &config, &ctx)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let u = recover_u(&v, &p, params.theta);
+        let u = ParallelSolver::with_pool(pool).denoise_with_ctx(&v, &params, &ctx);
         assert_eq!(
             u.as_slice(),
             reference.as_slice(),
@@ -126,7 +109,8 @@ fn contexts_from_different_profiles_are_interchangeable() {
 
 /// `ExecCtx::auto` resolves the process-wide active schedule — in a test
 /// run with no profile on disk that is the defaults — and always yields a
-/// valid, constructible configuration (the total-fallback guarantee).
+/// valid configuration (the total-fallback guarantee) with a pool of the
+/// schedule's width.
 #[test]
 fn auto_context_always_yields_a_valid_schedule() {
     let ctx = ExecCtx::auto(Telemetry::null());
@@ -134,9 +118,6 @@ fn auto_context_always_yields_a_valid_schedule() {
         .validate()
         .expect("auto context must carry a valid schedule");
     assert_eq!(ctx.tunables(), &chambolle::tune::active());
-    // The derived tile config is constructible whatever was loaded.
-    let config = ctx.tile_config();
-    config
-        .with_halo_margin(config.halo_margin)
-        .expect("auto tile config must validate");
+    let pool = ctx.pool().expect("auto attaches a pool");
+    assert_eq!(pool.threads(), ctx.tunables().threads);
 }

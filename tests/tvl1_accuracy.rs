@@ -1,6 +1,6 @@
 //! End-to-end flow accuracy across motion models and solver backends.
 
-use chambolle::core::{ChambolleParams, TileConfig, TiledSolver, TvL1Params, TvL1Solver};
+use chambolle::core::{ChambolleParams, TvL1Params, TvL1Solver};
 use chambolle::imaging::{average_endpoint_error, render_pair, Motion, NoiseTexture};
 
 fn params() -> TvL1Params {
@@ -37,24 +37,23 @@ fn recovers_rotation_and_zoom() {
 }
 
 #[test]
-fn tiled_backend_flow_is_bit_identical() {
-    use chambolle::core::{ExecCtx, NumericsPolicy};
+fn banded_backend_flow_is_bit_identical() {
+    use chambolle::core::{ExecCtx, NumericsPolicy, ParallelSolver};
 
     let scene = NoiseTexture::new(3);
     let pair = render_pair(&scene, 80, 60, Motion::Translation { du: 1.0, dv: 0.5 });
     let p = params();
-    // Sequential-vs-tiled bit identity is the Exact-tier contract; pin the
+    // Sequential-vs-banded bit identity is the Exact-tier contract; pin the
     // tier so the suite also passes under `CHAMBOLLE_NUMERICS=fast`.
     let exact = ExecCtx::default().with_numerics(NumericsPolicy::Exact);
     let (seq, _) = TvL1Solver::sequential(p)
         .flow_with_ctx(&pair.i0, &pair.i1, None, &exact)
         .expect("valid frames");
-    let tiled_backend = TiledSolver::new(TileConfig::new(40, 32, 2, 2).expect("valid config"));
-    let (tiled, _) = TvL1Solver::with_backend(p, tiled_backend)
+    let (banded, _) = TvL1Solver::with_backend(p, ParallelSolver::new(2))
         .flow_with_ctx(&pair.i0, &pair.i1, None, &exact)
         .expect("valid frames");
-    assert_eq!(seq.u1.as_slice(), tiled.u1.as_slice());
-    assert_eq!(seq.u2.as_slice(), tiled.u2.as_slice());
+    assert_eq!(seq.u1.as_slice(), banded.u1.as_slice());
+    assert_eq!(seq.u2.as_slice(), banded.u2.as_slice());
 }
 
 #[test]
