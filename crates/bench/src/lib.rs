@@ -8,7 +8,7 @@
 //! - [`workloads`] — deterministic frames and host timing helpers;
 //! - the `repro` binary regenerates every table and figure (see
 //!   `EXPERIMENTS.md` at the workspace root);
-//! - the `tune` binary searches the schedule space and writes a
+//! - the `tune` binary searches the service's batch window and writes a
 //!   per-machine tuning profile.
 //!
 //! Performance is measured by the benchmark harness in `benchmark/` at the

@@ -1,8 +1,7 @@
 //! Integration tests for the `tune` CLI surface and the `BENCH_pr9.json`
 //! schema: flag parsing through the public library API, and validation of
 //! a pr9 document assembled from a real search outcome — the same shape
-//! the binary emits — plus rejection of every attestation the schema
-//! demands.
+//! the binary emits — plus rejection of every broken attestation.
 
 use chambolle_bench::tunereport::{parse_args, validate_tuning, MIN_DIMENSIONS, SCHEMA};
 use chambolle_telemetry::json::JsonValue;
@@ -28,51 +27,26 @@ fn tune_flags_round_trip_through_the_public_parser() {
     assert!(parse_args(&strings(&["--bogus"])).is_err());
 }
 
-/// Real searches over the smoke solver grid and the smoke service grid,
-/// as the binary runs them, driven by a synthetic cost so the test is fast
-/// and deterministic.
-fn searched_outcomes() -> (SearchOutcome, SearchOutcome) {
-    let search = |space: &SearchSpace| {
-        let cost = |t: &Tunables| {
-            t.validate().ok()?;
-            Some(t.threads.abs_diff(4) as f64 + t.batch_window as f64 + 10.0)
-        };
-        coordinate_descent(
-            space,
-            Tunables::default(),
-            &SearchOptions::default(),
-            &Telemetry::disabled(),
-            &mut cost.clone(),
-            &mut cost.clone(),
-        )
-        .expect("measurable baseline")
+/// A real search over the smoke service grid, as the binary runs it,
+/// driven by a synthetic cost so the test is fast and deterministic.
+fn searched_outcome() -> SearchOutcome {
+    let cost = |t: &Tunables| {
+        t.validate().ok()?;
+        Some(t.batch_window.abs_diff(4) as f64 + 10.0)
     };
-    (
-        search(&SearchSpace::smoke(4)),
-        search(&SearchSpace::service(true)),
+    coordinate_descent(
+        &SearchSpace::service(true),
+        Tunables::default(),
+        &SearchOptions::default(),
+        &Telemetry::disabled(),
+        &mut cost.clone(),
+        &mut cost.clone(),
     )
+    .expect("measurable baseline")
 }
 
-/// Assembles the pr9 document the binary emits from its two search
-/// outcomes.
-fn pr9_doc((solver, service): &(SearchOutcome, SearchOutcome)) -> JsonValue {
-    let workload = |name: &str, o: &SearchOutcome| {
-        JsonValue::Object(vec![
-            ("name".into(), name.into()),
-            (
-                "dimensions_searched".into(),
-                (o.dimensions_searched as u64).into(),
-            ),
-            ("trials".into(), (o.trials.len() as u64).into()),
-            ("pruned".into(), (o.pruned as u64).into()),
-            ("baseline_proxy_ms".into(), o.baseline_proxy_ms.into()),
-            ("best_proxy_ms".into(), o.best_proxy_ms.into()),
-            ("baseline_full_ms".into(), o.baseline_full_ms.into()),
-            ("best_full_ms".into(), o.best_full_ms.into()),
-            ("speedup".into(), o.speedup().into()),
-            ("best".into(), o.best.to_json()),
-        ])
-    };
+/// Assembles the pr9 document the binary emits from its search outcome.
+fn pr9_doc(service: &SearchOutcome) -> JsonValue {
     JsonValue::Object(vec![
         ("schema".into(), SCHEMA.into()),
         ("bench".into(), "pr9".into()),
@@ -80,24 +54,32 @@ fn pr9_doc((solver, service): &(SearchOutcome, SearchOutcome)) -> JsonValue {
         ("fingerprint".into(), Fingerprint::detect().to_json()),
         (
             "workloads".into(),
-            JsonValue::Array(vec![
-                workload("banded_denoise", solver),
-                workload("service_replay", service),
-            ]),
+            JsonValue::Array(vec![JsonValue::Object(vec![
+                ("name".into(), "service_replay".into()),
+                (
+                    "dimensions_searched".into(),
+                    (service.dimensions_searched as u64).into(),
+                ),
+                ("trials".into(), (service.trials.len() as u64).into()),
+                ("pruned".into(), (service.pruned as u64).into()),
+                ("baseline_proxy_ms".into(), service.baseline_proxy_ms.into()),
+                ("best_proxy_ms".into(), service.best_proxy_ms.into()),
+                ("baseline_full_ms".into(), service.baseline_full_ms.into()),
+                ("best_full_ms".into(), service.best_full_ms.into()),
+                ("speedup".into(), service.speedup().into()),
+                ("best".into(), service.best.to_json()),
+            ])]),
         ),
         (
             "dimensions_searched_total".into(),
-            ((solver.dimensions_searched + service.dimensions_searched) as u64).into(),
+            (service.dimensions_searched as u64).into(),
         ),
-        ("best".into(), solver.best.to_json()),
+        ("best".into(), service.best.to_json()),
         (
             "profile".into(),
             JsonValue::Object(vec![
                 ("path".into(), "chambolle.profile.json".into()),
                 ("reloaded".into(), JsonValue::Bool(true)),
-                ("bit_identical".into(), JsonValue::Bool(true)),
-                ("fast_within_tolerance".into(), JsonValue::Bool(true)),
-                ("numerics".into(), "auto".into()),
             ]),
         ),
     ])
@@ -105,21 +87,19 @@ fn pr9_doc((solver, service): &(SearchOutcome, SearchOutcome)) -> JsonValue {
 
 #[test]
 fn a_document_from_a_real_search_outcome_validates() {
-    let outcomes = searched_outcomes();
-    let (solver, service) = &outcomes;
+    let service = searched_outcome();
     assert!(
-        solver.dimensions_searched + service.dimensions_searched >= MIN_DIMENSIONS,
-        "the smoke grids must satisfy the dimension floor together"
+        service.dimensions_searched >= MIN_DIMENSIONS,
+        "the smoke grid must satisfy the dimension floor"
     );
-    let text = pr9_doc(&outcomes).to_string_pretty();
+    let text = pr9_doc(&service).to_string_pretty();
     validate_tuning(&text).expect("pr9 document validates");
 }
 
 #[test]
 fn the_validator_rejects_broken_attestations() {
-    let outcomes = searched_outcomes();
-    let (solver, service) = &outcomes;
-    let good = pr9_doc(&outcomes).to_string_pretty();
+    let service = searched_outcome();
+    let good = pr9_doc(&service).to_string_pretty();
 
     // Wrong bench identifier.
     let wrong_bench = good.replace("\"pr9\"", "\"pr8\"");
@@ -128,29 +108,17 @@ fn the_validator_rejects_broken_attestations() {
     // Too few searched dimensions.
     let dims = format!(
         "\"dimensions_searched_total\": {}",
-        solver.dimensions_searched + service.dimensions_searched
+        service.dimensions_searched
     );
-    let shallow = good.replace(&dims, "\"dimensions_searched_total\": 2");
+    let shallow = good.replace(&dims, "\"dimensions_searched_total\": 0");
     assert!(
         validate_tuning(&shallow).is_err(),
         "fewer than {MIN_DIMENSIONS} dimensions must be rejected"
     );
 
-    // A profile that did not reload, or changed pixels, is no profile.
+    // A profile that did not reload is no profile.
     let unreloaded = good.replace("\"reloaded\": true", "\"reloaded\": false");
     assert!(validate_tuning(&unreloaded).is_err());
-    let inexact = good.replace("\"bit_identical\": true", "\"bit_identical\": false");
-    assert!(validate_tuning(&inexact).is_err());
-
-    // A Fast winner outside the tolerance envelope, or a profile that does
-    // not say which numerics tier it persisted, is rejected too.
-    let breached = good.replace(
-        "\"fast_within_tolerance\": true",
-        "\"fast_within_tolerance\": false",
-    );
-    assert!(validate_tuning(&breached).is_err());
-    let tierless = good.replace("\"numerics\": \"auto\"", "\"numerics\": \"quantum\"");
-    assert!(validate_tuning(&tierless).is_err());
 
     // No workloads, no report.
     let doc = JsonValue::parse(&good).unwrap();

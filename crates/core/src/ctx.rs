@@ -38,7 +38,7 @@ use std::sync::{Arc, OnceLock};
 use chambolle_par::{KernelBackend, ThreadPool};
 use chambolle_telemetry::trace::TraceContext;
 use chambolle_telemetry::Telemetry;
-use chambolle_tune::{NumericsChoice, Tunables};
+use chambolle_tune::Tunables;
 
 use crate::cancel::{CancelToken, Cancelled};
 
@@ -50,8 +50,8 @@ pub const NUMERICS_ENV: &str = "CHAMBOLLE_NUMERICS";
 ///
 /// **`Exact`** (the default) is the reference tier: every backend replays
 /// the scalar operation order — no fused multiply-add, no reassociation —
-/// so results are bit-identical across backends, thread counts and tile
-/// schedules. That contract is what the workspace exactness suites pin.
+/// so results are bit-identical across backends and thread counts. That
+/// contract is what the workspace exactness suites pin.
 ///
 /// **`Fast`** trades the byte-equality contract for throughput: kernels may
 /// fuse multiply-adds, reassociate reductions, share one reciprocal across
@@ -64,7 +64,7 @@ pub const NUMERICS_ENV: &str = "CHAMBOLLE_NUMERICS";
 /// the validation model of the paper's own quantized 13/9/9-bit datapath,
 /// which ships accuracy bounds, not byte equality. Within one backend the
 /// Fast tier is still deterministic and thread-count invariant; it is *not*
-/// bit-comparable across backends or tile shapes.
+/// bit-comparable across backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NumericsPolicy {
     /// Bit-exact reference numerics (scalar operation order everywhere).
@@ -252,15 +252,23 @@ pub struct ExecCtx {
     numerics: NumericsPolicy,
     degradation: Option<DegradationPolicy>,
     trace: TraceContext,
-    tunables: Tunables,
 }
 
 impl Default for ExecCtx {
-    /// The inert context: no pool, disabled telemetry, no cancellation,
-    /// and the process-wide active schedule ([`chambolle_tune::active`] —
-    /// the historical constants unless a tuning profile is loaded).
+    /// The inert context: no pool, disabled telemetry, no cancellation, the
+    /// process-wide kernel backend ([`KernelBackend::active`], which honours
+    /// `CHAMBOLLE_BACKEND`) and numerics tier ([`NumericsPolicy::active`],
+    /// which honours `CHAMBOLLE_NUMERICS`).
     fn default() -> Self {
-        ExecCtx::from_tunables(chambolle_tune::active())
+        ExecCtx {
+            pool: None,
+            telemetry: Telemetry::disabled(),
+            cancel: None,
+            backend: KernelBackend::active(),
+            numerics: NumericsPolicy::active(),
+            degradation: None,
+            trace: TraceContext::NONE,
+        }
     }
 }
 
@@ -270,50 +278,11 @@ impl ExecCtx {
         ExecCtx::default()
     }
 
-    /// The auto-tuned context: resolves the process-wide active
-    /// [`Tunables`] — loading the profile named by `CHAMBOLLE_PROFILE`
-    /// (or `chambolle.profile.json`, if present) on first use, with total
-    /// non-panicking fallback to the historical defaults — and attaches a
-    /// worker pool of the tuned width wired to `telemetry`.
-    ///
-    /// Every schedule a profile can select is bit-identical to the
-    /// defaults; a tuned context changes time, never pixels.
-    pub fn auto(telemetry: Telemetry) -> Self {
-        let tunables = chambolle_tune::active();
-        let pool = Arc::new(ThreadPool::new(tunables.threads).with_telemetry(telemetry.clone()));
-        ExecCtx::from_tunables(tunables)
-            .with_telemetry(telemetry)
-            .with_pool(pool)
-    }
-
-    /// An otherwise-inert context running the schedule in `tunables`. No
-    /// pool is attached (callers that want the tuned pool width use
-    /// [`ExecCtx::auto`] or attach one explicitly).
-    ///
-    /// - The kernel backend is the tunables' `backend` knob: an explicit
-    ///   level wins, and `None` (a profile's `auto`) defers to
-    ///   [`KernelBackend::active`], including the `CHAMBOLLE_BACKEND`
-    ///   override. A level the host cannot execute stays safe: every kernel
-    ///   family runs the widest body the host supports below it
-    ///   ([`KernelBackend::clamp_to_host`]), the same bits at a lower
-    ///   speed on the Exact tier.
-    /// - The numerics tier is the `numerics` knob: an explicit tier wins,
-    ///   and `Auto` defers to [`NumericsPolicy::active`].
-    pub fn from_tunables(tunables: Tunables) -> Self {
-        ExecCtx {
-            pool: None,
-            telemetry: Telemetry::disabled(),
-            cancel: None,
-            backend: tunables.backend.unwrap_or_else(KernelBackend::active),
-            numerics: match tunables.numerics {
-                NumericsChoice::Auto => NumericsPolicy::active(),
-                NumericsChoice::Exact => NumericsPolicy::Exact,
-                NumericsChoice::Fast => NumericsPolicy::Fast,
-            },
-            degradation: None,
-            trace: TraceContext::NONE,
-            tunables,
-        }
+    /// Returns [`ExecCtx::default`]: `tunables` is ignored, because no
+    /// tuning knob reaches a solve. Kept only for its last caller, the
+    /// benchmark harness in `benchmark/`.
+    pub fn from_tunables(_tunables: Tunables) -> Self {
+        ExecCtx::default()
     }
 
     /// Runs the solve's parallel stages on `pool`.
@@ -346,8 +315,8 @@ impl ExecCtx {
         self
     }
 
-    /// Runs the solve at `numerics` tier (overriding the tunables knob and
-    /// the `CHAMBOLLE_NUMERICS` environment default).
+    /// Runs the solve at `numerics` tier (overriding the
+    /// `CHAMBOLLE_NUMERICS` environment default).
     pub fn with_numerics(mut self, numerics: NumericsPolicy) -> Self {
         self.numerics = numerics;
         self
@@ -394,8 +363,7 @@ impl ExecCtx {
     /// The numerics tier solves through this context run at, folding in any
     /// degradation override: an attached policy shedding numerics wins over
     /// the context's own tier (resolution order: degradation override >
-    /// [`ExecCtx::with_numerics`] > `CHAMBOLLE_NUMERICS` > tunables knob >
-    /// Exact).
+    /// [`ExecCtx::with_numerics`] > `CHAMBOLLE_NUMERICS` > Exact).
     pub fn numerics(&self) -> NumericsPolicy {
         self.degradation
             .as_ref()
@@ -411,11 +379,6 @@ impl ExecCtx {
     /// The distributed-trace context ([`TraceContext::NONE`] by default).
     pub fn trace(&self) -> TraceContext {
         self.trace
-    }
-
-    /// The schedule knobs this context was built from.
-    pub fn tunables(&self) -> &Tunables {
-        &self.tunables
     }
 
     /// The iteration budget a solve asking for `requested` iterations gets
@@ -502,25 +465,14 @@ mod tests {
         );
         assert_eq!(NumericsPolicy::Exact.as_str(), "exact");
         assert_eq!(NumericsPolicy::Fast.as_str(), "fast");
-        let resolved = |numerics| {
-            ExecCtx::from_tunables(Tunables {
-                numerics,
-                ..Tunables::default()
-            })
-            .numerics()
-        };
-        assert_eq!(resolved(NumericsChoice::Exact), NumericsPolicy::Exact);
-        assert_eq!(resolved(NumericsChoice::Fast), NumericsPolicy::Fast);
-        // Auto defers to the process-wide default, which is itself
-        // Exact unless CHAMBOLLE_NUMERICS overrides it.
-        assert_eq!(resolved(NumericsChoice::Auto), NumericsPolicy::active());
     }
 
     #[test]
     fn context_numerics_folds_degradation_override() {
-        let ctx = ExecCtx::from_tunables(Tunables::default());
-        // Tunables default to Auto, which resolves to the env-or-Exact
-        // process default; with_numerics overrides it.
+        // The default context runs the env-or-Exact process default;
+        // with_numerics overrides it.
+        let ctx = ExecCtx::default();
+        assert_eq!(ctx.numerics(), NumericsPolicy::active());
         let fast = ctx.clone().with_numerics(NumericsPolicy::Fast);
         assert_eq!(fast.numerics(), NumericsPolicy::Fast);
         let exact = ctx.with_numerics(NumericsPolicy::Exact);

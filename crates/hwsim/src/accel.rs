@@ -585,24 +585,31 @@ mod tests {
 
     #[test]
     fn frame_matches_monolithic_reference() {
-        // A frame larger than one window, denoised through the sliding
-        // windows, must equal the monolithic fixed-point reference exactly.
-        let v = random_image(150, 120, 1);
-        let p = params(6);
-        let mut accel = ChambolleAccel::new(AccelConfig::paper(2).unwrap());
-        let (u, _, stats) = accel.denoise_pair(&v, None, &p).unwrap();
-        let reference = fixed_chambolle_reference(&quantize_input(&v), &HwParams::standard(6));
-        for y in 0..120 {
-            for x in 0..150 {
-                assert_eq!(
-                    WordFixed::from_f32(u[(x, y)]),
-                    reference.u[(x, y)],
-                    "u mismatch at ({x},{y})"
-                );
+        // Frames larger than one window and no multiple of its 92×88
+        // geometry, denoised through the sliding windows at every merge
+        // depth K, must equal the monolithic fixed-point reference exactly.
+        // Seven iterations leave a partial last round for K = 2 and 3.
+        const ITERATIONS: u32 = 7;
+        for (i, (w, h)) in [(150, 120), (97, 61), (200, 33)].into_iter().enumerate() {
+            let v = random_image(w, h, 1 + i as u64);
+            let reference =
+                fixed_chambolle_reference(&quantize_input(&v), &HwParams::standard(ITERATIONS));
+            for k in 1..=3 {
+                let mut accel = ChambolleAccel::new(AccelConfig::paper(k).unwrap());
+                let (u, _, stats) = accel.denoise_pair(&v, None, &params(ITERATIONS)).unwrap();
+                for y in 0..h {
+                    for x in 0..w {
+                        assert_eq!(
+                            WordFixed::from_f32(u[(x, y)]),
+                            reference.u[(x, y)],
+                            "u mismatch at ({x},{y}) of {w}x{h}, K = {k}"
+                        );
+                    }
+                }
+                assert!(stats.cycles > 0);
+                assert_eq!(stats.rounds, ITERATIONS.div_ceil(k), "{w}x{h}, K = {k}");
             }
         }
-        assert!(stats.cycles > 0);
-        assert!(stats.rounds == 3);
     }
 
     #[test]

@@ -383,14 +383,11 @@ impl fmt::Display for GridShapeError {
 impl std::error::Error for GridShapeError {}
 
 /// Rows per task for a pooled row-parallel fill over `height` rows: about
-/// `band_rows_divisor` tasks per worker (four by default) so the atomic
-/// dispatcher can smooth load imbalance, but never below one row. The
-/// divisor comes from the process-wide active tunables
-/// ([`chambolle_tune::active`]), so a tuning profile can trade dispatch
-/// overhead against balance without touching results — banding is a pure
-/// schedule choice here (each row is computed independently).
+/// four tasks per worker so the atomic dispatcher can smooth load
+/// imbalance, but never below one row. Banding is a pure schedule choice
+/// here (each row is computed independently).
 pub(crate) fn par_band_rows(height: usize, threads: usize) -> usize {
-    chambolle_tune::active().band_rows(height, threads)
+    height.div_ceil(threads.max(1) * 4).max(1)
 }
 
 #[cfg(test)]

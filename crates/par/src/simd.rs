@@ -12,8 +12,8 @@
 //!    back to the best detected level, never to undefined behavior;
 //! 3. with no override, the best supported level wins ([`detect`]).
 //!
-//! A backend can also be named explicitly (a tuning profile, a test, a
-//! benchmark), including one the host lacks. Every kernel family then
+//! A backend can also be named explicitly (a test, a benchmark), including
+//! one the host lacks. Every kernel family then
 //! follows one rule: it runs the widest body the host supports at or below
 //! the named level ([`KernelBackend::clamp_to_host`]).
 //!
@@ -38,7 +38,7 @@ pub const BACKEND_ENV: &str = "CHAMBOLLE_BACKEND";
 /// The SIMD level a kernel runs at: the one vector-width selector of the
 /// workspace.
 ///
-/// Constructed explicitly (tests, benchmarks, tuning profiles) or via
+/// Constructed explicitly (tests, benchmarks) or via
 /// [`KernelBackend::active`] (production paths). A level the CPU lacks is
 /// never executed: kernels clamp it with [`KernelBackend::clamp_to_host`],
 /// so selection can change *speed*, never safety — and at the Exact tier
@@ -83,8 +83,8 @@ impl KernelBackend {
         *self
     }
 
-    /// Stable identifier used by `CHAMBOLLE_BACKEND`, tuning profiles,
-    /// telemetry and reports.
+    /// Stable identifier used by `CHAMBOLLE_BACKEND`, telemetry and
+    /// reports.
     pub fn as_str(&self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",

@@ -120,7 +120,6 @@ mod tests {
             batch_window: 16,
             high_watermark_pct: 90,
             low_watermark_pct: 50,
-            ..chambolle_tune::Tunables::default()
         };
         let c = ServiceConfig::from_tunables(3, 40, &t);
         assert_eq!(c.max_batch, 16);

@@ -1,11 +1,11 @@
 //! Host fingerprinting for tuning profiles.
 //!
 //! A tuning profile encodes a schedule that won a search **on one
-//! machine**: its tile sizes fit that machine's caches, its thread count
-//! its cores, its backend its vector units. Loading it elsewhere would be
-//! silently wrong (never incorrect — every knob is bit-exact — but
-//! arbitrarily slow), so every profile carries the [`Fingerprint`] of the
-//! host that produced it and loaders reject mismatches.
+//! machine**: its batch window fits that machine's cores. Loading it
+//! elsewhere would be silently wrong (never incorrect — batching is
+//! bit-exact — but arbitrarily slow), so every profile carries the
+//! [`Fingerprint`] of the host that produced it and loaders reject
+//! mismatches.
 
 use chambolle_telemetry::json::JsonValue;
 

@@ -8,7 +8,7 @@
 //!   "schema": "chambolle.tuning_profile.v2",
 //!   "fingerprint": { "arch": "x86_64", "cores": 8, "sse2": true,
 //!                    "avx2": true, "cache_line": 64 },
-//!   "tunables": { "threads": 2, ... },
+//!   "tunables": { "batch_window": 8, ... },
 //!   "provenance": { ... }
 //! }
 //! ```
@@ -32,10 +32,11 @@ use crate::knobs::Tunables;
 
 /// Schema identifier of every profile this version reads and writes.
 ///
-/// v2 added the `numerics` knob (the `Exact | Fast` tier). Loading is
-/// strict about the version: a v1 (or any unknown-schema) document takes
-/// the total non-panicking fallback to defaults below, exactly like any
-/// other unreadable profile — old profiles can never be half-applied.
+/// v2 added the `numerics` knob, which this build ignores on load like
+/// every other retired solver knob. Loading is strict about the version: a
+/// v1 (or any unknown-schema) document takes the total non-panicking
+/// fallback to defaults below, exactly like any other unreadable profile —
+/// old profiles can never be half-applied.
 pub const PROFILE_SCHEMA: &str = "chambolle.tuning_profile.v2";
 
 /// Environment variable naming the profile to load at startup.
@@ -270,7 +271,6 @@ mod tests {
         let profile = Profile::new(
             Fingerprint::detect(),
             Tunables {
-                threads: 3,
                 batch_window: 4,
                 ..Tunables::default()
             },

@@ -1,8 +1,8 @@
 //! The search engine: enumerate-then-filter over the knob space.
 //!
-//! The shape follows the rule-synthesis loop of the `ruler` exemplar
-//! (ROADMAP item 3): *enumerate* candidate configurations, *filter* them
-//! cheaply, and only *validate* (fully measure) the survivors. Concretely:
+//! The shape follows the rule-synthesis loop of the `ruler` exemplar:
+//! *enumerate* candidate configurations, *filter* them cheaply, and only
+//! *validate* (fully measure) the survivors. Concretely:
 //!
 //! 1. **Coordinate descent with early pruning.** Starting from the current
 //!    defaults, each knob dimension is swept in turn while the others stay
@@ -12,84 +12,37 @@
 //!    improves nothing (or the sweep budget runs out).
 //! 2. **Full measurement of survivors.** The best few configurations by
 //!    proxy score (plus the untouched baseline) are re-measured on the
-//!    real workloads — the `bench` denoise/TV-L1 runs, or in-process
-//!    service request replays for the service knobs — and the winner is decided on
-//!    those numbers alone, so a proxy mis-ranking can cost coverage but
-//!    never pick a regression over the measured baseline.
+//!    real workload — an in-process service request replay — and the
+//!    winner is decided on those numbers alone, so a proxy mis-ranking can
+//!    cost coverage but never pick a regression over the measured baseline.
 //!
 //! The engine itself is pure orchestration: measurement is injected as
 //! closures (`Option<f64>`: lower is better, `None` means "configuration
-//! not measurable — prune"), so the same driver tunes solver schedules,
-//! imaging band heuristics and service queues, and unit tests can steer it
-//! with synthetic cost functions. Every trial is recorded in the returned
+//! not measurable — prune"), so unit tests can steer it with synthetic
+//! cost functions. Every trial is recorded in the returned
 //! [`SearchOutcome`] and counted through the `tune.*` telemetry metrics.
 
 use chambolle_telemetry::{names, Telemetry};
 
-use chambolle_par::KernelBackend;
+use crate::knobs::Tunables;
 
-use crate::knobs::{NumericsChoice, Tunables};
-
-/// Candidate values per knob dimension. Empty dimensions are skipped, so
-/// one space type serves solver-only, service-only and combined searches.
+/// Candidate values per knob dimension. Empty dimensions are skipped.
+///
+/// The watermark percentages are not searched: the replay that scores a
+/// candidate runs no degradation policy, so it cannot observe the one
+/// decision they make, when a degrading service sheds fidelity.
 #[derive(Debug, Clone, Default)]
 pub struct SearchSpace {
-    /// Candidate worker-pool widths.
-    pub threads: Vec<usize>,
-    /// Candidate imaging band-row divisors.
-    pub band_rows_divisors: Vec<usize>,
-    /// Candidate kernel backends.
-    pub backends: Vec<Option<KernelBackend>>,
-    /// Candidate numerics tiers (the search measures Fast-tier schedules;
-    /// see the `tune` binary for how a Fast winner is persisted).
-    pub numerics: Vec<NumericsChoice>,
     /// Candidate micro-batch coalescing windows.
     pub batch_windows: Vec<usize>,
-    /// Candidate admission watermark pairs `(high_pct, low_pct)`.
-    pub watermarks: Vec<(u8, u8)>,
 }
 
 /// One candidate-producing mutation of the incumbent configuration.
 type Setter = Box<dyn Fn(&Tunables) -> Tunables>;
 
 impl SearchSpace {
-    /// A coarse grid sized for CI: seconds of wall time, still covering
-    /// every solver dimension (threads, band divisor, backend, numerics).
-    pub fn smoke(max_threads: usize) -> SearchSpace {
-        SearchSpace {
-            threads: thread_grid(max_threads, 3),
-            band_rows_divisors: vec![1, 4],
-            backends: vec![None, Some(KernelBackend::Scalar)],
-            numerics: vec![NumericsChoice::Auto, NumericsChoice::Fast],
-            batch_windows: vec![],
-            watermarks: vec![],
-        }
-    }
-
-    /// The full solver grid for real tuning runs.
-    pub fn full(max_threads: usize) -> SearchSpace {
-        SearchSpace {
-            threads: thread_grid(max_threads, 6),
-            band_rows_divisors: vec![1, 2, 4, 8, 16],
-            backends: vec![
-                None,
-                Some(KernelBackend::Scalar),
-                Some(KernelBackend::Sse2),
-                Some(KernelBackend::Avx2),
-                Some(KernelBackend::Avx512),
-            ],
-            numerics: vec![
-                NumericsChoice::Auto,
-                NumericsChoice::Exact,
-                NumericsChoice::Fast,
-            ],
-            batch_windows: vec![],
-            watermarks: vec![],
-        }
-    }
-
-    /// The service-knob grid (batch coalescing window + watermarks),
-    /// searched against in-process request replays.
+    /// The service-knob grid (the batch coalescing window), searched
+    /// against in-process request replays.
     pub fn service(smoke: bool) -> SearchSpace {
         SearchSpace {
             batch_windows: if smoke {
@@ -97,75 +50,21 @@ impl SearchSpace {
             } else {
                 vec![1, 2, 4, 8, 16, 32]
             },
-            watermarks: if smoke {
-                vec![(75, 25), (90, 50)]
-            } else {
-                vec![(50, 10), (75, 25), (90, 50), (95, 75)]
-            },
-            ..SearchSpace::default()
         }
-    }
-
-    /// The number of non-empty knob dimensions this space searches.
-    pub fn dimension_count(&self) -> usize {
-        self.dimensions().len()
     }
 
     /// Materializes the non-empty dimensions as named candidate setters.
     fn dimensions(&self) -> Vec<(&'static str, Vec<Setter>)> {
-        fn dim<T: Copy + 'static>(
-            name: &'static str,
-            values: &[T],
-            set: fn(&mut Tunables, T),
-        ) -> Option<(&'static str, Vec<Setter>)> {
-            if values.is_empty() {
-                return None;
-            }
-            let setters = values
-                .iter()
-                .map(|&v| -> Setter {
-                    Box::new(move |t| {
-                        let mut t = *t;
-                        set(&mut t, v);
-                        t
-                    })
-                })
-                .collect();
-            Some((name, setters))
+        if self.batch_windows.is_empty() {
+            return Vec::new();
         }
-        [
-            dim("threads", &self.threads, |t, v| t.threads = v),
-            dim("band_rows_divisor", &self.band_rows_divisors, |t, v| {
-                t.band_rows_divisor = v;
-            }),
-            dim("backend", &self.backends, |t, v| t.backend = v),
-            dim("numerics", &self.numerics, |t, v| t.numerics = v),
-            dim("batch_window", &self.batch_windows, |t, v| {
-                t.batch_window = v;
-            }),
-            dim("watermarks", &self.watermarks, |t, (hi, lo)| {
-                t.high_watermark_pct = hi;
-                t.low_watermark_pct = lo;
-            }),
-        ]
-        .into_iter()
-        .flatten()
-        .collect()
+        let setters = self
+            .batch_windows
+            .iter()
+            .map(|&batch_window| -> Setter { Box::new(move |t| Tunables { batch_window, ..*t }) })
+            .collect();
+        vec![("batch_window", setters)]
     }
-}
-
-/// A small geometric thread grid `1, 2, 4, …` capped at `max` with at most
-/// `len` entries, always containing `max` itself.
-fn thread_grid(max: usize, len: usize) -> Vec<usize> {
-    let max = max.max(1);
-    let mut grid = Vec::new();
-    let mut n = 1;
-    while n < max && grid.len() + 1 < len {
-        grid.push(n);
-        n *= 2;
-    }
-    grid.push(max);
-    grid
 }
 
 /// Search budget and filter shape.
@@ -378,32 +277,14 @@ mod tests {
     /// the descent's convergence is checkable without real measurements.
     fn synthetic_cost(t: &Tunables) -> Option<f64> {
         t.validate().ok()?;
-        let backend_cost = match t.backend {
-            Some(KernelBackend::Avx512) => 0.0,
-            Some(KernelBackend::Avx2) => 1.0,
-            Some(KernelBackend::Sse2) => 4.0,
-            None => 6.0,
-            Some(KernelBackend::Scalar) => 10.0,
-        };
-        Some(
-            (t.threads as f64 - 4.0).abs() * 2.0
-                + (t.band_rows_divisor as f64 - 1.0).abs()
-                + backend_cost
-                + 100.0,
-        )
+        Some((t.batch_window as f64 - 4.0).abs() * 2.0 + 100.0)
     }
 
     #[test]
     fn descent_finds_the_synthetic_optimum() {
         let space = SearchSpace {
-            threads: vec![1, 2, 4],
-            ..SearchSpace::smoke(4)
+            batch_windows: vec![1, 2, 4, 8, 16],
         };
-        assert_eq!(
-            space.dimension_count(),
-            4,
-            "threads, band divisor, backend, numerics"
-        );
         let tele = Telemetry::null();
         let outcome = coordinate_descent(
             &space,
@@ -414,9 +295,7 @@ mod tests {
             &mut synthetic_cost,
         )
         .unwrap();
-        assert_eq!(outcome.best.threads, 4);
-        assert_eq!(outcome.best.band_rows_divisor, 1);
-        assert_eq!(outcome.best.backend, None); // smoke space has no avx2
+        assert_eq!(outcome.best.batch_window, 4);
         assert!(outcome.speedup() > 1.0);
         assert!(outcome.pruned > 0, "descent must prune losing candidates");
         let snap = tele.snapshot();
@@ -431,7 +310,7 @@ mod tests {
     fn unmeasurable_baseline_aborts_the_search() {
         let tele = Telemetry::disabled();
         let outcome = coordinate_descent(
-            &SearchSpace::smoke(2),
+            &SearchSpace::service(true),
             Tunables::default(),
             &SearchOptions::default(),
             &tele,
@@ -443,26 +322,13 @@ mod tests {
 
     #[test]
     fn winner_is_decided_on_full_scores_not_proxy_scores() {
-        // The proxy loves scalar; the full measurement knows better. The
-        // winner must come from the full phase.
+        // The proxy loves unbatched dispatch; the full measurement knows
+        // better. The winner must come from the full phase.
         let space = SearchSpace {
-            backends: vec![None, Some(KernelBackend::Scalar)],
-            ..SearchSpace::default()
+            batch_windows: vec![8, 1],
         };
-        let mut proxy = |t: &Tunables| {
-            Some(if t.backend == Some(KernelBackend::Scalar) {
-                1.0
-            } else {
-                2.0
-            })
-        };
-        let mut full = |t: &Tunables| {
-            Some(if t.backend == Some(KernelBackend::Scalar) {
-                9.0
-            } else {
-                3.0
-            })
-        };
+        let mut proxy = |t: &Tunables| Some(if t.batch_window == 1 { 1.0 } else { 2.0 });
+        let mut full = |t: &Tunables| Some(if t.batch_window == 1 { 9.0 } else { 3.0 });
         let outcome = coordinate_descent(
             &space,
             Tunables::default(),
@@ -472,17 +338,15 @@ mod tests {
             &mut full,
         )
         .unwrap();
-        assert_eq!(outcome.best.backend, None);
+        assert_eq!(outcome.best.batch_window, 8);
         assert!((outcome.speedup() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn service_space_searches_only_service_dimensions() {
-        let space = SearchSpace::service(true);
-        assert_eq!(space.dimension_count(), 2);
         let cost = |t: &Tunables| Some(t.batch_window as f64 + 0.1);
         let outcome = coordinate_descent(
-            &space,
+            &SearchSpace::service(true),
             Tunables::default(),
             &SearchOptions::default(),
             &Telemetry::disabled(),
@@ -490,16 +354,11 @@ mod tests {
             &mut cost.clone(),
         )
         .unwrap();
+        assert_eq!(outcome.dimensions_searched, 1, "the batch window alone");
         assert_eq!(outcome.best.batch_window, 1);
-        // Solver knobs never moved.
-        assert_eq!(outcome.best.threads, Tunables::default().threads);
-    }
-
-    #[test]
-    fn thread_grid_contains_max_and_is_bounded() {
-        assert_eq!(thread_grid(1, 4), vec![1]);
-        assert_eq!(thread_grid(8, 4), vec![1, 2, 4, 8]);
-        assert_eq!(thread_grid(6, 3), vec![1, 2, 6]);
-        assert_eq!(thread_grid(0, 3), vec![1]);
+        // The watermarks are written at their defaults, never searched.
+        let defaults = Tunables::default();
+        assert_eq!(outcome.best.high_watermark_pct, defaults.high_watermark_pct);
+        assert_eq!(outcome.best.low_watermark_pct, defaults.low_watermark_pct);
     }
 }

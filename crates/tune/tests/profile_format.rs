@@ -5,13 +5,14 @@
 //! profile saved by an earlier build to the fallback. The two input
 //! documents are verbatim `chambolle.tuning_profile.v2` output of an
 //! earlier `Profile::to_json`, which still wrote the four retired
-//! window-geometry knobs. They must keep parsing to the same knobs, and
-//! save back to the same bytes without those four lines.
+//! window-geometry knobs and the four retired solver knobs (`threads`,
+//! `band_rows_divisor`, `backend`, `numerics`). They must keep parsing to
+//! the same service knobs, and save back to the same bytes without those
+//! eight lines.
 
 use std::path::PathBuf;
 
-use chambolle_par::KernelBackend;
-use chambolle_tune::{Fingerprint, NumericsChoice, Profile, Tunables};
+use chambolle_tune::{Fingerprint, Profile, Tunables};
 
 /// A profile with every knob at its default, `backend` included.
 const AUTO_DOC: &str = r#"{
@@ -74,10 +75,6 @@ const AUTO_SAVED: &str = r#"{
     "cache_line": 64
   },
   "tunables": {
-    "threads": 2,
-    "band_rows_divisor": 4,
-    "backend": "auto",
-    "numerics": "auto",
     "batch_window": 8,
     "high_watermark_pct": 75,
     "low_watermark_pct": 25
@@ -95,10 +92,6 @@ const AVX2_SAVED: &str = r#"{
     "cache_line": 64
   },
   "tunables": {
-    "threads": 2,
-    "band_rows_divisor": 2,
-    "backend": "avx2",
-    "numerics": "exact",
     "batch_window": 4,
     "high_watermark_pct": 80,
     "low_watermark_pct": 20
@@ -117,10 +110,6 @@ fn tmp(name: &str) -> PathBuf {
 #[test]
 fn literal_v2_profiles_parse_and_save_unchanged() {
     let avx2 = Tunables {
-        threads: 2,
-        band_rows_divisor: 2,
-        backend: Some(KernelBackend::Avx2),
-        numerics: NumericsChoice::Exact,
         batch_window: 4,
         high_watermark_pct: 80,
         low_watermark_pct: 20,
@@ -132,9 +121,9 @@ fn literal_v2_profiles_parse_and_save_unchanged() {
         avx2: true,
         cache_line: 64,
     };
-    for (name, doc, saved_doc, tunables, token) in [
-        ("auto", AUTO_DOC, AUTO_SAVED, Tunables::default(), "auto"),
-        ("avx2", AVX2_DOC, AVX2_SAVED, avx2, "avx2"),
+    for (name, doc, saved_doc, tunables) in [
+        ("auto", AUTO_DOC, AUTO_SAVED, Tunables::default()),
+        ("avx2", AVX2_DOC, AVX2_SAVED, avx2),
     ] {
         let profile = Profile::parse(doc).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(profile.tunables, tunables, "{name}");
@@ -144,8 +133,6 @@ fn literal_v2_profiles_parse_and_save_unchanged() {
         profile.save(&path).expect("temp dir is writable");
         let saved = std::fs::read_to_string(&path).expect("just written");
         let _ = std::fs::remove_file(&path);
-        let line = format!("\"backend\": \"{token}\",");
-        assert!(saved.contains(&line), "{name}: {saved}");
         assert_eq!(saved.trim_end(), saved_doc, "{name}");
         let reparsed = Profile::parse(&saved).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(reparsed, profile, "{name}");

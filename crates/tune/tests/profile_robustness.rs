@@ -11,11 +11,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use chambolle_par::KernelBackend;
 use chambolle_telemetry::{names, Telemetry};
 use chambolle_tune::{
-    fallback_count, load_with_fallback, Fingerprint, NumericsChoice, Profile, ProfileError,
-    Tunables,
+    fallback_count, load_with_fallback, Fingerprint, Profile, ProfileError, Tunables,
 };
 use proptest::prelude::*;
 
@@ -33,31 +31,8 @@ fn tmp(name: &str) -> PathBuf {
 
 /// An arbitrary *valid* schedule drawn from the given raw knob values
 /// (`None` if the combination fails validation — callers `prop_assume`).
-fn tunables_from(
-    threads: usize,
-    band_rows_divisor: usize,
-    backend: u8,
-    batch_window: usize,
-    low_pct: u8,
-    high_pct: u8,
-) -> Option<Tunables> {
-    let numerics = match backend / 5 % 3 {
-        0 => NumericsChoice::Auto,
-        1 => NumericsChoice::Exact,
-        _ => NumericsChoice::Fast,
-    };
-    let backend = match backend % 5 {
-        0 => None,
-        1 => Some(KernelBackend::Scalar),
-        2 => Some(KernelBackend::Sse2),
-        3 => Some(KernelBackend::Avx2),
-        _ => Some(KernelBackend::Avx512),
-    };
+fn tunables_from(batch_window: usize, low_pct: u8, high_pct: u8) -> Option<Tunables> {
     let t = Tunables {
-        threads,
-        band_rows_divisor,
-        backend,
-        numerics,
         batch_window,
         high_watermark_pct: high_pct,
         low_watermark_pct: low_pct,
@@ -114,12 +89,11 @@ proptest! {
     /// Save → parse round-trips every valid schedule exactly.
     #[test]
     fn round_trip_preserves_arbitrary_valid_schedules(
-        schedule in (1usize..17, 1usize..17, any::<u8>(), 1usize..33),
+        batch in 1usize..33,
         watermarks in (0u8..60, 40u8..101),
     ) {
-        let (threads, divisor, backend, batch) = schedule;
         let (low, high) = watermarks;
-        let candidate = tunables_from(threads, divisor, backend, batch, low, high);
+        let candidate = tunables_from(batch, low, high);
         prop_assume!(candidate.is_some());
         let profile = Profile::new(Fingerprint::detect(), candidate.unwrap());
         let back = Profile::parse(&profile.to_json().to_string_pretty())
@@ -191,19 +165,13 @@ fn version_bumped_schema_falls_back() {
 
 #[test]
 fn v1_profile_without_numerics_knob_falls_back_totally() {
-    // A faithful pre-PR-10 document: v1 schema string and no `numerics`
-    // knob. The loader must take the total fallback (defaults, fallback
-    // counter bumped) rather than guess at the missing tier.
-    let mut text = Profile::new(Fingerprint::detect(), Tunables::default())
+    // A v1 schema string over knobs this build would otherwise accept (and
+    // no `numerics` knob, like a v1 document). The loader must take the
+    // total fallback (defaults, fallback counter bumped) on the version.
+    let text = Profile::new(Fingerprint::detect(), Tunables::default())
         .to_json()
         .to_string_pretty()
         .replace("tuning_profile.v2", "tuning_profile.v1");
-    let numerics_line = text
-        .lines()
-        .find(|l| l.contains("\"numerics\""))
-        .expect("v2 documents carry the numerics knob")
-        .to_string();
-    text = text.replace(&format!("{numerics_line}\n"), "");
     let path = tmp("v1_legacy");
     std::fs::write(&path, &text).unwrap();
     let telemetry = Telemetry::null();
@@ -219,25 +187,25 @@ fn v1_profile_without_numerics_knob_falls_back_totally() {
 }
 
 #[test]
-fn v2_profile_missing_numerics_knob_falls_back() {
-    // Claims the current schema but lost the numerics knob: strict knob
+fn v2_profile_missing_a_knob_falls_back() {
+    // Claims the current schema but lost the batch window: strict knob
     // parsing refuses it and the loader falls back whole.
     let text = Profile::new(Fingerprint::detect(), Tunables::default())
         .to_json()
         .to_string_pretty();
-    let numerics_line = text
+    let batch_line = text
         .lines()
-        .find(|l| l.contains("\"numerics\""))
-        .expect("v2 documents carry the numerics knob")
+        .find(|l| l.contains("\"batch_window\""))
+        .expect("v2 documents carry the batch window")
         .to_string();
-    let text = text.replace(&format!("{numerics_line}\n"), "");
-    let path = tmp("v2_missing_numerics");
+    let text = text.replace(&format!("{batch_line}\n"), "");
+    let path = tmp("v2_missing_batch_window");
     std::fs::write(&path, &text).unwrap();
     let (tunables, err) = serialized(|| load_with_fallback(path.to_str(), &Telemetry::disabled()));
     std::fs::remove_file(&path).ok();
 
     assert_eq!(tunables, Tunables::default());
-    assert!(matches!(err, Some(ProfileError::Invalid(msg)) if msg.contains("numerics")));
+    assert!(matches!(err, Some(ProfileError::Invalid(msg)) if msg.contains("batch_window")));
 }
 
 #[test]
@@ -247,7 +215,7 @@ fn wrong_fingerprint_falls_back() {
     let profile = Profile::new(
         other,
         Tunables {
-            threads: 3,
+            batch_window: 3,
             ..Tunables::default()
         },
     );
@@ -287,26 +255,33 @@ fn valid_knobs_that_fail_validation_fall_back() {
     assert!(matches!(err, Some(ProfileError::Invalid(_))));
 }
 
-/// This host's own profile asking for a million workers would make every
-/// default solve try to spawn them. It falls back to the defaults instead.
-/// The check runs through parsing and validation only; no pool is built.
+/// This host's own profile still asking for a million workers loads its
+/// service knobs: no pool width is read from a profile any more, so the
+/// retired `threads` key is ignored like any other unknown key.
 #[test]
-fn absurd_thread_count_falls_back() {
-    let text = Profile::new(Fingerprint::detect(), Tunables::default())
+fn absurd_thread_count_is_ignored() {
+    let tuned = Tunables {
+        batch_window: 4,
+        ..Tunables::default()
+    };
+    let text = Profile::new(Fingerprint::detect(), tuned)
         .to_json()
         .to_string_pretty()
-        .replace("\"threads\": 2", "\"threads\": 1000000");
-    assert!(text.contains("1000000"), "the knob was rewritten");
+        .replace(
+            "\"batch_window\"",
+            "\"threads\": 1000000,\n    \"batch_window\"",
+        );
+    assert!(text.contains("1000000"), "the retired knob was written");
     let path = tmp("absurd_threads");
     std::fs::write(&path, text).unwrap();
     let telemetry = Telemetry::null();
     let (tunables, err) = serialized(|| load_with_fallback(path.to_str(), &telemetry));
     std::fs::remove_file(&path).ok();
 
-    assert_eq!(tunables, Tunables::default());
-    assert!(matches!(err, Some(ProfileError::Invalid(msg)) if msg.contains("threads")));
+    assert!(err.is_none(), "{err:?}");
+    assert_eq!(tunables, tuned);
     assert_eq!(
-        telemetry.snapshot().counter(names::TUNE_PROFILE_FALLBACK),
+        telemetry.snapshot().counter(names::TUNE_PROFILE_LOADED),
         Some(1)
     );
 }

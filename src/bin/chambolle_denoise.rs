@@ -6,20 +6,17 @@
 //!   --iterations N   Chambolle iterations                  [100]
 //!   --theta T        coupling constant θ                   [0.25]
 //!   --backend B      seq | fpga                            [seq]
-//!   --threads N      workers of the `seq` solver's pool    [threads knob: 2]
-//!                    (fpga and --gap-tol ignore it)
-//!   --gap-tol G      stop early once the duality gap < G (seq backend only)
+//!   --threads N      workers of the software solver's pool [available
+//!                    parallelism, at most 1024] (fpga ignores it)
+//!   --gap-tol G      stop early once the duality gap < G (software solver)
 //!   --telemetry P    write a JSON run report (metrics + run summary) to P
-//!   --profile P      load a tuning profile (chambolle.tuning_profile.v2,
-//!                    written by the `tune` bin); takes precedence over the
-//!                    CHAMBOLLE_PROFILE environment variable. A missing or
-//!                    invalid profile falls back to defaults with a warning.
 //! ```
 //!
 //! `seq` is the banded parallel solver on one pool of `--threads` workers,
 //! bit-identical to the sequential loop at every width; a 1-thread pool
-//! runs inline, so `--threads 1` is that loop. `fpga` runs the cycle-level
-//! simulation of the paper's accelerator.
+//! runs inline, so `--threads 1` is that loop. `--gap-tol` runs the same
+//! pool, checking the duality gap every 10 iterations. `fpga` runs the
+//! cycle-level simulation of the paper's accelerator.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -34,7 +31,7 @@ use chambolle::par::ThreadPool;
 use chambolle::telemetry::json::JsonValue;
 use chambolle::telemetry::report::RunReport;
 use chambolle::telemetry::Telemetry;
-use chambolle::tune::Tunables;
+use chambolle::{default_threads, MAX_THREADS};
 
 #[derive(Debug, Clone, PartialEq)]
 struct Options {
@@ -43,10 +40,9 @@ struct Options {
     iterations: u32,
     theta: f32,
     backend: Backend,
-    threads: Option<usize>,
+    threads: usize,
     gap_tol: Option<f64>,
     telemetry: Option<String>,
-    profile: Option<String>,
 }
 
 /// The `--backend` choices.
@@ -76,10 +72,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         iterations: 100,
         theta: 0.25,
         backend: Backend::Software,
-        threads: None,
+        threads: default_threads(),
         gap_tol: None,
         telemetry: None,
-        profile: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -110,13 +105,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let threads: usize = value("--threads")?
                     .parse()
                     .map_err(|_| "invalid --threads".to_string())?;
-                if threads == 0 || threads > Tunables::MAX_THREADS {
-                    return Err(format!(
-                        "--threads must be in 1..={}",
-                        Tunables::MAX_THREADS
-                    ));
+                if threads == 0 || threads > MAX_THREADS {
+                    return Err(format!("--threads must be in 1..={MAX_THREADS}"));
                 }
-                opts.threads = Some(threads);
+                opts.threads = threads;
             }
             "--gap-tol" => {
                 opts.gap_tol = Some(
@@ -126,7 +118,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 )
             }
             "--telemetry" => opts.telemetry = Some(value("--telemetry")?),
-            "--profile" => opts.profile = Some(value("--profile")?),
             "--help" | "-h" => return Err("help".into()),
             other if other.starts_with('-') => return Err(format!("unknown option {other:?}")),
             other => positional.push(other.to_string()),
@@ -143,17 +134,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Applies `--profile` (taking precedence over `CHAMBOLLE_PROFILE`): loads
-/// the profile with total fallback to defaults and installs the result as
-/// the process-wide active schedule. Never fails; a bad profile warns.
-fn apply_profile(path: &str, telemetry: &Telemetry) {
-    let (tunables, err) = chambolle::tune::load_with_fallback(Some(path), telemetry);
-    if let Some(err) = err {
-        eprintln!("warning: tuning profile {path:?} ignored: {err}");
-    }
-    let _ = chambolle::tune::install(tunables);
-}
-
 fn run(opts: &Options) -> chambolle::Result<()> {
     let v = read_pgm(&opts.input)?;
     let params = ChambolleParams::new(opts.theta, opts.theta / 4.0, opts.iterations)?;
@@ -162,12 +142,12 @@ fn run(opts: &Options) -> chambolle::Result<()> {
     } else {
         Telemetry::disabled()
     };
-    if let Some(path) = &opts.profile {
-        apply_profile(path, &telemetry);
-    }
+    let pool = Arc::new(ThreadPool::new(opts.threads).with_telemetry(telemetry.clone()));
+    let ctx = ExecCtx::default()
+        .with_telemetry(telemetry.clone())
+        .with_pool(Arc::clone(&pool));
 
     let u = if let Some(tol) = opts.gap_tol {
-        let ctx = ExecCtx::default().with_telemetry(telemetry.clone());
         let report = chambolle_denoise_monitored_with_ctx(&v, &params, 10, tol, &ctx)?;
         eprintln!(
             "converged in {} iterations (duality gap {:.4})",
@@ -178,13 +158,7 @@ fn run(opts: &Options) -> chambolle::Result<()> {
     } else {
         match opts.backend {
             Backend::Software => {
-                // The `threads` knob is read only now, after `--profile`.
-                let threads = opts
-                    .threads
-                    .unwrap_or_else(|| chambolle::tune::active().threads);
-                let pool = ThreadPool::new(threads).with_telemetry(telemetry.clone());
-                let ctx = ExecCtx::default().with_telemetry(telemetry.clone());
-                ParallelSolver::with_pool(Arc::new(pool)).denoise_with_ctx(&v, &params, &ctx)
+                ParallelSolver::with_pool(pool).denoise_with_ctx(&v, &params, &ctx)
             }
             Backend::Fpga => {
                 let mut accel = ChambolleAccel::new(AccelConfig::default());
@@ -231,9 +205,8 @@ fn main() -> ExitCode {
             if msg != "help" {
                 eprintln!("error: {msg}");
             }
-            eprintln!("usage: chambolle_denoise IN.pgm OUT.pgm [--iterations N] [--theta T] [--backend seq|fpga] [--threads N] [--gap-tol G] [--telemetry REPORT.json] [--profile PROFILE.json]");
-            eprintln!("  --threads N sizes the pool of the seq solver (default: the threads knob, 2 unless a profile sets it); every width writes the same pixels, and fpga and --gap-tol ignore it");
-            eprintln!("  --profile P loads a chambolle.tuning_profile.v2 written by the tune bin (takes precedence over CHAMBOLLE_PROFILE; invalid profiles fall back to defaults with a warning)");
+            eprintln!("usage: chambolle_denoise IN.pgm OUT.pgm [--iterations N] [--theta T] [--backend seq|fpga] [--threads N] [--gap-tol G] [--telemetry REPORT.json]");
+            eprintln!("  --threads N sizes the pool of the software solver, seq and --gap-tol (default: the available parallelism, at most {MAX_THREADS}); every width writes the same pixels, and fpga ignores it");
             return if msg == "help" {
                 ExitCode::SUCCESS
             } else {
@@ -263,7 +236,7 @@ mod tests {
         let o = parse_args(&args(&["in.pgm", "out.pgm"])).unwrap();
         assert_eq!(o.iterations, 100);
         assert_eq!(o.backend, Backend::Software);
-        assert_eq!(o.threads, None);
+        assert_eq!(o.threads, default_threads());
         assert_eq!(o.gap_tol, None);
 
         let o = parse_args(&args(&[
@@ -286,14 +259,12 @@ mod tests {
         assert_eq!(o.iterations, 50);
         assert_eq!(o.theta, 0.5);
         assert_eq!(o.backend, Backend::Fpga);
-        assert_eq!(o.threads, Some(4));
+        assert_eq!(o.threads, 4);
         assert_eq!(o.gap_tol, Some(0.1));
         assert_eq!(o.telemetry.as_deref(), Some("report.json"));
-        assert_eq!(o.profile, None);
 
-        let o = parse_args(&args(&["in.pgm", "out.pgm", "--profile", "p.json"])).unwrap();
-        assert_eq!(o.profile.as_deref(), Some("p.json"));
-        assert!(parse_args(&args(&["in.pgm", "out.pgm", "--profile"])).is_err());
+        // No profile reaches a solve, so there is no `--profile` option.
+        assert!(parse_args(&args(&["in.pgm", "out.pgm", "--profile", "p.json"])).is_err());
     }
 
     #[test]
@@ -307,8 +278,8 @@ mod tests {
         assert!(parse_args(&args(&["a", "b", "--backend", "tiled"])).is_err());
         assert!(parse_args(&args(&["a", "b", "--backend"])).is_err());
         assert!(parse_args(&args(&["a", "b", "--threads", "1025"])).is_err());
-        let widest = Tunables::MAX_THREADS.to_string();
+        let widest = MAX_THREADS.to_string();
         let o = parse_args(&args(&["a", "b", "--threads", &widest])).unwrap();
-        assert_eq!(o.threads, Some(Tunables::MAX_THREADS));
+        assert_eq!(o.threads, MAX_THREADS);
     }
 }

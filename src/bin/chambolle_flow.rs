@@ -9,17 +9,14 @@
 //!   --warps N           warps per pyramid level              [5]
 //!   --levels N          pyramid levels                       [5]
 //!   --backend B         seq | fpga (TV-L1 inner)             [seq]
-//!   --threads N         workers of the shared pool [threads knob: 2]; the
-//!                       TV-L1 outer loop and the seq inner solver run on
-//!                       it, bit-identical to the 1-thread result (hs/bm
-//!                       estimators and the fpga inner solver ignore it)
+//!   --threads N         workers of the shared pool [available
+//!                       parallelism, at most 1024]; the TV-L1 outer loop
+//!                       and the seq inner solver run on it, bit-identical
+//!                       to the 1-thread result (hs/bm estimators and the
+//!                       fpga inner solver ignore it)
 //!   --method M          tvl1 | hs | bm (estimator)           [tvl1]
 //!   --median            3x3 median filter between warps
 //!   --telemetry P       write a JSON run report (metrics + run summary) to P
-//!   --profile P         load a tuning profile (chambolle.tuning_profile.v2,
-//!                       written by the `tune` bin); takes precedence over
-//!                       CHAMBOLLE_PROFILE. A missing or invalid profile
-//!                       falls back to defaults with a warning.
 //! ```
 //!
 //! `seq` is the banded parallel solver, which solves the two flow
@@ -40,7 +37,7 @@ use chambolle::par::ThreadPool;
 use chambolle::telemetry::json::JsonValue;
 use chambolle::telemetry::report::RunReport;
 use chambolle::telemetry::Telemetry;
-use chambolle::tune::Tunables;
+use chambolle::{default_threads, MAX_THREADS};
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,11 +51,10 @@ struct Options {
     warps: u32,
     levels: usize,
     backend: Backend,
-    threads: Option<usize>,
+    threads: usize,
     method: Method,
     median: bool,
     telemetry: Option<String>,
-    profile: Option<String>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,11 +85,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         warps: 5,
         levels: 5,
         backend: Backend::Software,
-        threads: None,
+        threads: default_threads(),
         method: Method::TvL1,
         median: false,
         telemetry: None,
-        profile: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -136,13 +131,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let threads: usize = value("--threads")?
                     .parse()
                     .map_err(|_| "invalid --threads".to_string())?;
-                if threads == 0 || threads > Tunables::MAX_THREADS {
-                    return Err(format!(
-                        "--threads must be in 1..={}",
-                        Tunables::MAX_THREADS
-                    ));
+                if threads == 0 || threads > MAX_THREADS {
+                    return Err(format!("--threads must be in 1..={MAX_THREADS}"));
                 }
-                opts.threads = Some(threads);
+                opts.threads = threads;
             }
             "--method" => {
                 opts.method = match value("--method")?.as_str() {
@@ -154,7 +146,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--median" => opts.median = true,
             "--telemetry" => opts.telemetry = Some(value("--telemetry")?),
-            "--profile" => opts.profile = Some(value("--profile")?),
             "--help" | "-h" => return Err("help".into()),
             other if other.starts_with('-') => return Err(format!("unknown option {other:?}")),
             other => positional.push(other.to_string()),
@@ -190,12 +181,8 @@ fn estimate(
                 params = params.with_median_filter();
             }
             // One pool shared by the inner solver and the TV-L1 outer-loop
-            // image operations; the `threads` knob is read only now, after
-            // `--profile`.
-            let threads = opts
-                .threads
-                .unwrap_or_else(|| chambolle::tune::active().threads);
-            let pool = Arc::new(ThreadPool::new(threads).with_telemetry(telemetry.clone()));
+            // image operations.
+            let pool = Arc::new(ThreadPool::new(opts.threads).with_telemetry(telemetry.clone()));
             let backend: Box<dyn TvDenoiser> = match opts.backend {
                 Backend::Software => Box::new(ParallelSolver::with_pool(Arc::clone(&pool))),
                 Backend::Fpga => {
@@ -224,17 +211,6 @@ fn estimate(
     }
 }
 
-/// Applies `--profile` (taking precedence over `CHAMBOLLE_PROFILE`): loads
-/// the profile with total fallback to defaults and installs the result as
-/// the process-wide active schedule. Never fails; a bad profile warns.
-fn apply_profile(path: &str, telemetry: &Telemetry) {
-    let (tunables, err) = chambolle::tune::load_with_fallback(Some(path), telemetry);
-    if let Some(err) = err {
-        eprintln!("warning: tuning profile {path:?} ignored: {err}");
-    }
-    let _ = chambolle::tune::install(tunables);
-}
-
 fn run(opts: &Options) -> chambolle::Result<()> {
     let i0 = read_pgm(&opts.input0)?;
     let i1 = read_pgm(&opts.input1)?;
@@ -243,9 +219,6 @@ fn run(opts: &Options) -> chambolle::Result<()> {
     } else {
         Telemetry::disabled()
     };
-    if let Some(path) = &opts.profile {
-        apply_profile(path, &telemetry);
-    }
     let flow = estimate(opts, &i0, &i1, &telemetry)?;
 
     let (mu, mv) = flow.mean();
@@ -295,9 +268,8 @@ fn main() -> ExitCode {
             if msg != "help" {
                 eprintln!("error: {msg}");
             }
-            eprintln!("usage: chambolle_flow I0.pgm I1.pgm [--out F.flo] [--vis F.ppm] [--iterations N] [--lambda L] [--warps N] [--levels N] [--backend seq|fpga] [--threads N] [--method tvl1|hs|bm] [--median] [--telemetry REPORT.json] [--profile PROFILE.json]");
-            eprintln!("  --threads N sizes the shared pool (default: the threads knob, 2 unless a profile sets it); the TV-L1 outer loop and the seq inner solver run on it, bit-identical to the 1-thread result (hs/bm and the fpga inner solver ignore it)");
-            eprintln!("  --profile P loads a chambolle.tuning_profile.v2 written by the tune bin (takes precedence over CHAMBOLLE_PROFILE; invalid profiles fall back to defaults with a warning)");
+            eprintln!("usage: chambolle_flow I0.pgm I1.pgm [--out F.flo] [--vis F.ppm] [--iterations N] [--lambda L] [--warps N] [--levels N] [--backend seq|fpga] [--threads N] [--method tvl1|hs|bm] [--median] [--telemetry REPORT.json]");
+            eprintln!("  --threads N sizes the shared pool (default: the available parallelism, at most {MAX_THREADS}); the TV-L1 outer loop and the seq inner solver run on it, bit-identical to the 1-thread result (hs/bm and the fpga inner solver ignore it)");
             return if msg == "help" {
                 ExitCode::SUCCESS
             } else {
@@ -329,6 +301,7 @@ mod tests {
         assert_eq!(o.input1, "b.pgm");
         assert_eq!(o.iterations, 30);
         assert_eq!(o.backend, Backend::Software);
+        assert_eq!(o.threads, default_threads());
         assert!(!o.median);
     }
 
@@ -365,15 +338,13 @@ mod tests {
         assert_eq!(o.warps, 3);
         assert_eq!(o.levels, 4);
         assert_eq!(o.backend, Backend::Fpga);
-        assert_eq!(o.threads, Some(4));
+        assert_eq!(o.threads, 4);
         assert!(o.median);
         assert_eq!(o.method, Method::TvL1);
         assert_eq!(o.telemetry.as_deref(), Some("flow.json"));
-        assert_eq!(o.profile, None);
 
-        let o = parse_args(&args(&["a.pgm", "b.pgm", "--profile", "p.json"])).unwrap();
-        assert_eq!(o.profile.as_deref(), Some("p.json"));
-        assert!(parse_args(&args(&["a.pgm", "b.pgm", "--profile"])).is_err());
+        // No profile reaches a solve, so there is no `--profile` option.
+        assert!(parse_args(&args(&["a.pgm", "b.pgm", "--profile", "p.json"])).is_err());
     }
 
     #[test]

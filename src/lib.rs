@@ -23,14 +23,13 @@
 //!   queue, micro-batching of compatible requests, per-request deadlines
 //!   with cooperative cancellation, priority lanes, graceful drain-based
 //!   shutdown, and a framed localhost TCP front-end;
-//! - [`tune`] — the auto-tuning subsystem: the [`tune::Tunables`] knob
-//!   registry behind every schedule constant in the stack, the
-//!   coordinate-descent search engine of the `tune` binary, and the
-//!   fingerprinted per-machine `chambolle.tuning_profile.v2` store loaded
-//!   at startup (`CHAMBOLLE_PROFILE`) with non-panicking fallback. Every
-//!   tunable schedule under the `Exact` numerics tier is bit-identical to
-//!   the defaults — scheduling changes time, never pixels; only an explicit
-//!   opt-in to the `Fast` tier trades bit-reproducibility for speed.
+//! - [`tune`] — the auto-tuning subsystem of the service schedule: the
+//!   [`tune::Tunables`] registry of the batching window and admission
+//!   watermarks, the coordinate-descent search engine of the `tune`
+//!   binary, and the fingerprinted per-machine
+//!   `chambolle.tuning_profile.v2` store loaded at startup
+//!   (`CHAMBOLLE_PROFILE`) with non-panicking fallback. No profile knob
+//!   reaches a solve.
 //!
 //! On top of the re-exports, the facade adds the [`enum@Error`] umbrella —
 //! one enum with a `From` impl per crate-local error type, so application
@@ -73,3 +72,16 @@ pub use chambolle_par as par;
 pub use chambolle_service as service;
 pub use chambolle_telemetry as telemetry;
 pub use chambolle_tune as tune;
+
+/// The widest pool the command-line tools accept for `--threads`. A pool
+/// spawns `threads − 1` OS threads up front, so a width far above any
+/// host's core count would exhaust the host before a pixel is solved.
+pub const MAX_THREADS: usize = 1024;
+
+/// The command-line tools' default `--threads`: the host's available
+/// parallelism (1 if unknown), capped at [`MAX_THREADS`].
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(MAX_THREADS)
+}

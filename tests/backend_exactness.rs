@@ -70,7 +70,7 @@ fn solver_dual_fields_byte_equal_across_backends_widths_and_threads() {
         let (u_ref, _) = chambolle_denoise_with_ctx(&v, &params, &scalar).expect("no token");
 
         for backend in supported_backends() {
-            for threads in [1usize, 4] {
+            for threads in [1usize, 2, 3, 4] {
                 let pool = Arc::new(ThreadPool::new(threads));
                 let ctx = exact_ctx()
                     .with_backend(backend)

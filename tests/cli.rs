@@ -196,10 +196,9 @@ fn flow_cli_reports_missing_files() {
     assert_eq!(status.code(), Some(1));
 }
 
-/// `--profile` (and the `CHAMBOLLE_PROFILE` env var) steer the schedule but
-/// never the pixels: a valid profile with a different pool width produces a
-/// byte-identical output, as does `--threads 1`, and a corrupt profile
-/// falls back with a warning instead of failing the run.
+/// No tuning profile reaches a solve: the pool width alone steers the
+/// schedule, every width writes the same bytes, and `CHAMBOLLE_PROFILE`
+/// pointing at a valid or a corrupt profile changes none of them.
 #[test]
 fn denoise_cli_profiles_are_bit_exact_and_fall_back() {
     use chambolle::tune::{Fingerprint, Profile, Tunables};
@@ -219,99 +218,111 @@ fn denoise_cli_profiles_are_bit_exact_and_fall_back() {
         }
         let output = cmd.output().expect("spawn chambolle_denoise");
         assert!(output.status.success(), "denoise run failed: {output:?}");
-        String::from_utf8_lossy(&output.stderr).into_owned()
+        std::fs::read(out).expect("read output")
     };
 
     let default_out = tmp("prof_default.pgm");
-    run(&default_out, &[], &[]);
-    let reference = std::fs::read(&default_out).expect("read default output");
+    let reference = run(&default_out, &[], &[]);
 
     // `--threads 1` runs the pool inline: the sequential loop, same bytes.
-    let inline_out = tmp("prof_inline.pgm");
-    run(&inline_out, &["--threads", "1"], &[]);
-    assert_eq!(
-        std::fs::read(&inline_out).expect("read inline output"),
-        reference,
-        "--threads 1 must not change pixels"
-    );
+    let width_out = tmp("prof_width.pgm");
+    for threads in ["1", "3"] {
+        assert_eq!(
+            run(&width_out, &["--threads", threads], &[]),
+            reference,
+            "--threads {threads} must not change pixels"
+        );
+    }
 
-    // A valid profile with a different schedule: same pixels, byte for byte.
+    // A valid profile for this host, and a corrupt one: neither is read.
     let profile_path = tmp("prof_valid.json");
     let tunables = Tunables {
-        threads: 3,
+        batch_window: 3,
         ..Tunables::default()
     };
     Profile::new(Fingerprint::detect(), tunables)
         .save(&profile_path)
         .expect("save profile");
-    let flag_out = tmp("prof_flag.pgm");
-    run(
-        &flag_out,
-        &["--profile", profile_path.to_str().unwrap()],
-        &[],
-    );
-    assert_eq!(
-        std::fs::read(&flag_out).expect("read profiled output"),
-        reference,
-        "--profile must not change pixels"
-    );
-
-    let env_out = tmp("prof_env.pgm");
-    run(
-        &env_out,
-        &[],
-        &[("CHAMBOLLE_PROFILE", profile_path.to_str().unwrap())],
-    );
-    assert_eq!(
-        std::fs::read(&env_out).expect("read env-profiled output"),
-        reference,
-        "CHAMBOLLE_PROFILE must not change pixels"
-    );
-
-    // A corrupt profile warns and falls back; the run still succeeds.
     let bad_path = tmp("prof_bad.json");
     std::fs::write(&bad_path, "{ not json").expect("write bad profile");
-    let bad_out = tmp("prof_bad.pgm");
-    let stderr = run(&bad_out, &["--profile", bad_path.to_str().unwrap()], &[]);
-    assert!(
-        stderr.contains("tuning profile"),
-        "fallback must warn on stderr, got: {stderr}"
-    );
-    assert_eq!(
-        std::fs::read(&bad_out).expect("read fallback output"),
-        reference,
-        "fallback must reproduce the default output"
-    );
+    let env_out = tmp("prof_env.pgm");
+    for path in [&profile_path, &bad_path] {
+        let env = [("CHAMBOLLE_PROFILE", path.to_str().unwrap())];
+        assert_eq!(
+            run(&env_out, &[], &env),
+            reference,
+            "CHAMBOLLE_PROFILE={path:?} must not change pixels"
+        );
+    }
 
     for f in [
         input,
         default_out,
-        inline_out,
+        width_out,
         profile_path,
-        flag_out,
-        env_out,
         bad_path,
-        bad_out,
+        env_out,
     ] {
         std::fs::remove_file(f).ok();
     }
 }
 
-/// Both bins reject a bare `--profile` with usage exit code 2, and the flow
-/// bin accepts the flag.
+/// `--gap-tol` runs the monitored solve on the `--threads` pool: every
+/// width stops after the same number of iterations, well inside the
+/// budget, with the same bytes.
+#[test]
+fn denoise_cli_gap_tol_runs_on_the_threads_pool() {
+    let scene = NoiseTexture::new(81);
+    let pair = render_pair(&scene, 48, 40, Motion::Translation { du: 0.0, dv: 0.0 });
+    let input = tmp("gap_in.pgm");
+    write_pgm(&input, &pair.i0).expect("write input");
+    let output = tmp("gap_out.pgm");
+
+    let runs: Vec<(Vec<u8>, String)> = ["1", "3"]
+        .iter()
+        .map(|threads| {
+            let out = Command::new(env!("CARGO_BIN_EXE_chambolle_denoise"))
+                .args([input.to_str().unwrap(), output.to_str().unwrap()])
+                .args(["--iterations", "1000", "--gap-tol", "1.0"])
+                .args(["--threads", threads])
+                .output()
+                .expect("spawn chambolle_denoise");
+            assert!(out.status.success(), "--threads {threads}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let converged = stderr
+                .lines()
+                .find(|l| l.starts_with("converged in "))
+                .expect("the monitored solve reports its iterations")
+                .to_string();
+            (std::fs::read(&output).expect("read output"), converged)
+        })
+        .collect();
+    assert_eq!(runs[0].1, runs[1].1, "iteration counts differ");
+    assert!(
+        !runs[0].1.starts_with("converged in 1000 "),
+        "the gap check must stop the solve early: {}",
+        runs[0].1
+    );
+    assert!(runs[0].0 == runs[1].0, "--threads 3 changed the pixels");
+
+    std::fs::remove_file(input).ok();
+    std::fs::remove_file(output).ok();
+}
+
+/// `--profile` is gone from both bins: passing it, with a value, is a
+/// usage error (exit 2) before any input is read.
 #[test]
 fn profile_flag_usage_errors() {
-    let status = Command::new(env!("CARGO_BIN_EXE_chambolle_denoise"))
-        .args(["a.pgm", "b.pgm", "--profile"])
-        .status()
-        .expect("spawn chambolle_denoise");
-    assert_eq!(status.code(), Some(2));
-
-    let status = Command::new(env!("CARGO_BIN_EXE_chambolle_flow"))
-        .args(["a.pgm", "b.pgm", "--profile"])
-        .status()
-        .expect("spawn chambolle_flow");
-    assert_eq!(status.code(), Some(2));
+    for bin in [
+        env!("CARGO_BIN_EXE_chambolle_denoise"),
+        env!("CARGO_BIN_EXE_chambolle_flow"),
+    ] {
+        let status = Command::new(bin)
+            .args(["a.pgm", "b.pgm", "--profile", "p.json"])
+            .status()
+            .expect("spawn cli");
+        assert_eq!(status.code(), Some(2), "{bin} --profile p.json");
+    }
 }
 
 #[test]
