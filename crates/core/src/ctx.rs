@@ -38,7 +38,6 @@ use std::sync::{Arc, OnceLock};
 use chambolle_par::{KernelBackend, ThreadPool};
 use chambolle_telemetry::trace::TraceContext;
 use chambolle_telemetry::Telemetry;
-use chambolle_tune::Tunables;
 
 use crate::cancel::{CancelToken, Cancelled};
 
@@ -278,10 +277,10 @@ impl ExecCtx {
         ExecCtx::default()
     }
 
-    /// Returns [`ExecCtx::default`]: `tunables` is ignored, because no
+    /// Returns [`ExecCtx::default`]: the argument is ignored, because no
     /// tuning knob reaches a solve. Kept only for its last caller, the
     /// benchmark harness in `benchmark/`.
-    pub fn from_tunables(_tunables: Tunables) -> Self {
+    pub fn from_tunables<T>(_tunables: T) -> Self {
         ExecCtx::default()
     }
 

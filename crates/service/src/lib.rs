@@ -109,22 +109,13 @@ mod tests {
     }
 
     #[test]
-    fn config_from_tunables_matches_historical_constants_and_honors_knobs() {
-        // Default tunables reproduce the pre-auto-tuning constants exactly.
-        let d = ServiceConfig::new(2, 64);
-        assert_eq!(d.max_batch, 8);
-        assert_eq!(d.high_watermark, 64 * 3 / 4);
-        assert_eq!(d.low_watermark, 64 / 4);
-        // A profile's knobs flow through.
-        let t = chambolle_tune::Tunables {
-            batch_window: 16,
-            high_watermark_pct: 90,
-            low_watermark_pct: 50,
-        };
-        let c = ServiceConfig::from_tunables(3, 40, &t);
-        assert_eq!(c.max_batch, 16);
-        assert_eq!(c.high_watermark, 36);
-        assert_eq!(c.low_watermark, 20);
+    fn config_new_sets_batch_8_and_three_quarter_and_quarter_watermarks() {
+        for cap in [1usize, 2, 4, 7, 13, 64, 1000] {
+            let c = ServiceConfig::new(2, cap);
+            assert_eq!(c.max_batch, 8);
+            assert_eq!(c.high_watermark, (cap * 3 / 4).max(1), "capacity {cap}");
+            assert_eq!(c.low_watermark, cap / 4, "capacity {cap}");
+        }
     }
 
     #[test]

@@ -138,31 +138,18 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A config with the given pool size and queue capacity. The batching
-    /// window and admission watermarks come from the process-wide active
-    /// tunables ([`chambolle_tune::active`]): batches of up to 8 and
-    /// watermarks at 3/4 and 1/4 of capacity unless a tuning profile says
-    /// otherwise. No default deadline.
+    /// A config with the given pool size and queue capacity: batches of up
+    /// to 8 requests, the high watermark at 3/4 of capacity (at least 1)
+    /// and the low one at 1/4. No default deadline. The schedule is not
+    /// searched per host (DESIGN.md, "Service schedule").
     pub fn new(threads: usize, queue_capacity: usize) -> Self {
-        ServiceConfig::from_tunables(threads, queue_capacity, &chambolle_tune::active())
-    }
-
-    /// [`ServiceConfig::new`] with an explicit set of schedule knobs: the
-    /// batch coalescing window and the watermark percentages are read from
-    /// `tunables` (byte-identical to the historical `8` / `cap * 3 / 4` /
-    /// `cap / 4` at the default knobs).
-    pub fn from_tunables(
-        threads: usize,
-        queue_capacity: usize,
-        tunables: &chambolle_tune::Tunables,
-    ) -> Self {
         ServiceConfig {
             threads,
             queue_capacity,
-            max_batch: tunables.batch_window,
+            max_batch: 8,
             default_deadline: None,
-            high_watermark: tunables.high_watermark(queue_capacity),
-            low_watermark: tunables.low_watermark(queue_capacity),
+            high_watermark: (queue_capacity * 3 / 4).max(1),
+            low_watermark: queue_capacity / 4,
             recovery: RecoveryPolicy::default(),
             degradation: None,
             slo: [None, None],

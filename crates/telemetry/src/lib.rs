@@ -236,18 +236,6 @@ pub mod names {
     pub const BACKEND_AVX512_SUPPORTED: &str = "backend.avx512_supported";
     /// Gauge: 1 when the active numerics tier is Fast, 0 when Exact.
     pub const BACKEND_NUMERICS_FAST: &str = "backend.numerics_fast";
-
-    /// Counter: tuning profiles loaded and applied at startup.
-    pub const TUNE_PROFILE_LOADED: &str = "tune.profile.loaded";
-    /// Counter: tuning-profile loads that fell back to defaults (missing,
-    /// corrupt, wrong schema, wrong machine, or invalid knobs).
-    pub const TUNE_PROFILE_FALLBACK: &str = "tune.profile.fallback";
-    /// Counter: configurations measured (or pruned) by the tuning search.
-    pub const TUNE_TRIALS: &str = "tune.trials";
-    /// Counter: search candidates pruned before full measurement.
-    pub const TUNE_TRIALS_PRUNED: &str = "tune.trials_pruned";
-    /// Histogram: per-trial measured score, milliseconds.
-    pub const TUNE_TRIAL_MS: &str = "tune.trial_ms";
 }
 
 /// A shareable telemetry handle.

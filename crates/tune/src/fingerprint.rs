@@ -1,18 +1,12 @@
-//! Host fingerprinting for tuning profiles.
-//!
-//! A tuning profile encodes a schedule that won a search **on one
-//! machine**: its batch window fits that machine's cores. Loading it
-//! elsewhere would be silently wrong (never incorrect — batching is
-//! bit-exact — but arbitrarily slow), so every profile carries the
-//! [`Fingerprint`] of the host that produced it and loaders reject
-//! mismatches.
+//! Host fingerprinting: the benchmark stamps every run it records with the
+//! [`Fingerprint`] of the host, and compares numbers only within one.
 
 use chambolle_telemetry::json::JsonValue;
 
 /// The cache-line size every schedule in this workspace assumes.
 pub const ASSUMED_CACHE_LINE: usize = 64;
 
-/// The identity of a host, as far as the schedule space cares.
+/// The identity of a host, as far as a measured number cares.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Fingerprint {
     /// Target architecture (`std::env::consts::ARCH`).
@@ -46,12 +40,6 @@ impl Fingerprint {
         }
     }
 
-    /// Whether a profile fingerprinted as `self` may be applied on a host
-    /// fingerprinted as `other`: every field must agree.
-    pub fn matches(&self, other: &Fingerprint) -> bool {
-        self == other
-    }
-
     /// Serializes the fingerprint as a JSON object.
     pub fn to_json(&self) -> JsonValue {
         JsonValue::Object(vec![
@@ -61,42 +49,6 @@ impl Fingerprint {
             ("avx2".into(), self.avx2.into()),
             ("cache_line".into(), (self.cache_line as u64).into()),
         ])
-    }
-
-    /// Parses a profile `fingerprint` object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the missing or ill-typed field.
-    pub fn from_json(value: &JsonValue) -> Result<Fingerprint, String> {
-        let arch = value
-            .get("arch")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing fingerprint field \"arch\"")?
-            .to_string();
-        let num = |key: &str| -> Result<usize, String> {
-            let raw = value
-                .get(key)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("missing fingerprint field {key:?}"))?;
-            if !(raw.is_finite() && raw >= 0.0 && raw.fract() == 0.0) {
-                return Err(format!("fingerprint field {key:?} must be an integer"));
-            }
-            Ok(raw as usize)
-        };
-        let flag = |key: &str| -> Result<bool, String> {
-            match value.get(key) {
-                Some(JsonValue::Bool(b)) => Ok(*b),
-                _ => Err(format!("missing fingerprint field {key:?}")),
-            }
-        };
-        Ok(Fingerprint {
-            arch,
-            cores: num("cores")?,
-            sse2: flag("sse2")?,
-            avx2: flag("avx2")?,
-            cache_line: num("cache_line")?,
-        })
     }
 }
 
@@ -108,25 +60,9 @@ mod tests {
     fn detect_is_stable_and_plausible() {
         let a = Fingerprint::detect();
         let b = Fingerprint::detect();
-        assert!(a.matches(&b));
+        assert_eq!(a, b);
         assert!(a.cores >= 1);
         assert_eq!(a.cache_line, ASSUMED_CACHE_LINE);
         assert_eq!(a.arch, std::env::consts::ARCH);
-    }
-
-    #[test]
-    fn json_round_trip_and_mismatch_detection() {
-        let fp = Fingerprint::detect();
-        let back = Fingerprint::from_json(&fp.to_json()).unwrap();
-        assert!(fp.matches(&back));
-
-        let other = Fingerprint {
-            cores: fp.cores + 1,
-            ..back
-        };
-        assert!(!fp.matches(&other));
-
-        let err = Fingerprint::from_json(&JsonValue::Object(vec![])).unwrap_err();
-        assert!(err.contains("arch"));
     }
 }

@@ -8,7 +8,7 @@
 //!   --backend B      seq | fpga                            [seq]
 //!   --threads N      workers of the software solver's pool [available
 //!                    parallelism, at most 1024] (fpga ignores it)
-//!   --gap-tol G      stop early once the duality gap < G (software solver)
+//!   --gap-tol G      stop early once the duality gap < G (seq only)
 //!   --telemetry P    write a JSON run report (metrics + run summary) to P
 //! ```
 //!
@@ -16,7 +16,8 @@
 //! bit-identical to the sequential loop at every width; a 1-thread pool
 //! runs inline, so `--threads 1` is that loop. `--gap-tol` runs the same
 //! pool, checking the duality gap every 10 iterations. `fpga` runs the
-//! cycle-level simulation of the paper's accelerator.
+//! cycle-level simulation of the paper's accelerator, which has no gap
+//! check: `--backend fpga --gap-tol G` is a usage error.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -129,6 +130,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             positional.len()
         ));
     }
+    if opts.backend == Backend::Fpga && opts.gap_tol.is_some() {
+        return Err("--gap-tol runs the software solver, not --backend fpga".into());
+    }
     opts.input = positional.remove(0);
     opts.output = positional.remove(0);
     Ok(opts)
@@ -147,24 +151,23 @@ fn run(opts: &Options) -> chambolle::Result<()> {
         .with_telemetry(telemetry.clone())
         .with_pool(Arc::clone(&pool));
 
-    let u = if let Some(tol) = opts.gap_tol {
-        let report = chambolle_denoise_monitored_with_ctx(&v, &params, 10, tol, &ctx)?;
-        eprintln!(
-            "converged in {} iterations (duality gap {:.4})",
-            report.iterations_run,
-            report.final_gap()
-        );
-        report.u
-    } else {
-        match opts.backend {
-            Backend::Software => {
-                ParallelSolver::with_pool(pool).denoise_with_ctx(&v, &params, &ctx)
-            }
-            Backend::Fpga => {
-                let mut accel = ChambolleAccel::new(AccelConfig::default());
-                accel.attach_telemetry(telemetry.clone());
-                AccelDenoiser::new(accel).denoise(&v, &params)
-            }
+    let u = match (opts.backend, opts.gap_tol) {
+        (Backend::Software, Some(tol)) => {
+            let report = chambolle_denoise_monitored_with_ctx(&v, &params, 10, tol, &ctx)?;
+            eprintln!(
+                "converged in {} iterations (duality gap {:.4})",
+                report.iterations_run,
+                report.final_gap()
+            );
+            report.u
+        }
+        (Backend::Software, None) => {
+            ParallelSolver::with_pool(pool).denoise_with_ctx(&v, &params, &ctx)
+        }
+        (Backend::Fpga, _) => {
+            let mut accel = ChambolleAccel::new(AccelConfig::default());
+            accel.attach_telemetry(telemetry.clone());
+            AccelDenoiser::new(accel).denoise(&v, &params)
         }
     };
 
@@ -250,8 +253,6 @@ mod tests {
             "fpga",
             "--threads",
             "4",
-            "--gap-tol",
-            "0.1",
             "--telemetry",
             "report.json",
         ]))
@@ -260,8 +261,12 @@ mod tests {
         assert_eq!(o.theta, 0.5);
         assert_eq!(o.backend, Backend::Fpga);
         assert_eq!(o.threads, 4);
-        assert_eq!(o.gap_tol, Some(0.1));
+        assert_eq!(o.gap_tol, None);
         assert_eq!(o.telemetry.as_deref(), Some("report.json"));
+
+        let o = parse_args(&args(&["in.pgm", "out.pgm", "--gap-tol", "0.1"])).unwrap();
+        assert_eq!(o.backend, Backend::Software);
+        assert_eq!(o.gap_tol, Some(0.1));
 
         // No profile reaches a solve, so there is no `--profile` option.
         assert!(parse_args(&args(&["in.pgm", "out.pgm", "--profile", "p.json"])).is_err());
@@ -278,6 +283,8 @@ mod tests {
         assert!(parse_args(&args(&["a", "b", "--backend", "tiled"])).is_err());
         assert!(parse_args(&args(&["a", "b", "--backend"])).is_err());
         assert!(parse_args(&args(&["a", "b", "--threads", "1025"])).is_err());
+        // The accelerator has no duality-gap check.
+        assert!(parse_args(&args(&["a", "b", "--backend", "fpga", "--gap-tol", "1"])).is_err());
         let widest = MAX_THREADS.to_string();
         let o = parse_args(&args(&["a", "b", "--threads", &widest])).unwrap();
         assert_eq!(o.threads, MAX_THREADS);

@@ -22,14 +22,9 @@
 //! - [`service`] — the long-running request service: bounded admission
 //!   queue, micro-batching of compatible requests, per-request deadlines
 //!   with cooperative cancellation, priority lanes, graceful drain-based
-//!   shutdown, and a framed localhost TCP front-end;
-//! - [`tune`] — the auto-tuning subsystem of the service schedule: the
-//!   [`tune::Tunables`] registry of the batching window and admission
-//!   watermarks, the coordinate-descent search engine of the `tune`
-//!   binary, and the fingerprinted per-machine
-//!   `chambolle.tuning_profile.v2` store loaded at startup
-//!   (`CHAMBOLLE_PROFILE`) with non-panicking fallback. No profile knob
-//!   reaches a solve.
+//!   shutdown, and a framed localhost TCP front-end. Its schedule is
+//!   three constants: batches of up to 8, watermarks at 3/4 and 1/4 of
+//!   queue capacity.
 //!
 //! On top of the re-exports, the facade adds the [`enum@Error`] umbrella —
 //! one enum with a `From` impl per crate-local error type, so application
@@ -71,7 +66,6 @@ pub use chambolle_imaging as imaging;
 pub use chambolle_par as par;
 pub use chambolle_service as service;
 pub use chambolle_telemetry as telemetry;
-pub use chambolle_tune as tune;
 
 /// The widest pool the command-line tools accept for `--threads`. A pool
 /// spawns `threads − 1` OS threads up front, so a width far above any

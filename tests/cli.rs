@@ -196,75 +196,54 @@ fn flow_cli_reports_missing_files() {
     assert_eq!(status.code(), Some(1));
 }
 
-/// No tuning profile reaches a solve: the pool width alone steers the
-/// schedule, every width writes the same bytes, and `CHAMBOLLE_PROFILE`
-/// pointing at a valid or a corrupt profile changes none of them.
+/// The pool width changes the schedule, never the pixels: `--threads 1`
+/// runs the pool inline (the sequential loop) and `--threads 3` bands the
+/// frame, and both write the default run's bytes.
 #[test]
-fn denoise_cli_profiles_are_bit_exact_and_fall_back() {
-    use chambolle::tune::{Fingerprint, Profile, Tunables};
-
+fn denoise_cli_threads_write_byte_identical_pgm() {
     let scene = NoiseTexture::new(80);
     let pair = render_pair(&scene, 48, 40, Motion::Translation { du: 0.0, dv: 0.0 });
-    let input = tmp("prof_in.pgm");
+    let input = tmp("width_in.pgm");
     write_pgm(&input, &pair.i0).expect("write input");
 
-    let run = |out: &PathBuf, extra: &[&str], env: &[(&str, &str)]| {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_chambolle_denoise"));
-        cmd.args([input.to_str().unwrap(), out.to_str().unwrap()])
+    let run = |out: &PathBuf, extra: &[&str]| {
+        let output = Command::new(env!("CARGO_BIN_EXE_chambolle_denoise"))
+            .args([input.to_str().unwrap(), out.to_str().unwrap()])
             .args(["--iterations", "25"])
-            .args(extra);
-        for (k, v) in env {
-            cmd.env(k, v);
-        }
-        let output = cmd.output().expect("spawn chambolle_denoise");
+            .args(extra)
+            .output()
+            .expect("spawn chambolle_denoise");
         assert!(output.status.success(), "denoise run failed: {output:?}");
         std::fs::read(out).expect("read output")
     };
 
-    let default_out = tmp("prof_default.pgm");
-    let reference = run(&default_out, &[], &[]);
-
-    // `--threads 1` runs the pool inline: the sequential loop, same bytes.
-    let width_out = tmp("prof_width.pgm");
+    let default_out = tmp("width_default.pgm");
+    let reference = run(&default_out, &[]);
+    let width_out = tmp("width_threads.pgm");
     for threads in ["1", "3"] {
         assert_eq!(
-            run(&width_out, &["--threads", threads], &[]),
+            run(&width_out, &["--threads", threads]),
             reference,
             "--threads {threads} must not change pixels"
         );
     }
 
-    // A valid profile for this host, and a corrupt one: neither is read.
-    let profile_path = tmp("prof_valid.json");
-    let tunables = Tunables {
-        batch_window: 3,
-        ..Tunables::default()
-    };
-    Profile::new(Fingerprint::detect(), tunables)
-        .save(&profile_path)
-        .expect("save profile");
-    let bad_path = tmp("prof_bad.json");
-    std::fs::write(&bad_path, "{ not json").expect("write bad profile");
-    let env_out = tmp("prof_env.pgm");
-    for path in [&profile_path, &bad_path] {
-        let env = [("CHAMBOLLE_PROFILE", path.to_str().unwrap())];
-        assert_eq!(
-            run(&env_out, &[], &env),
-            reference,
-            "CHAMBOLLE_PROFILE={path:?} must not change pixels"
-        );
-    }
-
-    for f in [
-        input,
-        default_out,
-        width_out,
-        profile_path,
-        bad_path,
-        env_out,
-    ] {
+    for f in [input, default_out, width_out] {
         std::fs::remove_file(f).ok();
     }
+}
+
+/// The simulated accelerator has no duality-gap check, so `--gap-tol` with
+/// `--backend fpga` is a usage error (exit 2) before any input is read,
+/// rather than a software solve reported as `fpga`.
+#[test]
+fn denoise_cli_rejects_gap_tol_on_the_fpga_backend() {
+    let status = Command::new(env!("CARGO_BIN_EXE_chambolle_denoise"))
+        .args(["/nonexistent/a.pgm", "/nonexistent/b.pgm"])
+        .args(["--backend", "fpga", "--gap-tol", "1"])
+        .status()
+        .expect("spawn chambolle_denoise");
+    assert_eq!(status.code(), Some(2));
 }
 
 /// `--gap-tol` runs the monitored solve on the `--threads` pool: every
