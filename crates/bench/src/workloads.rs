@@ -1,10 +1,10 @@
 //! Workload generation and host measurement helpers shared by the harness
-//! binaries and the Criterion benches.
+//! binaries.
 
 use std::time::Instant;
 
 use chambolle_core::{chambolle_iterate, recover_u, ChambolleParams, DualField};
-use chambolle_imaging::{Grid, Image, NoiseTexture, Scene};
+use chambolle_imaging::{Image, NoiseTexture, Scene};
 
 /// The deterministic frame used for timing runs: a multi-octave noise
 /// texture (the content is irrelevant to the cycle counts; the texture keeps
@@ -52,17 +52,6 @@ pub fn measure_host_chambolle(width: usize, height: usize, iterations: u32) -> H
     }
 }
 
-/// A small denoising input with structure (noisy step edge), for benches
-/// that want a non-trivial convergence path.
-pub fn noisy_step(width: usize, height: usize) -> Image {
-    use rand::{rngs::StdRng, Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(7);
-    Grid::from_fn(width, height, |x, _| {
-        let base = if x < width / 2 { 0.25f32 } else { 0.75 };
-        base + rng.gen_range(-0.1..0.1)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,13 +67,5 @@ mod tests {
         assert!(m.seconds > 0.0);
         assert!(m.fps > 0.0);
         assert_eq!((m.width, m.height, m.iterations), (32, 24, 3));
-    }
-
-    #[test]
-    fn noisy_step_has_an_edge() {
-        let img = noisy_step(32, 8);
-        let left = img[(4, 4)];
-        let right = img[(28, 4)];
-        assert!(right - left > 0.2);
     }
 }

@@ -17,9 +17,13 @@
 //!   duality-gap history of [`chambolle_denoise_monitored`] and reacts to a
 //!   growing or non-finite gap by halving the dual step `τ` (the classic
 //!   stability backoff: Chambolle's analysis needs `τ/θ ≤ 1/4`).
-//! - **Recovery policy** — [`GuardedDenoiser`] retries a failed backend a
-//!   bounded number of times and then falls back to the sequential reference
-//!   solver, reporting every action in a structured [`RecoveryReport`].
+//! - **Recovery** — [`GuardedDenoiser`] and [`guarded_denoise_with_ctx`]
+//!   run one validate → scrub → solve → check → retry loop. The guard
+//!   retries a failed backend twice (the constant [`RecoveryPolicy::default`])
+//!   and then falls back to the sequential reference solver under the same
+//!   execution context; the context form takes its policy from its caller
+//!   and gives up instead of falling back. Every action lands in a
+//!   structured [`RecoveryReport`].
 //!
 //! The same report vocabulary is reused by the hardware simulator's
 //! fault-injection harness (`chambolle-hwsim`), so a TV-L1 pipeline has one
@@ -248,24 +252,18 @@ impl From<InvalidParamsError> for GuardError {
     }
 }
 
-/// Retry budget and validation strictness of a guarded path.
+/// Retry budget of a guarded path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// How many times a failed stage may be re-attempted before degrading
     /// (falling back or giving up).
     pub max_retries: u32,
-    /// Whether output validation includes the energy-descent check in
-    /// addition to finiteness.
-    pub check_energy: bool,
 }
 
 impl Default for RecoveryPolicy {
-    /// Two retries, energy checking on.
+    /// Two retries.
     fn default() -> Self {
-        RecoveryPolicy {
-            max_retries: 2,
-            check_energy: true,
-        }
+        RecoveryPolicy { max_retries: 2 }
     }
 }
 
@@ -352,15 +350,12 @@ pub fn scrub_non_finite(v: &mut Grid<f32>) -> usize {
 /// (one LSB of value error per cell contributes at most ~3 LSB of energy),
 /// while still rejecting the orders-of-magnitude energy blow-up of a
 /// diverging or corrupted solve.
-pub fn output_is_valid(u: &Grid<f32>, v: &Grid<f32>, theta: f32, check_energy: bool) -> bool {
+pub fn output_is_valid(u: &Grid<f32>, v: &Grid<f32>, theta: f32) -> bool {
     if u.dims() != v.dims() {
         return false;
     }
     if !u.as_slice().iter().all(|x| x.is_finite()) {
         return false;
-    }
-    if !check_energy {
-        return true;
     }
     let e_u = rof_energy(u, v, theta);
     let e_v = rof_energy(v, v, theta);
@@ -368,55 +363,85 @@ pub fn output_is_valid(u: &Grid<f32>, v: &Grid<f32>, theta: f32, check_energy: b
     e_u.is_finite() && e_u <= e_v + quant_slack
 }
 
+/// The prologue of every guarded solve: rejects what no backend could
+/// serve, then returns a scrubbed copy of `v` and a report of the scrub.
+fn scrubbed_input(
+    v: &Grid<f32>,
+    params: &ChambolleParams,
+) -> Result<(Grid<f32>, RecoveryReport), GuardError> {
+    validate_solvable(params)?;
+    if v.is_empty() {
+        return Err(GuardError::EmptyInput);
+    }
+    let mut report = RecoveryReport::default();
+    let mut input = v.clone();
+    let scrubbed = scrub_non_finite(&mut input);
+    if scrubbed > 0 {
+        report.detections += 1;
+        report
+            .actions
+            .push(RecoveryAction::ScrubbedInput { cells: scrubbed });
+    }
+    Ok((input, report))
+}
+
+/// The guard loop both guarded solves run: validate and scrub, then
+/// `solve` and check the output up to `1 + policy.max_retries` times. When
+/// every attempt fails the check, the report turns degraded and, given a
+/// `fallback` context, the [`SequentialSolver`] gets one last try under it.
+fn guarded_solve(
+    v: &Grid<f32>,
+    params: &ChambolleParams,
+    policy: &RecoveryPolicy,
+    solve: impl Fn(&Grid<f32>) -> Result<Grid<f32>, Cancelled>,
+    fallback: Option<&ExecCtx>,
+) -> Result<(Grid<f32>, RecoveryReport), GuardError> {
+    let (input, mut report) = scrubbed_input(v, params)?;
+    for attempt in 0..=policy.max_retries {
+        if attempt > 0 {
+            report.actions.push(RecoveryAction::Retry { attempt });
+        }
+        let u = solve(&input).map_err(GuardError::Cancelled)?;
+        if output_is_valid(&u, &input, params.theta) {
+            return Ok((u, report));
+        }
+        report.detections += 1;
+    }
+    report.degraded = true;
+    if let Some(ctx) = fallback {
+        report.actions.push(RecoveryAction::SequentialFallback);
+        let u = SequentialSolver.denoise_with_ctx(&input, params, ctx);
+        if output_is_valid(&u, &input, params.theta) {
+            return Ok((u, report));
+        }
+        report.detections += 1;
+    }
+    Err(GuardError::Unrecoverable(report))
+}
+
 /// A [`TvDenoiser`] wrapper adding validation, bounded retries, and fallback
-/// to a reference backend.
+/// to the [`SequentialSolver`] reference.
 ///
-/// `P` is the primary backend (banded solver, FPGA simulator, ...); `F` is
-/// the fallback, by default the [`SequentialSolver`] reference. On every
+/// `P` is the primary backend (banded solver, FPGA simulator, ...). On every
 /// solve the input is scrubbed, the primary output validated, invalid
-/// outputs retried up to [`RecoveryPolicy::max_retries`] times, and finally
-/// the fallback consulted; the whole history lands in a [`RecoveryReport`].
+/// outputs retried up to [`RecoveryPolicy::default`]'s `max_retries` times,
+/// and finally the sequential solver consulted; the whole history lands in a
+/// [`RecoveryReport`]. The context given to
+/// [`TvDenoiser::denoise_with_ctx`] reaches the primary and the fallback
+/// alike.
 #[derive(Debug, Clone)]
-pub struct GuardedDenoiser<P, F = SequentialSolver> {
+pub struct GuardedDenoiser<P> {
     primary: P,
-    fallback: F,
-    policy: RecoveryPolicy,
 }
 
-impl<P: TvDenoiser> GuardedDenoiser<P, SequentialSolver> {
-    /// Guards `primary` with the sequential reference as fallback and the
-    /// default policy.
+impl<P: TvDenoiser> GuardedDenoiser<P> {
+    /// Guards `primary` with the sequential reference as fallback.
     pub fn new(primary: P) -> Self {
-        GuardedDenoiser {
-            primary,
-            fallback: SequentialSolver::new(),
-            policy: RecoveryPolicy::default(),
-        }
-    }
-}
-
-impl<P: TvDenoiser, F: TvDenoiser> GuardedDenoiser<P, F> {
-    /// Replaces the fallback backend.
-    pub fn with_fallback<G: TvDenoiser>(self, fallback: G) -> GuardedDenoiser<P, G> {
-        GuardedDenoiser {
-            primary: self.primary,
-            fallback,
-            policy: self.policy,
-        }
+        GuardedDenoiser { primary }
     }
 
-    /// Replaces the recovery policy.
-    pub fn with_policy(mut self, policy: RecoveryPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &RecoveryPolicy {
-        &self.policy
-    }
-
-    /// The guarded solve: scrub, run, validate, retry, degrade.
+    /// The guarded solve under [`ExecCtx::default`]: scrub, run, validate,
+    /// retry, degrade.
     ///
     /// # Errors
     ///
@@ -428,50 +453,37 @@ impl<P: TvDenoiser, F: TvDenoiser> GuardedDenoiser<P, F> {
         v: &Grid<f32>,
         params: &ChambolleParams,
     ) -> Result<(Grid<f32>, RecoveryReport), GuardError> {
-        validate_solvable(params)?;
-        if v.is_empty() {
-            return Err(GuardError::EmptyInput);
-        }
-        let mut report = RecoveryReport::default();
-        let mut input = v.clone();
-        let scrubbed = scrub_non_finite(&mut input);
-        if scrubbed > 0 {
-            report.detections += 1;
-            report
-                .actions
-                .push(RecoveryAction::ScrubbedInput { cells: scrubbed });
-        }
+        self.checked(v, params, &ExecCtx::default())
+    }
 
-        for attempt in 0..=self.policy.max_retries {
-            if attempt > 0 {
-                report.actions.push(RecoveryAction::Retry { attempt });
-            }
-            let u = self.primary.denoise(&input, params);
-            if output_is_valid(&u, &input, params.theta, self.policy.check_energy) {
-                return Ok((u, report));
-            }
-            report.detections += 1;
-        }
-
-        report.degraded = true;
-        report.actions.push(RecoveryAction::SequentialFallback);
-        let u = self.fallback.denoise(&input, params);
-        if output_is_valid(&u, &input, params.theta, self.policy.check_energy) {
-            Ok((u, report))
-        } else {
-            report.detections += 1;
-            Err(GuardError::Unrecoverable(report))
-        }
+    fn checked(
+        &self,
+        v: &Grid<f32>,
+        params: &ChambolleParams,
+        ctx: &ExecCtx,
+    ) -> Result<(Grid<f32>, RecoveryReport), GuardError> {
+        guarded_solve(
+            v,
+            params,
+            &RecoveryPolicy::default(),
+            |input| Ok(self.primary.denoise_with_ctx(input, params, ctx)),
+            Some(ctx),
+        )
     }
 }
 
-impl<P: TvDenoiser, F: TvDenoiser> TvDenoiser for GuardedDenoiser<P, F> {
-    /// Infallible trait form of [`GuardedDenoiser::denoise_checked`]: when
-    /// even the fallback fails validation the scrubbed input is returned
-    /// unchanged — the identity denoiser is the safest degraded output, and
-    /// it keeps an outer TV-L1 loop numerically alive.
-    fn denoise(&self, v: &Grid<f32>, params: &ChambolleParams) -> Grid<f32> {
-        match self.denoise_checked(v, params) {
+impl<P: TvDenoiser> TvDenoiser for GuardedDenoiser<P> {
+    /// Infallible trait form of [`GuardedDenoiser::denoise_checked`], under
+    /// `ctx`: when even the fallback fails validation the scrubbed input is
+    /// returned unchanged — the identity denoiser is the safest degraded
+    /// output, and it keeps an outer TV-L1 loop numerically alive.
+    fn denoise_with_ctx(
+        &self,
+        v: &Grid<f32>,
+        params: &ChambolleParams,
+        ctx: &ExecCtx,
+    ) -> Grid<f32> {
+        match self.checked(v, params, ctx) {
             Ok((u, _)) => u,
             Err(_) => {
                 let mut input = v.clone();
@@ -507,33 +519,13 @@ pub fn guarded_denoise_with_ctx(
     policy: &RecoveryPolicy,
     ctx: &ExecCtx,
 ) -> Result<(Grid<f32>, RecoveryReport), GuardError> {
-    validate_solvable(params)?;
-    if v.is_empty() {
-        return Err(GuardError::EmptyInput);
-    }
-    let mut report = RecoveryReport::default();
-    let mut input = v.clone();
-    let scrubbed = scrub_non_finite(&mut input);
-    if scrubbed > 0 {
-        report.detections += 1;
-        report
-            .actions
-            .push(RecoveryAction::ScrubbedInput { cells: scrubbed });
-    }
-
-    for attempt in 0..=policy.max_retries {
-        if attempt > 0 {
-            report.actions.push(RecoveryAction::Retry { attempt });
-        }
-        let (u, _) =
-            chambolle_denoise_with_ctx(&input, params, ctx).map_err(GuardError::Cancelled)?;
-        if output_is_valid(&u, &input, params.theta, policy.check_energy) {
-            return Ok((u, report));
-        }
-        report.detections += 1;
-    }
-    report.degraded = true;
-    Err(GuardError::Unrecoverable(report))
+    guarded_solve(
+        v,
+        params,
+        policy,
+        |input| chambolle_denoise_with_ctx(input, params, ctx).map(|(u, _)| u),
+        None,
+    )
 }
 
 /// Divergence-aware monitored solve: runs [`chambolle_denoise_monitored`],
@@ -557,25 +549,12 @@ pub fn guarded_denoise_monitored(
     gap_tolerance: f64,
     policy: &RecoveryPolicy,
 ) -> Result<(SolveReport<f32>, RecoveryReport), GuardError> {
-    validate_solvable(params)?;
     if check_every == 0 {
         return Err(GuardError::InvalidParams(InvalidParamsError::new(
             "check interval must be positive".to_owned(),
         )));
     }
-    if v.is_empty() {
-        return Err(GuardError::EmptyInput);
-    }
-    let mut report = RecoveryReport::default();
-    let mut input = v.clone();
-    let scrubbed = scrub_non_finite(&mut input);
-    if scrubbed > 0 {
-        report.detections += 1;
-        report
-            .actions
-            .push(RecoveryAction::ScrubbedInput { cells: scrubbed });
-    }
-
+    let (input, mut report) = scrubbed_input(v, params)?;
     let mut tau = params.tau;
     for _ in 0..=policy.max_retries {
         let attempt_params = ChambolleParams {
@@ -766,7 +745,12 @@ mod tests {
     }
 
     impl TvDenoiser for Flaky {
-        fn denoise(&self, v: &Grid<f32>, params: &ChambolleParams) -> Grid<f32> {
+        fn denoise_with_ctx(
+            &self,
+            v: &Grid<f32>,
+            params: &ChambolleParams,
+            _: &ExecCtx,
+        ) -> Grid<f32> {
             let mut left = self.bad_runs.lock().unwrap();
             if *left > 0 {
                 *left -= 1;
@@ -837,10 +821,7 @@ mod tests {
             tau: 0.5,
             iterations: 80,
         };
-        let policy = RecoveryPolicy {
-            max_retries: 6,
-            check_energy: true,
-        };
+        let policy = RecoveryPolicy { max_retries: 6 };
         let (solve, report) = guarded_denoise_monitored(&v, &unstable, 20, 0.0, &policy).unwrap();
         assert!(report.degraded);
         assert!(report.detections >= 1);
@@ -862,10 +843,7 @@ mod tests {
             tau: 8.0,
             iterations: 60,
         };
-        let policy = RecoveryPolicy {
-            max_retries: 0,
-            check_energy: true,
-        };
+        let policy = RecoveryPolicy { max_retries: 0 };
         let err = guarded_denoise_monitored(&v, &unstable, 20, 0.0, &policy).unwrap_err();
         match err {
             GuardError::Unrecoverable(report) => {
@@ -900,7 +878,7 @@ mod tests {
         let mut v = noisy(16, 12, 12);
         v[(3, 3)] = f32::NAN; // exercise the scrub path too
         let policy = RecoveryPolicy::default();
-        let guard = GuardedDenoiser::new(SequentialSolver::new()).with_policy(policy);
+        let guard = GuardedDenoiser::new(SequentialSolver::new());
         let (u_ref, rep_ref) = guard.denoise_checked(&v, &params(15)).unwrap();
         let (u_canc, rep_canc) =
             guarded_with_token(&v, &params(15), &policy, &CancelToken::new()).unwrap();
@@ -928,12 +906,12 @@ mod tests {
     fn output_validation_rejects_blowups() {
         let v = noisy(10, 8, 11);
         let (u, _) = chambolle_denoise(&v, &params(20));
-        assert!(output_is_valid(&u, &v, 0.25, true));
+        assert!(output_is_valid(&u, &v, 0.25));
         let blown = u.map(|&x| x * 1e6);
-        assert!(!output_is_valid(&blown, &v, 0.25, true));
+        assert!(!output_is_valid(&blown, &v, 0.25));
         let poisoned = u.map(|&x| if x > 0.5 { f32::NAN } else { x });
-        assert!(!output_is_valid(&poisoned, &v, 0.25, false));
-        assert!(!output_is_valid(&Grid::new(3, 3, 0.0f32), &v, 0.25, false));
+        assert!(!output_is_valid(&poisoned, &v, 0.25));
+        assert!(!output_is_valid(&Grid::new(3, 3, 0.0f32), &v, 0.25));
     }
 
     #[test]

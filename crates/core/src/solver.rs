@@ -683,25 +683,20 @@ pub fn try_rof_energy<R: Real>(
 /// by side, like the paper's two arrays, overrides it ([`ParallelSolver`]
 /// does), and every other backend solves them one after the other.
 pub trait TvDenoiser {
-    /// Denoises `v` with the given Chambolle parameters, returning `u`.
-    fn denoise(&self, v: &Grid<f32>, params: &ChambolleParams) -> Grid<f32>;
-
-    /// Denoises `v` under an execution context (the TV-L1 outer loop calls
-    /// this so its [`ExecCtx`] governs the inner solves).
+    /// Denoises `v` under an execution context, returning `u` — the one
+    /// solve every backend implements (the TV-L1 outer loop calls it so its
+    /// [`ExecCtx`] governs the inner solves).
     ///
-    /// The default forwards to [`TvDenoiser::denoise`] and ignores the
-    /// context — right for backends with fixed semantics like the hardware
-    /// simulator. The software solvers override it to honor the context's
-    /// kernel backend and numerics tier (but keep their own threading:
-    /// which pool a solver runs on is the backend's identity).
-    fn denoise_with_ctx(
-        &self,
-        v: &Grid<f32>,
-        params: &ChambolleParams,
-        ctx: &ExecCtx,
-    ) -> Grid<f32> {
-        let _ = ctx;
-        self.denoise(v, params)
+    /// The software solvers honor the context's kernel backend and numerics
+    /// tier but keep their own threading: which pool a solver runs on is the
+    /// backend's identity. Backends with fixed semantics, like the hardware
+    /// simulator, ignore the context.
+    fn denoise_with_ctx(&self, v: &Grid<f32>, params: &ChambolleParams, ctx: &ExecCtx)
+        -> Grid<f32>;
+
+    /// [`TvDenoiser::denoise_with_ctx`] under [`ExecCtx::default`].
+    fn denoise(&self, v: &Grid<f32>, params: &ChambolleParams) -> Grid<f32> {
+        self.denoise_with_ctx(v, params, &ExecCtx::default())
     }
 
     /// Denoises both flow components under one execution context, returning
@@ -730,10 +725,6 @@ pub trait TvDenoiser {
 }
 
 impl<T: TvDenoiser + ?Sized> TvDenoiser for Box<T> {
-    fn denoise(&self, v: &Grid<f32>, params: &ChambolleParams) -> Grid<f32> {
-        (**self).denoise(v, params)
-    }
-
     fn denoise_with_ctx(
         &self,
         v: &Grid<f32>,
@@ -759,10 +750,6 @@ impl<T: TvDenoiser + ?Sized> TvDenoiser for Box<T> {
 }
 
 impl<T: TvDenoiser + ?Sized> TvDenoiser for &T {
-    fn denoise(&self, v: &Grid<f32>, params: &ChambolleParams) -> Grid<f32> {
-        (**self).denoise(v, params)
-    }
-
     fn denoise_with_ctx(
         &self,
         v: &Grid<f32>,
@@ -799,10 +786,6 @@ impl SequentialSolver {
 }
 
 impl TvDenoiser for SequentialSolver {
-    fn denoise(&self, v: &Grid<f32>, params: &ChambolleParams) -> Grid<f32> {
-        chambolle_denoise(v, params).0
-    }
-
     fn denoise_with_ctx(
         &self,
         v: &Grid<f32>,
@@ -892,14 +875,6 @@ impl ParallelSolver {
 }
 
 impl TvDenoiser for ParallelSolver {
-    fn denoise(&self, v: &Grid<f32>, params: &ChambolleParams) -> Grid<f32> {
-        let mut p = DualField::zeros(v.width(), v.height());
-        let ctx = ExecCtx::default().with_pool(Arc::clone(&self.pool));
-        chambolle_iterate_with_ctx(&mut p, v, params, params.iterations, &ctx)
-            .expect("an inert context carries no cancellation token");
-        recover_u(v, &p, params.theta)
-    }
-
     fn denoise_with_ctx(
         &self,
         v: &Grid<f32>,

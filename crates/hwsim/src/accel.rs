@@ -13,15 +13,18 @@
 use std::fmt;
 use std::sync::Mutex;
 
-use chambolle_core::{ChambolleParams, InvalidParamsError, TileConfig, TilePlan, TvDenoiser};
+use chambolle_core::{
+    ChambolleParams, ExecCtx, InvalidParamsError, Tile, TileConfig, TilePlan, TvDenoiser,
+};
 use chambolle_fixed::{PackedWord, SqrtUnit, WordFixed};
 use chambolle_imaging::{Grid, Image};
 use chambolle_telemetry::{names, Telemetry};
 
 use crate::array::{ArrayConfig, ArrayStats, PeArray, WindowRun};
 use crate::bram::BramStats;
+use crate::fault::{sequential_fallback, GuardedFrame, Monitor};
 use crate::params::HwParams;
-use crate::reference::dequantize;
+use crate::reference::{dequantize, quantize_input};
 use crate::trace::SharedRecorder;
 
 /// Which square-root hardware the PE-Vs instantiate (Section V-C trade).
@@ -321,6 +324,26 @@ impl ChambolleAccel {
         v2: Option<&Image>,
         params: &ChambolleParams,
     ) -> Result<(Image, Option<Image>, FrameStats), crate::HwParamsError> {
+        let frame = self.run_frame("hwsim.denoise_pair", v1, v2, params, None)?;
+        Ok((frame.u1, frame.u2, frame.stats))
+    }
+
+    /// The frame scheduler behind [`ChambolleAccel::denoise_pair`] and
+    /// [`ChambolleAccel::denoise_pair_guarded`]: ⌈N/K⌉ rounds of K
+    /// iterations over the round's tile plan, then the u-round, every window
+    /// load going to the next sliding window round-robin.
+    ///
+    /// With a `monitor`, each round also runs the fault monitors (see
+    /// [`crate::fault`]), and a round whose retry budget runs out ends the
+    /// frame on the sequential fallback. Without one, no monitor runs at all.
+    pub(crate) fn run_frame(
+        &mut self,
+        span: &str,
+        v1: &Image,
+        v2: Option<&Image>,
+        params: &ChambolleParams,
+        mut monitor: Option<Monitor<'_>>,
+    ) -> Result<GuardedFrame, crate::HwParamsError> {
         let hw = HwParams::try_from(*params)?;
         if let Some(v2) = v2 {
             assert_eq!(v1.dims(), v2.dims(), "component fields must match in size");
@@ -328,76 +351,67 @@ impl ChambolleAccel {
         let (w, h) = v1.dims();
         assert!(w > 0 && h > 0, "frame must be non-empty");
 
-        let frame_span = self.telemetry.span("hwsim.denoise_pair");
+        let frame_span = self.telemetry.span(span);
         let start_bram = if self.telemetry.is_enabled() {
             Some((self.bram_stats(), self.sqrt_lookups()))
         } else {
             None
         };
-        let n_windows = self.windows.len();
+        let config = self.config;
         let start_cycles: Vec<u64> = self.windows.iter().map(|sw| sw.cycles()).collect();
-        let mut state1 = crate::reference::quantize_input(v1);
-        let mut state2 = v2.map(crate::reference::quantize_input);
-        let mut window_loads = 0u64;
+        let mut windows = Windows {
+            all: &mut self.windows,
+            next: 0,
+            loads: 0,
+        };
+        let mut state: Planes = (quantize_input(v1), v2.map(quantize_input));
         let mut rounds = 0u32;
+        let mut remaining = params.iterations;
+        let mut fell_back = false;
 
         // Iteration rounds: K iterations per window load.
-        let mut remaining = params.iterations;
-        let mut next_window = 0usize;
         while remaining > 0 {
-            let k = remaining.min(self.config.merge_factor);
-            let plan = TilePlan::new(w, h, self.config.tile_config(k));
+            let k = remaining.min(config.merge_factor);
+            let plan = TilePlan::new(w, h, config.tile_config(k));
             let round_params = HwParams {
                 iterations: k,
                 ..hw
             };
-            // Snapshot semantics: every window of a round reads the state at
-            // round start; write-backs target the next round's state (the
-            // hardware's windows run concurrently on the same input frame).
-            let mut next1 = state1.clone();
-            let mut next2 = state2.clone();
-            for tile in plan.tiles() {
-                let sub1 = state1.crop(tile.src_x, tile.src_y, tile.src_w, tile.src_h);
-                let sub2 = state2
-                    .as_ref()
-                    .map(|s| s.crop(tile.src_x, tile.src_y, tile.src_w, tile.src_h));
-                let sw = &mut self.windows[next_window];
-                next_window = (next_window + 1) % n_windows;
-                let (run1, run2) = sw.process(&sub1, sub2.as_ref(), &round_params, false);
-                window_loads += 1;
-                blit_profitable_words(&mut next1, tile, &run1.words);
-                if let (Some(next2), Some(run2)) = (next2.as_mut(), run2) {
-                    blit_profitable_words(next2, tile, &run2.words);
-                }
-            }
-            state1 = next1;
-            state2 = next2;
+            let next = match monitor.as_mut() {
+                None => Some(windows.run_round(&state, plan.tiles(), &round_params, |_, _, _| {})),
+                Some(m) => m.round(&mut windows, rounds, &state, plan.tiles(), &round_params),
+            };
+            let Some(next) = next else {
+                fell_back = true;
+                break;
+            };
+            state = next;
             remaining -= k;
             rounds += 1;
         }
 
-        // Final u-round: PE-T sweeps with a one-cell leading halo.
-        let mut u1 = Grid::new(w, h, WordFixed::ZERO);
-        let mut u2 = v2.map(|_| Grid::new(w, h, WordFixed::ZERO));
-        let sweep_params = HwParams {
-            iterations: 0,
-            ..hw
-        };
-        for tile in u_round_tiles(w, h, &self.config.array) {
-            let sub1 = state1.crop(tile.src_x, tile.src_y, tile.src_w, tile.src_h);
-            let sub2 = state2
-                .as_ref()
-                .map(|s| s.crop(tile.src_x, tile.src_y, tile.src_w, tile.src_h));
-            let sw = &mut self.windows[next_window];
-            next_window = (next_window + 1) % n_windows;
-            let (run1, run2) = sw.process(&sub1, sub2.as_ref(), &sweep_params, true);
-            window_loads += 1;
-            blit_profitable_u(&mut u1, &tile, &run1.u);
-            if let (Some(u2), Some(run2)) = (u2.as_mut(), run2) {
-                blit_profitable_u(u2, &tile, &run2.u);
+        let (u1, u2) = if fell_back {
+            sequential_fallback(v1, v2, &hw, config.sqrt)
+        } else {
+            // Final u-round: PE-T sweeps with a one-cell leading halo.
+            let mut u1 = Grid::new(w, h, WordFixed::ZERO);
+            let mut u2 = v2.map(|_| Grid::new(w, h, WordFixed::ZERO));
+            let sweep_params = HwParams {
+                iterations: 0,
+                ..hw
+            };
+            for tile in u_round_tiles(w, h, &config.array) {
+                let src = (tile.src_x, tile.src_y, tile.src_w, tile.src_h);
+                let (run1, run2) = windows.load(&state, src, &sweep_params, true);
+                blit_profitable_u(&mut u1, &tile, &run1.u);
+                if let (Some(u2), Some(run2)) = (u2.as_mut(), run2) {
+                    blit_profitable_u(u2, &tile, &run2.u);
+                }
             }
-        }
+            (dequantize(&u1), u2.as_ref().map(dequantize))
+        };
 
+        let window_loads = windows.loads;
         let per_window_cycles: Vec<u64> = self
             .windows
             .iter()
@@ -409,18 +423,23 @@ impl ChambolleAccel {
             per_window_cycles,
             window_loads,
             rounds,
-            clock_mhz: self.config.clock_mhz,
+            clock_mhz: config.clock_mhz,
         };
         if let Some((bram0, sqrt0)) = start_bram {
             self.record_frame_telemetry(&stats, &bram0, sqrt0);
         }
         drop(frame_span);
-        Ok((dequantize(&u1), u2.as_ref().map(dequantize), stats))
+        Ok(GuardedFrame {
+            u1,
+            u2,
+            stats,
+            report: monitor.map(|m| m.report).unwrap_or_default(),
+        })
     }
 
     /// Emits this frame's counters: the deltas of the cumulative BRAM and
     /// sqrt tallies against the pre-frame snapshot, plus the frame stats.
-    pub(crate) fn record_frame_telemetry(&self, stats: &FrameStats, bram0: &BramStats, sqrt0: u64) {
+    fn record_frame_telemetry(&self, stats: &FrameStats, bram0: &BramStats, sqrt0: u64) {
         let tele = &self.telemetry;
         tele.counter_add(names::HWSIM_FRAMES, 1);
         tele.counter_add(names::HWSIM_CYCLES, stats.cycles);
@@ -499,11 +518,80 @@ pub(crate) fn u_round_tiles(w: usize, h: usize, array: &ArrayConfig) -> Vec<UTil
     tiles
 }
 
-pub(crate) fn blit_profitable_words(
-    global: &mut Grid<PackedWord>,
-    tile: &chambolle_core::Tile,
-    local: &Grid<PackedWord>,
-) {
+/// The frame state of the components being solved: `u1`'s packed words
+/// and, for a pair, `u2`'s.
+pub(crate) type Planes = (Grid<PackedWord>, Option<Grid<PackedWord>>);
+
+/// One window load's results: the `u1` array's run and, for a pair, the
+/// `u2` array's.
+pub(crate) type Runs = (WindowRun, Option<WindowRun>);
+
+/// A frame's sliding windows, loaded round-robin.
+pub(crate) struct Windows<'a> {
+    pub(crate) all: &'a mut [SlidingWindow],
+    next: usize,
+    /// Window loads so far in this frame.
+    loads: u64,
+}
+
+impl Windows<'_> {
+    /// Loads the source rectangle `(x, y, w, h)` of `state` into the next
+    /// sliding window and runs it.
+    fn load(
+        &mut self,
+        state: &Planes,
+        (x, y, w, h): (usize, usize, usize, usize),
+        params: &HwParams,
+        emit_u: bool,
+    ) -> Runs {
+        let sub1 = state.0.crop(x, y, w, h);
+        let sub2 = state.1.as_ref().map(|s| s.crop(x, y, w, h));
+        let n = self.all.len();
+        let sw = &mut self.all[self.next];
+        self.next = (self.next + 1) % n;
+        self.loads += 1;
+        sw.process(&sub1, sub2.as_ref(), params, emit_u)
+    }
+
+    /// Runs one tile of an iteration round on the round-start snapshot.
+    pub(crate) fn run_tile(&mut self, state: &Planes, tile: &Tile, params: &HwParams) -> Runs {
+        let src = (tile.src_x, tile.src_y, tile.src_w, tile.src_h);
+        self.load(state, src, params, false)
+    }
+
+    /// Runs every tile of a round once and returns the next round's state.
+    /// `check` sees each tile's results (by index) before they are written
+    /// back.
+    ///
+    /// Snapshot semantics: every window of a round reads the state at round
+    /// start; write-backs target the next round's state (the hardware's
+    /// windows run concurrently on the same input frame).
+    pub(crate) fn run_round(
+        &mut self,
+        state: &Planes,
+        tiles: &[Tile],
+        params: &HwParams,
+        mut check: impl FnMut(&mut Self, usize, &mut Runs),
+    ) -> Planes {
+        let mut next = state.clone();
+        for (i, tile) in tiles.iter().enumerate() {
+            let mut runs = self.run_tile(state, tile, params);
+            check(self, i, &mut runs);
+            blit_runs(&mut next, tile, &runs);
+        }
+        next
+    }
+}
+
+/// Writes the profitable region of a tile's results into `state`.
+pub(crate) fn blit_runs(state: &mut Planes, tile: &Tile, runs: &Runs) {
+    blit_profitable_words(&mut state.0, tile, &runs.0.words);
+    if let (Some(s2), Some(run2)) = (state.1.as_mut(), runs.1.as_ref()) {
+        blit_profitable_words(s2, tile, &run2.words);
+    }
+}
+
+fn blit_profitable_words(global: &mut Grid<PackedWord>, tile: &Tile, local: &Grid<PackedWord>) {
     let lx = tile.local_out_x();
     let ly = tile.local_out_y();
     for y in 0..tile.out_h {
@@ -513,11 +601,7 @@ pub(crate) fn blit_profitable_words(
     }
 }
 
-pub(crate) fn blit_profitable_u(
-    global: &mut Grid<WordFixed>,
-    tile: &UTile,
-    local: &Grid<WordFixed>,
-) {
+fn blit_profitable_u(global: &mut Grid<WordFixed>, tile: &UTile, local: &Grid<WordFixed>) {
     let lx = tile.out_x - tile.src_x;
     let ly = tile.out_y - tile.src_y;
     for y in 0..tile.out_h {
@@ -551,11 +635,13 @@ impl AccelDenoiser {
 }
 
 impl TvDenoiser for AccelDenoiser {
+    /// The context is ignored: the accelerator's datapath is fixed.
+    ///
     /// # Panics
     ///
     /// Panics if `params` cannot be encoded for the fixed-point datapath
     /// (use exactly representable Q8.8 values such as θ = 0.25, τ = θ/4).
-    fn denoise(&self, v: &Grid<f32>, params: &ChambolleParams) -> Grid<f32> {
+    fn denoise_with_ctx(&self, v: &Grid<f32>, params: &ChambolleParams, _: &ExecCtx) -> Grid<f32> {
         let mut accel = self.accel.lock().expect("accelerator mutex poisoned");
         let (u, _, _) = accel
             .denoise_pair(v, None, params)

@@ -14,13 +14,16 @@
 //! - Monitors — per-region FNV checksums over the packed words
 //!   ([`region_checksum`]) and the dual-feasibility invariant `|p|² ≤`
 //!   [`FEASIBILITY_MAX_NORM_SQ`] ([`check_dual_feasibility`]).
-//! - [`ChambolleAccel::denoise_pair_guarded`] — the guarded scheduler: LUT
+//! - [`ChambolleAccel::denoise_pair_guarded`] — the frame scheduler of
+//!   [`ChambolleAccel::denoise_pair`] with the monitors attached: LUT
 //!   scrubbing against golden checksums (repair + round recompute), per-tile
 //!   checksum verification with tile recompute from the round-start
-//!   snapshot, optional dual-modular-redundancy arbitration for datapath
-//!   faults, and a capped-retry fall-back to the sequential fixed-point
-//!   reference. All of it reported through the shared
-//!   [`chambolle_core::RecoveryReport`] vocabulary.
+//!   snapshot, dual-modular-redundancy arbitration whenever the injector can
+//!   fire datapath glitches, and a capped-retry fall-back to the sequential
+//!   fixed-point reference. All of it reported through the shared
+//!   [`chambolle_core::RecoveryReport`] vocabulary. An injector that cannot
+//!   fire ([`FaultConfig::any_faults`]) attaches no monitor, so the frame
+//!   is exactly the unguarded one.
 //!
 //! The fault model and why recovery is exact:
 //!
@@ -36,18 +39,15 @@
 //!   execution of a `(round, tile)` pair, so a DMR shadow re-execution
 //!   disagrees exactly when a glitch happened and its result is clean.
 
-use chambolle_core::{ChambolleParams, RecoveryAction, RecoveryReport, Tile, TilePlan};
+use chambolle_core::{ChambolleParams, RecoveryAction, RecoveryReport, Tile};
 use chambolle_fixed::PackedWord;
 use chambolle_imaging::{Grid, Image};
 
 use crate::accel::{
-    blit_profitable_u, blit_profitable_words, u_round_tiles, ChambolleAccel, FrameStats,
-    SlidingWindow,
+    blit_runs, ChambolleAccel, FrameStats, Planes, SlidingWindow, SqrtKind, Windows,
 };
-use crate::array::WindowRun;
 use crate::params::HwParams;
 use crate::reference::{dequantize, fixed_chambolle_reference_with, quantize_input};
-use chambolle_fixed::WordFixed;
 
 /// Largest `px² + py²` a fault-free fixed-point solve produces.
 ///
@@ -373,19 +373,13 @@ pub struct AccelGuardConfig {
     /// How many verify-and-recompute passes a round may take before the
     /// frame degrades to the sequential fallback.
     pub max_tile_retries: u32,
-    /// Force dual-modular-redundancy shadow execution per tile. DMR is
-    /// enabled automatically whenever the injector can fire datapath
-    /// glitches (they corrupt results *before* checksumming, so redundancy
-    /// is the only detector for them); this flag turns it on even without.
-    pub dmr: bool,
 }
 
 impl Default for AccelGuardConfig {
-    /// Two recovery passes per round, DMR only when needed.
+    /// Two recovery passes per round.
     fn default() -> Self {
         AccelGuardConfig {
             max_tile_retries: 2,
-            dmr: false,
         }
     }
 }
@@ -405,33 +399,173 @@ pub struct GuardedFrame {
     pub report: RecoveryReport,
 }
 
-/// Runs one tile through the next round-robin sliding window.
-#[allow(clippy::too_many_arguments)]
-fn run_tile(
-    windows: &mut [SlidingWindow],
-    next_window: &mut usize,
-    state1: &Grid<PackedWord>,
-    state2: Option<&Grid<PackedWord>>,
-    tile: &Tile,
-    params: &HwParams,
-) -> (WindowRun, Option<WindowRun>) {
-    let sub1 = state1.crop(tile.src_x, tile.src_y, tile.src_w, tile.src_h);
-    let sub2 = state2.map(|s| s.crop(tile.src_x, tile.src_y, tile.src_w, tile.src_h));
-    let n = windows.len();
-    let sw = &mut windows[*next_window];
-    *next_window = (*next_window + 1) % n;
-    sw.process(&sub1, sub2.as_ref(), params, false)
+/// The fault monitors of a guarded frame whose injector can fire, with the
+/// frame's running [`RecoveryReport`].
+pub(crate) struct Monitor<'a> {
+    injector: &'a mut FaultInjector,
+    max_tile_retries: u32,
+    pub(crate) report: RecoveryReport,
+}
+
+impl Monitor<'_> {
+    /// One guarded iteration round on the round-start snapshot `state`:
+    /// injection, DMR arbitration, LUT scrub, and per-region verification
+    /// with tile recompute. Returns the verified next state, or `None` when a
+    /// region is still corrupt after `max_tile_retries` recompute passes.
+    pub(crate) fn round(
+        &mut self,
+        windows: &mut Windows<'_>,
+        round: u32,
+        state: &Planes,
+        tiles: &[Tile],
+        params: &HwParams,
+    ) -> Option<Planes> {
+        // Configuration upsets land in the sqrt ROMs before the round.
+        self.injector.corrupt_luts(round, windows.all);
+
+        // Datapath glitches corrupt results before they are checksummed, so
+        // a DMR shadow run is their only detector.
+        let dmr = self.injector.config().datapath_rate > 0.0;
+        let (injector, report) = (&mut *self.injector, &mut self.report);
+        let mut next = windows.run_round(state, tiles, params, |windows, i, runs| {
+            // Transient glitches hit only this first execution; the DMR
+            // shadow below re-runs the same deterministic hardware and is
+            // clean, so a mismatch pinpoints the glitch exactly.
+            injector.perturb_datapath(round, i, 0, &mut runs.0.words);
+            if let Some(r2) = runs.1.as_mut() {
+                injector.perturb_datapath(round, i, 1, &mut r2.words);
+            }
+            if dmr {
+                let shadow = windows.run_tile(state, &tiles[i], params);
+                let mismatch = runs.0.words != shadow.0.words
+                    || runs.1.as_ref().map(|r| &r.words) != shadow.1.as_ref().map(|r| &r.words);
+                if mismatch {
+                    report.detections += 1;
+                    report
+                        .actions
+                        .push(RecoveryAction::DatapathArbitration { round, tile: i });
+                    *runs = shadow;
+                }
+            }
+        });
+
+        // Golden-checksum scrub of every sqrt table. A repaired table means
+        // some tiles computed through a corrupted ROM — which tiles is
+        // unknowable, so the whole round recomputes on the now-clean units
+        // from the intact round-start snapshot.
+        let repairs: u32 = windows
+            .all
+            .iter_mut()
+            .map(SlidingWindow::repair_sqrt_units)
+            .sum();
+        if repairs > 0 {
+            self.report.detections += repairs;
+            self.report
+                .actions
+                .push(RecoveryAction::LutRepair { round, repairs });
+            self.report
+                .actions
+                .push(RecoveryAction::RoundRecompute { round });
+            next = windows.run_round(state, tiles, params, |_, _, _| {});
+        }
+
+        // Checksum the clean round result per profitable region (the regions
+        // partition the frame, so every later upset lands in exactly one of
+        // them).
+        let sums: Vec<RegionSums> = tiles.iter().map(|t| region_sums(&next, t)).collect();
+
+        // SEUs land between rounds — after checksumming, exactly like a
+        // scrubbing controller whose checksum RAM holds the truth.
+        self.injector.corrupt_state(round, 0, &mut next.0);
+        if let Some(n2) = next.1.as_mut() {
+            self.injector.corrupt_state(round, 1, n2);
+        }
+
+        // Verify every region (checksum + feasibility invariant) and
+        // recompute corrupted tiles from the round-start snapshot.
+        let mut attempt = 0u32;
+        loop {
+            let bad: Vec<usize> = (0..tiles.len())
+                .filter(|&i| !region_intact(&next, &tiles[i], sums[i]))
+                .collect();
+            if bad.is_empty() {
+                return Some(next);
+            }
+            self.report.detections += bad.len() as u32;
+            if attempt >= self.max_tile_retries {
+                self.report.degraded = true;
+                self.report.actions.push(RecoveryAction::SequentialFallback);
+                return None;
+            }
+            for i in bad {
+                let runs = windows.run_tile(state, &tiles[i], params);
+                blit_runs(&mut next, &tiles[i], &runs);
+                self.report
+                    .actions
+                    .push(RecoveryAction::TileRecompute { round, tile: i });
+            }
+            attempt += 1;
+        }
+    }
+}
+
+/// Checksums of one profitable region: `u1`'s and, for a pair, `u2`'s.
+type RegionSums = (u64, Option<u64>);
+
+fn region_sums(state: &Planes, t: &Tile) -> RegionSums {
+    let sum = |s: &Grid<PackedWord>| region_checksum(s, t.out_x, t.out_y, t.out_w, t.out_h);
+    (sum(&state.0), state.1.as_ref().map(sum))
+}
+
+/// True when tile `t`'s profitable region still matches its checksums and
+/// satisfies the dual-feasibility invariant in every component.
+fn region_intact(state: &Planes, t: &Tile, sums: RegionSums) -> bool {
+    let intact = |s: &Grid<PackedWord>, sum: u64| {
+        region_checksum(s, t.out_x, t.out_y, t.out_w, t.out_h) == sum
+            && check_dual_feasibility_region(
+                s,
+                t.out_x,
+                t.out_y,
+                t.out_w,
+                t.out_h,
+                FEASIBILITY_MAX_NORM_SQ,
+            )
+            .is_none()
+    };
+    intact(&state.0, sums.0)
+        && match (&state.1, sums.1) {
+            (Some(s2), Some(sum2)) => intact(s2, sum2),
+            _ => true,
+        }
+}
+
+/// Graceful degradation: the monolithic fixed-point reference on the
+/// original input — slower (no parallel windows), but bit-identical to what
+/// a fault-free accelerator run produces.
+pub(crate) fn sequential_fallback(
+    v1: &Image,
+    v2: Option<&Image>,
+    hw: &HwParams,
+    sqrt: SqrtKind,
+) -> (Image, Option<Image>) {
+    let sqrt = sqrt.unit();
+    let solve =
+        |v: &Image| dequantize(&fixed_chambolle_reference_with(&quantize_input(v), hw, &sqrt).u);
+    (solve(v1), v2.map(solve))
 }
 
 impl ChambolleAccel {
     /// [`ChambolleAccel::denoise_pair`] hardened against the injector's
-    /// fault classes. With a quiet injector the result — outputs *and*
-    /// statistics — is identical to the unguarded path; with faults, the
-    /// guarded scheduler detects every corruption that lands in a profitable
-    /// region and recovers to the exact fault-free result, degrading to the
-    /// sequential fixed-point reference (which is bit-identical to the
-    /// accelerator by construction) when the per-round retry budget runs
-    /// out.
+    /// fault classes.
+    ///
+    /// An injector that cannot fire ([`FaultConfig::any_faults`] is false)
+    /// runs the frame without monitors, so outputs, statistics and frame
+    /// telemetry equal the unguarded path's. Otherwise the guarded scheduler
+    /// detects every corruption that lands in a profitable region and
+    /// recovers to the exact fault-free result, degrading to the sequential
+    /// fixed-point reference (which is bit-identical to the accelerator by
+    /// construction) when the per-round retry budget runs out. Either way
+    /// the report lands in the `guard.*` counters of attached telemetry.
     ///
     /// # Errors
     ///
@@ -450,286 +584,14 @@ impl ChambolleAccel {
         injector: &mut FaultInjector,
         guard: &AccelGuardConfig,
     ) -> Result<GuardedFrame, crate::HwParamsError> {
-        let hw = HwParams::try_from(*params)?;
-        if let Some(v2) = v2 {
-            assert_eq!(v1.dims(), v2.dims(), "component fields must match in size");
-        }
-        let (w, h) = v1.dims();
-        assert!(w > 0 && h > 0, "frame must be non-empty");
-
-        let frame_span = self.telemetry.span("hwsim.denoise_pair_guarded");
-        let start_bram = if self.telemetry.is_enabled() {
-            Some((self.bram_stats(), self.sqrt_lookups()))
-        } else {
-            None
-        };
-        let config = *self.config();
-        let dmr = guard.dmr || injector.config().datapath_rate > 0.0;
-        let start_cycles: Vec<u64> = self.windows.iter().map(|sw| sw.cycles()).collect();
-        let original1 = quantize_input(v1);
-        let original2 = v2.map(quantize_input);
-        let mut state1 = original1.clone();
-        let mut state2 = original2.clone();
-        let mut report = RecoveryReport::default();
-        let mut window_loads = 0u64;
-        let mut rounds = 0u32;
-        let mut remaining = params.iterations;
-        let mut next_window = 0usize;
-        let mut fell_back = false;
-
-        'rounds: while remaining > 0 {
-            let round = rounds;
-            let k = remaining.min(config.merge_factor);
-            let plan = TilePlan::new(w, h, config.tile_config(k));
-            let tiles: Vec<Tile> = plan.tiles().to_vec();
-            let round_params = HwParams {
-                iterations: k,
-                ..hw
-            };
-
-            // Configuration upsets land in the sqrt ROMs before the round.
-            injector.corrupt_luts(round, &mut self.windows);
-
-            let mut next1 = state1.clone();
-            let mut next2 = state2.clone();
-            for (i, tile) in tiles.iter().enumerate() {
-                let (mut run1, mut run2) = run_tile(
-                    &mut self.windows,
-                    &mut next_window,
-                    &state1,
-                    state2.as_ref(),
-                    tile,
-                    &round_params,
-                );
-                window_loads += 1;
-                // Transient glitches hit only this first execution; the DMR
-                // shadow below re-runs the same deterministic hardware and
-                // is clean, so a mismatch pinpoints the glitch exactly.
-                injector.perturb_datapath(round, i, 0, &mut run1.words);
-                if let Some(r2) = run2.as_mut() {
-                    injector.perturb_datapath(round, i, 1, &mut r2.words);
-                }
-                if dmr {
-                    let (shadow1, shadow2) = run_tile(
-                        &mut self.windows,
-                        &mut next_window,
-                        &state1,
-                        state2.as_ref(),
-                        tile,
-                        &round_params,
-                    );
-                    window_loads += 1;
-                    let mismatch = run1.words != shadow1.words
-                        || run2.as_ref().map(|r| &r.words) != shadow2.as_ref().map(|r| &r.words);
-                    if mismatch {
-                        report.detections += 1;
-                        report
-                            .actions
-                            .push(RecoveryAction::DatapathArbitration { round, tile: i });
-                        run1 = shadow1;
-                        run2 = shadow2;
-                    }
-                }
-                blit_profitable_words(&mut next1, tile, &run1.words);
-                if let (Some(next2), Some(run2)) = (next2.as_mut(), run2.as_ref()) {
-                    blit_profitable_words(next2, tile, &run2.words);
-                }
-            }
-
-            // Golden-checksum scrub of every sqrt table. A repaired table
-            // means some tiles computed through a corrupted ROM — which
-            // tiles is unknowable, so the whole round recomputes on the
-            // now-clean units from the intact round-start snapshot.
-            let repairs: u32 = self
-                .windows
-                .iter_mut()
-                .map(|sw| sw.repair_sqrt_units())
-                .sum();
-            if repairs > 0 {
-                report.detections += repairs;
-                report
-                    .actions
-                    .push(RecoveryAction::LutRepair { round, repairs });
-                report
-                    .actions
-                    .push(RecoveryAction::RoundRecompute { round });
-                next1 = state1.clone();
-                next2 = state2.clone();
-                for tile in &tiles {
-                    let (run1, run2) = run_tile(
-                        &mut self.windows,
-                        &mut next_window,
-                        &state1,
-                        state2.as_ref(),
-                        tile,
-                        &round_params,
-                    );
-                    window_loads += 1;
-                    blit_profitable_words(&mut next1, tile, &run1.words);
-                    if let (Some(next2), Some(run2)) = (next2.as_mut(), run2.as_ref()) {
-                        blit_profitable_words(next2, tile, &run2.words);
-                    }
-                }
-            }
-
-            // Checksum the clean round result per profitable region (the
-            // regions partition the frame, so every later upset lands in
-            // exactly one of them).
-            let sums1: Vec<u64> = tiles
-                .iter()
-                .map(|t| region_checksum(&next1, t.out_x, t.out_y, t.out_w, t.out_h))
-                .collect();
-            let sums2: Option<Vec<u64>> = next2.as_ref().map(|n2| {
-                tiles
-                    .iter()
-                    .map(|t| region_checksum(n2, t.out_x, t.out_y, t.out_w, t.out_h))
-                    .collect()
-            });
-
-            // SEUs land between rounds — after checksumming, exactly like a
-            // scrubbing controller whose checksum RAM holds the truth.
-            injector.corrupt_state(round, 0, &mut next1);
-            if let Some(n2) = next2.as_mut() {
-                injector.corrupt_state(round, 1, n2);
-            }
-
-            // Verify every region (checksum + feasibility invariant) and
-            // recompute corrupted tiles from the round-start snapshot.
-            let mut attempt = 0u32;
-            loop {
-                let bad: Vec<usize> = tiles
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, t)| {
-                        let clean1 = region_checksum(&next1, t.out_x, t.out_y, t.out_w, t.out_h)
-                            == sums1[*i]
-                            && check_dual_feasibility_region(
-                                &next1,
-                                t.out_x,
-                                t.out_y,
-                                t.out_w,
-                                t.out_h,
-                                FEASIBILITY_MAX_NORM_SQ,
-                            )
-                            .is_none();
-                        let clean2 = match (&next2, &sums2) {
-                            (Some(n2), Some(s2)) => {
-                                region_checksum(n2, t.out_x, t.out_y, t.out_w, t.out_h) == s2[*i]
-                                    && check_dual_feasibility_region(
-                                        n2,
-                                        t.out_x,
-                                        t.out_y,
-                                        t.out_w,
-                                        t.out_h,
-                                        FEASIBILITY_MAX_NORM_SQ,
-                                    )
-                                    .is_none()
-                            }
-                            _ => true,
-                        };
-                        !(clean1 && clean2)
-                    })
-                    .map(|(i, _)| i)
-                    .collect();
-                if bad.is_empty() {
-                    break;
-                }
-                report.detections += bad.len() as u32;
-                if attempt >= guard.max_tile_retries {
-                    fell_back = true;
-                    report.degraded = true;
-                    report.actions.push(RecoveryAction::SequentialFallback);
-                    break 'rounds;
-                }
-                for &i in &bad {
-                    let tile = &tiles[i];
-                    let (run1, run2) = run_tile(
-                        &mut self.windows,
-                        &mut next_window,
-                        &state1,
-                        state2.as_ref(),
-                        tile,
-                        &round_params,
-                    );
-                    window_loads += 1;
-                    blit_profitable_words(&mut next1, tile, &run1.words);
-                    if let (Some(next2), Some(run2)) = (next2.as_mut(), run2.as_ref()) {
-                        blit_profitable_words(next2, tile, &run2.words);
-                    }
-                    report
-                        .actions
-                        .push(RecoveryAction::TileRecompute { round, tile: i });
-                }
-                attempt += 1;
-            }
-
-            state1 = next1;
-            state2 = next2;
-            remaining -= k;
-            rounds += 1;
-        }
-
-        let (u1, u2) = if fell_back {
-            // Graceful degradation: the monolithic fixed-point reference on
-            // the original input — slower (no parallel windows), but
-            // bit-identical to what a fault-free accelerator run produces.
-            let sqrt = config.sqrt.unit();
-            let s1 = fixed_chambolle_reference_with(&original1, &hw, &sqrt);
-            let u2 = original2
-                .as_ref()
-                .map(|o| dequantize(&fixed_chambolle_reference_with(o, &hw, &sqrt).u));
-            (dequantize(&s1.u), u2)
-        } else {
-            // Final u-round, exactly as the unguarded scheduler runs it (the
-            // states entering it are verified clean).
-            let mut u1 = Grid::new(w, h, WordFixed::ZERO);
-            let mut u2 = v2.map(|_| Grid::new(w, h, WordFixed::ZERO));
-            let sweep_params = HwParams {
-                iterations: 0,
-                ..hw
-            };
-            for tile in u_round_tiles(w, h, &config.array) {
-                let sub1 = state1.crop(tile.src_x, tile.src_y, tile.src_w, tile.src_h);
-                let sub2 = state2
-                    .as_ref()
-                    .map(|s| s.crop(tile.src_x, tile.src_y, tile.src_w, tile.src_h));
-                let n = self.windows.len();
-                let sw = &mut self.windows[next_window];
-                next_window = (next_window + 1) % n;
-                let (run1, run2) = sw.process(&sub1, sub2.as_ref(), &sweep_params, true);
-                window_loads += 1;
-                blit_profitable_u(&mut u1, &tile, &run1.u);
-                if let (Some(u2), Some(run2)) = (u2.as_mut(), run2) {
-                    blit_profitable_u(u2, &tile, &run2.u);
-                }
-            }
-            (dequantize(&u1), u2.as_ref().map(dequantize))
-        };
-
-        let per_window_cycles: Vec<u64> = self
-            .windows
-            .iter()
-            .zip(&start_cycles)
-            .map(|(sw, &s)| sw.cycles() - s)
-            .collect();
-        let stats = FrameStats {
-            cycles: per_window_cycles.iter().copied().max().unwrap_or(0),
-            per_window_cycles,
-            window_loads,
-            rounds,
-            clock_mhz: config.clock_mhz,
-        };
-        if let Some((bram0, sqrt0)) = start_bram {
-            self.record_frame_telemetry(&stats, &bram0, sqrt0);
-            report.record_telemetry(&self.telemetry);
-        }
-        drop(frame_span);
-        Ok(GuardedFrame {
-            u1,
-            u2,
-            stats,
-            report,
-        })
+        let monitor = injector.config().any_faults().then(|| Monitor {
+            injector,
+            max_tile_retries: guard.max_tile_retries,
+            report: RecoveryReport::default(),
+        });
+        let frame = self.run_frame("hwsim.denoise_pair_guarded", v1, v2, params, monitor)?;
+        frame.report.record_telemetry(&self.telemetry);
+        Ok(frame)
     }
 }
 
@@ -738,6 +600,7 @@ mod tests {
     use super::*;
     use crate::accel::AccelConfig;
     use crate::reference::fixed_chambolle_reference;
+    use chambolle_fixed::WordFixed;
     use chambolle_imaging::Grid;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -836,20 +699,66 @@ mod tests {
 
     #[test]
     fn quiet_injector_changes_nothing() {
-        let v = random_image(150, 120, 7);
-        let p = params(6);
-        let mut plain = ChambolleAccel::new(AccelConfig::paper(2).unwrap());
-        let (u_plain, _, s_plain) = plain.denoise_pair(&v, None, &p).unwrap();
-        let mut guarded = ChambolleAccel::new(AccelConfig::paper(2).unwrap());
-        let mut inj = FaultInjector::new(FaultConfig::quiet(1));
-        let frame = guarded
-            .denoise_pair_guarded(&v, None, &p, &mut inj, &AccelGuardConfig::default())
-            .unwrap();
-        assert_eq!(frame.u1.as_slice(), u_plain.as_slice());
-        assert_eq!(frame.stats.cycles, s_plain.cycles);
-        assert_eq!(frame.stats.window_loads, s_plain.window_loads);
-        assert!(frame.report.is_clean());
-        assert_eq!(inj.injected(), 0);
+        use chambolle_telemetry::{names, span::span_metric_name, Telemetry};
+        // A guarded frame whose injector cannot fire runs the unguarded
+        // schedule: same outputs, statistics, BRAM traffic and sqrt lookups,
+        // for a pair of frames at every merge depth K.
+        for (i, (w, h, k)) in [(150, 120, 2), (97, 61, 3), (200, 33, 1)]
+            .into_iter()
+            .enumerate()
+        {
+            let v1 = random_image(w, h, 7 + i as u64);
+            let v2 = random_image(w, h, 17 + i as u64);
+            let p = params(6);
+            let mut plain = ChambolleAccel::new(AccelConfig::paper(k).unwrap());
+            let telemetry = Telemetry::null();
+            plain.attach_telemetry(telemetry.clone());
+            let (u1, u2, s_plain) = plain.denoise_pair(&v1, Some(&v2), &p).unwrap();
+            let mut guarded = ChambolleAccel::new(AccelConfig::paper(k).unwrap());
+            let mut inj = FaultInjector::new(FaultConfig::quiet(1));
+            let frame = guarded
+                .denoise_pair_guarded(&v1, Some(&v2), &p, &mut inj, &AccelGuardConfig::default())
+                .unwrap();
+            let at = format!("{w}x{h}, K = {k}");
+            assert_eq!(frame.u1.as_slice(), u1.as_slice(), "{at}");
+            assert_eq!(
+                frame.u2.as_ref().map(Grid::as_slice),
+                u2.as_ref().map(Grid::as_slice),
+                "{at}"
+            );
+            assert_eq!(frame.stats.cycles, s_plain.cycles, "{at}");
+            assert_eq!(
+                frame.stats.per_window_cycles, s_plain.per_window_cycles,
+                "{at}"
+            );
+            assert_eq!(frame.stats.window_loads, s_plain.window_loads, "{at}");
+            assert_eq!(frame.stats.rounds, s_plain.rounds, "{at}");
+            assert_eq!(guarded.bram_stats(), plain.bram_stats(), "{at}");
+            assert_eq!(guarded.sqrt_lookups(), plain.sqrt_lookups(), "{at}");
+            assert!(frame.report.is_clean());
+            assert_eq!(inj.injected(), 0);
+
+            // An unguarded frame records the eleven hwsim counters and its
+            // span, and no guard key.
+            let mut expected = vec![
+                names::HWSIM_FRAMES.to_owned(),
+                names::HWSIM_CYCLES.to_owned(),
+                names::HWSIM_WINDOW_LOADS.to_owned(),
+                names::HWSIM_ROUNDS.to_owned(),
+                names::HWSIM_BRAM_PORT1_READS.to_owned(),
+                names::HWSIM_BRAM_PORT2_READS.to_owned(),
+                names::HWSIM_BRAM_PORT1_WRITES.to_owned(),
+                names::HWSIM_BRAM_PORT2_WRITES.to_owned(),
+                names::HWSIM_BRAM_PORT1_IDLE.to_owned(),
+                names::HWSIM_BRAM_PORT2_IDLE.to_owned(),
+                names::HWSIM_SQRT_LOOKUPS.to_owned(),
+                span_metric_name("hwsim.denoise_pair"),
+            ];
+            expected.sort();
+            let snap = telemetry.snapshot();
+            let keys: Vec<String> = snap.iter().map(|(key, _)| key.to_owned()).collect();
+            assert_eq!(keys, expected, "{at}");
+        }
     }
 
     #[test]
@@ -979,7 +888,6 @@ mod tests {
         });
         let guard = AccelGuardConfig {
             max_tile_retries: 0,
-            dmr: false,
         };
         let frame = accel
             .denoise_pair_guarded(&v, None, &p, &mut inj, &guard)

@@ -58,11 +58,3 @@ mod slice;
 pub use pool::{PoolStats, ThreadPool};
 pub use simd::KernelBackend;
 pub use slice::UnsafeSharedSlice;
-
-/// A reasonable default worker count: the machine's available parallelism,
-/// or 1 if it cannot be queried.
-pub fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}

@@ -635,9 +635,4 @@ mod tests {
         pool.parallel_chunks_mut("par.test", &mut empty, 8, |_, _| panic!("must not run"));
         assert_eq!(pool.stats().tasks, 0);
     }
-
-    #[test]
-    fn available_threads_is_positive() {
-        assert!(crate::available_threads() >= 1);
-    }
 }

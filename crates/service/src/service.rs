@@ -117,8 +117,6 @@ pub struct ServiceConfig {
     pub high_watermark: usize,
     /// Queue depth at which congestion is considered cleared (falling edge).
     pub low_watermark: usize,
-    /// Guard-layer retry budget for denoise requests.
-    pub recovery: RecoveryPolicy,
     /// Brownout policy: while the queue sits inside a congestion episode
     /// (depth rose to `high_watermark` and hasn't fallen back to
     /// `low_watermark`), solves are capped to this policy's iteration budget
@@ -150,7 +148,6 @@ impl ServiceConfig {
             default_deadline: None,
             high_watermark: (queue_capacity * 3 / 4).max(1),
             low_watermark: queue_capacity / 4,
-            recovery: RecoveryPolicy::default(),
             degradation: None,
             slo: [None, None],
             trace_ring: DEFAULT_TRACE_RING,
@@ -913,7 +910,6 @@ fn dispatch_batch(shared: &Shared, pool: &ThreadPool, batch: Vec<Pending>) {
 
     let batch_size = batch.len();
     let dequeued_at = Instant::now();
-    let policy = shared.config.recovery;
     // One brownout decision per batch: every member of a batch is served at
     // the same fidelity tier.
     let degradation = brownout_policy(shared);
@@ -947,13 +943,13 @@ fn dispatch_batch(shared: &Shared, pool: &ThreadPool, batch: Vec<Pending>) {
     if live.len() == 1 {
         // No point in a pool broadcast for a lone request.
         let solve_start = Instant::now();
-        let result = solve_contained(&live[0], &policy, degradation, &shared.telemetry);
+        let result = solve_contained(&live[0], degradation, &shared.telemetry);
         *slots[0].lock().expect("slot poisoned") =
             Some((result, micros(solve_start, Instant::now())));
     } else {
         pool.parallel_tiles("service.batch", live.len(), |_, i| {
             let solve_start = Instant::now();
-            let result = solve_contained(&live[i], &policy, degradation, &shared.telemetry);
+            let result = solve_contained(&live[i], degradation, &shared.telemetry);
             *slots[i].lock().expect("slot poisoned") =
                 Some((result, micros(solve_start, Instant::now())));
         });
@@ -979,12 +975,11 @@ fn dispatch_batch(shared: &Shared, pool: &ThreadPool, batch: Vec<Pending>) {
 /// sequential bodies when the context has no pool of its own.
 fn solve_contained(
     pending: &Pending,
-    policy: &RecoveryPolicy,
     degradation: Option<DegradationPolicy>,
     telemetry: &Telemetry,
 ) -> Result<(Output, ResponseTier, Option<RecoveryReport>), ServiceError> {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        solve_one(pending, policy, degradation, telemetry)
+        solve_one(pending, degradation, telemetry)
     }));
     match outcome {
         Ok(result) => result,
@@ -1001,7 +996,6 @@ fn solve_contained(
 
 fn solve_one(
     pending: &Pending,
-    policy: &RecoveryPolicy,
     degradation: Option<DegradationPolicy>,
     telemetry: &Telemetry,
 ) -> Result<(Output, ResponseTier, Option<RecoveryReport>), ServiceError> {
@@ -1022,7 +1016,7 @@ fn solve_one(
             } else {
                 ResponseTier::Full
             };
-            match guarded_denoise_with_ctx(input, params, policy, &ctx) {
+            match guarded_denoise_with_ctx(input, params, &RecoveryPolicy::default(), &ctx) {
                 Ok((u, report)) => Ok((Output::Denoised(u), tier, Some(report))),
                 Err(GuardError::Cancelled(c)) => Err(error_from_reason(c.reason)),
                 Err(other) => Err(ServiceError::Solver(other.to_string())),

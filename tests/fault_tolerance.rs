@@ -8,8 +8,8 @@
 //! changes nothing.
 
 use chambolle::core::{
-    ChambolleParams, GuardedDenoiser, ParallelSolver, RecoveryPolicy, SequentialSolver, TvDenoiser,
-    TvL1Params, TvL1Solver,
+    ChambolleParams, ExecCtx, GuardedDenoiser, NumericsPolicy, ParallelSolver, SequentialSolver,
+    TvDenoiser, TvL1Params, TvL1Solver,
 };
 use chambolle::hwsim::{
     dequantize, fixed_chambolle_reference, quantize_input, AccelConfig, AccelGuardConfig,
@@ -108,7 +108,7 @@ fn software_guard_scrubs_poisoned_input_and_converges() {
     v[(79, 59)] = f32::INFINITY;
     let params = ChambolleParams::with_iterations(20);
 
-    let guard = GuardedDenoiser::new(ParallelSolver::new(2)).with_policy(RecoveryPolicy::default());
+    let guard = GuardedDenoiser::new(ParallelSolver::new(2));
     let (u, report) = guard.denoise_checked(&v, &params).unwrap();
 
     assert_eq!(report.detections, 1, "one scrub pass expected");
@@ -134,4 +134,28 @@ fn tvl1_flow_works_with_a_guarded_backend() {
         flow_guarded, flow_plain,
         "a clean guarded backend must not change the flow"
     );
+}
+
+#[test]
+fn guarded_backend_keeps_the_context_numerics_tier() {
+    // The guard hands the flow's context to its primary, so a guarded
+    // backend runs the inner solves at the tier the context names, whatever
+    // CHAMBOLLE_NUMERICS says.
+    let scene = NoiseTexture::new(42);
+    let pair = render_pair(&scene, 64, 48, Motion::Translation { du: 1.0, dv: 0.5 });
+    let tvl1 = TvL1Params::default();
+    for tier in [NumericsPolicy::Exact, NumericsPolicy::Fast] {
+        let ctx = ExecCtx::default().with_numerics(tier);
+        let (flow_guarded, _) =
+            TvL1Solver::with_backend(tvl1, GuardedDenoiser::new(ParallelSolver::new(2)))
+                .flow_with_ctx(&pair.i0, &pair.i1, None, &ctx)
+                .unwrap();
+        let (flow_bare, _) = TvL1Solver::with_backend(tvl1, ParallelSolver::new(2))
+            .flow_with_ctx(&pair.i0, &pair.i1, None, &ctx)
+            .unwrap();
+        assert_eq!(
+            flow_guarded, flow_bare,
+            "the guard must run its primary at the {tier:?} tier"
+        );
+    }
 }
