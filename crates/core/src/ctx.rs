@@ -1,10 +1,16 @@
 //! The execution context consolidating the solver entry-point surface.
 //!
 //! One value carries **all** execution policy — worker pool, telemetry
-//! registry, cancellation token and [`KernelBackend`] — and every solve
-//! family exposes a single `*_with_ctx` entry point taking it, instead of
-//! one twin per capability. The plain forms (`chambolle_denoise`,
-//! `chambolle_iterate`, ...) build an inert context and delegate.
+//! registry, cancellation token, [`KernelBackend`], [`NumericsPolicy`]
+//! and trace context — and every solve family exposes a single
+//! `*_with_ctx` entry point taking it, instead of one twin per capability.
+//! The plain forms (`chambolle_denoise`, `chambolle_iterate`, ...) build an
+//! inert context and delegate.
+//!
+//! A context decides *how* a solve runs, never *how much*: the iteration
+//! count is always the one the caller passes. A caller that trades
+//! convergence for latency, like the service's brownout, caps the
+//! parameters it passes in.
 //!
 //! [`ExecCtx::default`] is fully inert: no pool (sequential execution),
 //! disabled telemetry (a single branch per probe), no cancellation. The
@@ -127,117 +133,8 @@ impl NumericsPolicy {
     }
 }
 
-/// Fidelity-shedding policy for brownout operation.
-///
-/// Under sustained overload a service can keep *accepting* work while
-/// spending less on each request: a context carrying a degradation policy
-/// caps the iteration budget of every solve that runs through it. The
-/// result converges less far (a "degraded tier" answer) but arrives — the
-/// graceful-degradation trade of the adaptive real-time PIV architecture,
-/// shedding fidelity before shedding requests.
-///
-/// A policy is pure configuration: attaching one to an [`ExecCtx`] changes
-/// results only when a lever actually bites (the request asked for more
-/// iterations than the cap, or asked for Exact numerics while the policy
-/// sheds to Fast). Callers that must know which tier they got should check
-/// [`DegradationPolicy::degrades`] against the requested iteration count.
-///
-/// Shedding is **staged**: the cheaper lever first. [`fast_tier`] switches
-/// solves to the tolerance-validated Fast numerics tier — same iteration
-/// count, same convergence point to within [`NumericsPolicy::ENERGY_RTOL`]
-/// — and only [`cap`] (or [`with_cap`] stacked on a fast-tier policy)
-/// actually truncates convergence.
-///
-/// [`fast_tier`]: DegradationPolicy::fast_tier
-/// [`cap`]: DegradationPolicy::cap
-/// [`with_cap`]: DegradationPolicy::with_cap
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradationPolicy {
-    /// Hard ceiling on Chambolle iterations per solve while degraded
-    /// (`u32::MAX` when the policy sheds numerics only).
-    pub max_iterations: u32,
-    /// Numerics-tier override while degraded: `Some(Fast)` sheds precision
-    /// guarantees instead of (or before) convergence depth, `None` leaves
-    /// the context's own tier in force.
-    pub numerics: Option<NumericsPolicy>,
-}
-
-impl DegradationPolicy {
-    /// A policy capping solves at `max_iterations` iterations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_iterations` is zero — a zero-iteration "solve" would
-    /// return the input unmodified, which is load shedding, not degradation.
-    pub fn cap(max_iterations: u32) -> Self {
-        assert!(
-            max_iterations > 0,
-            "a degradation policy must allow at least one iteration"
-        );
-        DegradationPolicy {
-            max_iterations,
-            numerics: None,
-        }
-    }
-
-    /// A policy shedding to the [`NumericsPolicy::Fast`] tier without
-    /// touching the iteration budget — the first (cheapest) brownout stage.
-    pub fn fast_tier() -> Self {
-        DegradationPolicy {
-            max_iterations: u32::MAX,
-            numerics: Some(NumericsPolicy::Fast),
-        }
-    }
-
-    /// Adds fast-tier numerics shedding to this policy.
-    pub fn with_fast_tier(mut self) -> Self {
-        self.numerics = Some(NumericsPolicy::Fast);
-        self
-    }
-
-    /// Adds an iteration cap to this policy (e.g. stacking the second
-    /// brownout stage onto [`DegradationPolicy::fast_tier`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_iterations` is zero (see [`DegradationPolicy::cap`]).
-    pub fn with_cap(mut self, max_iterations: u32) -> Self {
-        assert!(
-            max_iterations > 0,
-            "a degradation policy must allow at least one iteration"
-        );
-        self.max_iterations = max_iterations;
-        self
-    }
-
-    /// The iteration budget this policy grants a request for `requested`.
-    pub fn effective_iterations(&self, requested: u32) -> u32 {
-        requested.min(self.max_iterations)
-    }
-
-    /// Whether the policy actually reduces a request for `requested`
-    /// iterations.
-    pub fn caps(&self, requested: u32) -> bool {
-        requested > self.max_iterations
-    }
-
-    /// Whether the policy overrides the numerics tier to [`Fast`].
-    ///
-    /// [`Fast`]: NumericsPolicy::Fast
-    pub fn sheds_numerics(&self) -> bool {
-        self.numerics == Some(NumericsPolicy::Fast)
-    }
-
-    /// Whether a request for `requested` iterations would be served at a
-    /// degraded tier under this policy — by iteration truncation, by
-    /// numerics shedding, or both.
-    pub fn degrades(&self, requested: u32) -> bool {
-        self.caps(requested) || self.sheds_numerics()
-    }
-}
-
 /// Execution policy for one solve: pool + telemetry + cancellation +
-/// kernel backend + optional brownout degradation + trace context.
+/// kernel backend + numerics tier + trace context.
 ///
 /// Cheap to clone (two `Arc` bumps at most) and immutable once built; the
 /// builder methods consume and return `self` so contexts compose in one
@@ -249,7 +146,6 @@ pub struct ExecCtx {
     cancel: Option<CancelToken>,
     backend: KernelBackend,
     numerics: NumericsPolicy,
-    degradation: Option<DegradationPolicy>,
     trace: TraceContext,
 }
 
@@ -265,18 +161,12 @@ impl Default for ExecCtx {
             cancel: None,
             backend: KernelBackend::active(),
             numerics: NumericsPolicy::active(),
-            degradation: None,
             trace: TraceContext::NONE,
         }
     }
 }
 
 impl ExecCtx {
-    /// Alias for [`ExecCtx::default`].
-    pub fn new() -> Self {
-        ExecCtx::default()
-    }
-
     /// Returns [`ExecCtx::default`]: the argument is ignored, because no
     /// tuning knob reaches a solve. Kept only for its last caller, the
     /// benchmark harness in `benchmark/`.
@@ -321,16 +211,6 @@ impl ExecCtx {
         self
     }
 
-    /// Caps every solve's iteration budget per `policy` (brownout tier).
-    ///
-    /// Unlike the other context knobs this one **changes results** whenever
-    /// the cap bites: that is its purpose. Solvers honoring the context
-    /// report the capped budget through [`ExecCtx::effective_iterations`].
-    pub fn with_degradation(mut self, policy: DegradationPolicy) -> Self {
-        self.degradation = Some(policy);
-        self
-    }
-
     /// Tags the solve with a propagated distributed-trace context, so
     /// solver-side instrumentation can attribute its work to the request
     /// that caused it.
@@ -359,44 +239,16 @@ impl ExecCtx {
         self.backend
     }
 
-    /// The numerics tier solves through this context run at, folding in any
-    /// degradation override: an attached policy shedding numerics wins over
-    /// the context's own tier (resolution order: degradation override >
-    /// [`ExecCtx::with_numerics`] > `CHAMBOLLE_NUMERICS` > Exact).
+    /// The numerics tier solves through this context run at:
+    /// [`ExecCtx::with_numerics`] if set, else `CHAMBOLLE_NUMERICS`, else
+    /// Exact.
     pub fn numerics(&self) -> NumericsPolicy {
-        self.degradation
-            .as_ref()
-            .and_then(|p| p.numerics)
-            .unwrap_or(self.numerics)
-    }
-
-    /// The brownout degradation policy, if one is attached.
-    pub fn degradation(&self) -> Option<&DegradationPolicy> {
-        self.degradation.as_ref()
+        self.numerics
     }
 
     /// The distributed-trace context ([`TraceContext::NONE`] by default).
     pub fn trace(&self) -> TraceContext {
         self.trace
-    }
-
-    /// The iteration budget a solve asking for `requested` iterations gets
-    /// under this context: `requested` itself without a degradation policy,
-    /// the policy's cap otherwise.
-    pub fn effective_iterations(&self, requested: u32) -> u32 {
-        match &self.degradation {
-            Some(policy) => policy.effective_iterations(requested),
-            None => requested,
-        }
-    }
-
-    /// Whether a solve asking for `requested` iterations would be served at
-    /// the degraded tier under this context — by iteration capping or by
-    /// numerics shedding.
-    pub fn degrades(&self, requested: u32) -> bool {
-        self.degradation
-            .as_ref()
-            .is_some_and(|p| p.degrades(requested))
     }
 
     /// Polls the cancellation token, if one is attached.
@@ -424,31 +276,6 @@ mod tests {
         assert!(!ctx.telemetry().is_enabled());
         assert_eq!(ctx.backend(), KernelBackend::active());
         assert!(ctx.checkpoint().is_ok());
-        assert!(ctx.degradation().is_none());
-        assert_eq!(ctx.effective_iterations(100), 100);
-        assert!(!ctx.degrades(100));
-    }
-
-    #[test]
-    fn degradation_policy_caps_only_when_it_bites() {
-        let policy = DegradationPolicy::cap(25);
-        assert_eq!(policy.effective_iterations(100), 25);
-        assert_eq!(policy.effective_iterations(10), 10);
-        assert!(policy.caps(26));
-        assert!(!policy.caps(25));
-
-        let ctx = ExecCtx::default().with_degradation(policy);
-        assert_eq!(ctx.degradation(), Some(&policy));
-        assert_eq!(ctx.effective_iterations(100), 25);
-        assert_eq!(ctx.effective_iterations(5), 5);
-        assert!(ctx.degrades(26));
-        assert!(!ctx.degrades(20));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one iteration")]
-    fn zero_iteration_degradation_policy_is_rejected() {
-        let _ = DegradationPolicy::cap(0);
     }
 
     #[test]
@@ -467,7 +294,7 @@ mod tests {
     }
 
     #[test]
-    fn context_numerics_folds_degradation_override() {
+    fn context_numerics_is_the_contexts_own_tier() {
         // The default context runs the env-or-Exact process default;
         // with_numerics overrides it.
         let ctx = ExecCtx::default();
@@ -476,42 +303,6 @@ mod tests {
         assert_eq!(fast.numerics(), NumericsPolicy::Fast);
         let exact = ctx.with_numerics(NumericsPolicy::Exact);
         assert_eq!(exact.numerics(), NumericsPolicy::Exact);
-
-        // A numerics-shedding degradation policy wins over the context's
-        // own tier and marks every request degraded — even ones whose
-        // iteration budget is untouched.
-        let shed = exact.with_degradation(DegradationPolicy::fast_tier());
-        assert_eq!(shed.numerics(), NumericsPolicy::Fast);
-        assert_eq!(shed.effective_iterations(100), 100);
-        assert!(shed.degrades(1));
-
-        // A pure iteration cap leaves the tier alone.
-        let capped = ExecCtx::default()
-            .with_numerics(NumericsPolicy::Exact)
-            .with_degradation(DegradationPolicy::cap(25));
-        assert_eq!(capped.numerics(), NumericsPolicy::Exact);
-    }
-
-    #[test]
-    fn staged_degradation_policies_compose() {
-        let stage1 = DegradationPolicy::fast_tier();
-        assert!(stage1.sheds_numerics());
-        assert!(!stage1.caps(1_000_000));
-        assert!(stage1.degrades(1));
-        assert_eq!(stage1.effective_iterations(300), 300);
-
-        let stage2 = DegradationPolicy::fast_tier().with_cap(25);
-        assert!(stage2.sheds_numerics());
-        assert!(stage2.caps(26));
-        assert_eq!(stage2.effective_iterations(300), 25);
-
-        let capped_then_shed = DegradationPolicy::cap(25).with_fast_tier();
-        assert_eq!(capped_then_shed, stage2);
-
-        let cap_only = DegradationPolicy::cap(25);
-        assert!(!cap_only.sheds_numerics());
-        assert!(cap_only.degrades(26));
-        assert!(!cap_only.degrades(25));
     }
 
     #[test]
@@ -534,7 +325,7 @@ mod tests {
     fn builders_compose() {
         let token = CancelToken::new();
         let pool = Arc::new(ThreadPool::new(2));
-        let ctx = ExecCtx::new()
+        let ctx = ExecCtx::default()
             .with_pool(Arc::clone(&pool))
             .with_cancel(token.clone())
             .with_backend(KernelBackend::Scalar);

@@ -966,25 +966,4 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn degraded_context_caps_iterations_through_the_guard() {
-        use crate::ctx::{DegradationPolicy, ExecCtx};
-        let v = noisy(16, 12, 33);
-        let policy = RecoveryPolicy::default();
-        // The brownout tier through the guarded path must equal a plain
-        // solve at the capped iteration count — degradation only shortens
-        // the schedule, it never changes the algorithm.
-        let degraded_ctx = ExecCtx::default().with_degradation(DegradationPolicy::cap(8));
-        let (u_deg, _) = guarded_denoise_with_ctx(&v, &params(40), &policy, &degraded_ctx).unwrap();
-        let (u_short, _) =
-            guarded_denoise_with_ctx(&v, &params(8), &policy, &ExecCtx::default()).unwrap();
-        assert_eq!(u_deg.as_slice(), u_short.as_slice());
-        // A cap above the request is inert.
-        let wide_ctx = ExecCtx::default().with_degradation(DegradationPolicy::cap(500));
-        let (u_full, _) = guarded_denoise_with_ctx(&v, &params(40), &policy, &wide_ctx).unwrap();
-        let (u_ref, _) =
-            guarded_denoise_with_ctx(&v, &params(40), &policy, &ExecCtx::default()).unwrap();
-        assert_eq!(u_full.as_slice(), u_ref.as_slice());
-    }
 }

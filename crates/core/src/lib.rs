@@ -80,7 +80,7 @@ pub mod weighted;
 pub use block_matching::{block_matching_flow, BlockMatchingParams};
 pub use cancel::{CancelReason, CancelToken, Cancelled};
 pub use chambolle_par::KernelBackend;
-pub use ctx::{DegradationPolicy, ExecCtx, NumericsPolicy};
+pub use ctx::{ExecCtx, NumericsPolicy};
 pub use decomposition::{compute_group_decomposed, DecomposedStats, GroupRect};
 pub use diagnostics::{
     chambolle_denoise_monitored, chambolle_denoise_monitored_with_ctx, duality_gap,

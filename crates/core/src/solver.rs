@@ -605,12 +605,6 @@ pub fn chambolle_denoise<R: Real>(
 ///
 /// [`chambolle_denoise`] delegates here.
 ///
-/// A context carrying a [`DegradationPolicy`](crate::DegradationPolicy)
-/// caps the iteration budget at `ctx.effective_iterations(params.iterations)`
-/// — the brownout tier: the solve still runs and still returns, it just
-/// converges less far. Without a policy the budget is exactly
-/// `params.iterations` and results are unchanged.
-///
 /// # Errors
 ///
 /// Returns [`Cancelled`] if `ctx`'s token reports cancellation before the
@@ -621,8 +615,7 @@ pub fn chambolle_denoise_with_ctx<R: Real>(
     ctx: &ExecCtx,
 ) -> Result<(Grid<R>, DualField<R>), Cancelled> {
     let mut p = DualField::zeros(v.width(), v.height());
-    let iterations = ctx.effective_iterations(params.iterations);
-    chambolle_iterate_with_ctx(&mut p, v, params, iterations, ctx)?;
+    chambolle_iterate_with_ctx(&mut p, v, params, params.iterations, ctx)?;
     let u = recover_u(v, &p, params.theta);
     Ok((u, p))
 }

@@ -9,13 +9,11 @@
 //! its introduction is reproduced by [`FlowStats::chambolle_fraction`]).
 
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chambolle_imaging::{
     upsample_flow_component, FlowField, Grid, Image, Pyramid, WarpLinearization,
 };
-use chambolle_par::ThreadPool;
 
 use crate::cancel::Cancelled;
 use crate::ctx::ExecCtx;
@@ -41,7 +39,6 @@ use crate::solver::{SequentialSolver, TvDenoiser};
 pub struct TvL1Solver<D> {
     params: TvL1Params,
     inner: D,
-    pool: Option<Arc<ThreadPool>>,
 }
 
 impl TvL1Solver<SequentialSolver> {
@@ -50,7 +47,6 @@ impl TvL1Solver<SequentialSolver> {
         TvL1Solver {
             params,
             inner: SequentialSolver::new(),
-            pool: None,
         }
     }
 }
@@ -59,29 +55,7 @@ impl<D: TvDenoiser> TvL1Solver<D> {
     /// Creates a solver around an arbitrary Chambolle backend (sequential,
     /// banded parallel, or the FPGA cycle simulator).
     pub fn with_backend(params: TvL1Params, inner: D) -> Self {
-        TvL1Solver {
-            params,
-            inner,
-            pool: None,
-        }
-    }
-
-    /// Routes the pyramid construction and per-warp linearization of the
-    /// outer loop through `pool`.
-    ///
-    /// The pooled image operations are bit-identical to their sequential
-    /// counterparts, so this changes only wall time, never the flow. Pass
-    /// the same shared pool to a pool-aware backend (e.g.
-    /// [`ParallelSolver::with_pool`](crate::solver::ParallelSolver::with_pool))
-    /// to run the whole pipeline on one set of workers.
-    pub fn with_pool(mut self, pool: Arc<ThreadPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// The worker pool used for the outer-loop image operations, if any.
-    pub fn pool(&self) -> Option<&Arc<ThreadPool>> {
-        self.pool.as_ref()
+        TvL1Solver { params, inner }
     }
 
     /// The outer-loop parameters.
@@ -94,23 +68,14 @@ impl<D: TvDenoiser> TvL1Solver<D> {
         &self.inner
     }
 
-    /// Estimates the optical flow from `i0` to `i1`.
+    /// Estimates the optical flow from `i0` to `i1` under
+    /// [`ExecCtx::default`].
     ///
     /// # Errors
     ///
     /// Returns [`FlowError`] if the frames are empty or differ in size.
     pub fn flow(&self, i0: &Image, i1: &Image) -> Result<(FlowField, FlowStats), FlowError> {
-        self.flow_with_ctx(i0, i1, None, &self.base_ctx())
-    }
-
-    /// The context [`TvL1Solver::flow`] and [`VideoFlowTracker`] build from
-    /// the solver's own configuration: the attached pool (if any) and
-    /// nothing else.
-    fn base_ctx(&self) -> ExecCtx {
-        match &self.pool {
-            Some(pool) => ExecCtx::default().with_pool(Arc::clone(pool)),
-            None => ExecCtx::default(),
-        }
+        self.flow_with_ctx(i0, i1, None, &ExecCtx::default())
     }
 
     /// The consolidated flow entry point: one [`ExecCtx`] carries the pool,
@@ -121,19 +86,17 @@ impl<D: TvDenoiser> TvL1Solver<D> {
     /// previous frame pair's flow in a video): the prior is resampled to
     /// the coarsest pyramid level and refined from there.
     ///
-    /// The context's pool (or, when it has none, the solver's attached pool)
-    /// drives the pyramid construction and per-warp linearization; its
-    /// backend selects the SIMD level of those pooled image kernels; its
-    /// token is polled at every outer-iteration boundary (so also between
-    /// warps and between pyramid levels); and the solve is wrapped in a
-    /// `tvl1.flow` telemetry span. All of these are bit-identical knobs —
-    /// the flow matches the plain sequential path exactly for any context.
+    /// The context's pool, if any, drives the pyramid construction and
+    /// per-warp linearization; its backend selects the SIMD level of those
+    /// pooled image kernels; its token is polled at every outer-iteration
+    /// boundary (so also between warps and between pyramid levels); and
+    /// the solve is wrapped in a `tvl1.flow` telemetry span. All of these
+    /// are bit-identical knobs — the flow matches the plain sequential path
+    /// exactly for any context.
     ///
     /// A cancelled solve discards its partial flow and mutates nothing
-    /// observable, and any attached pool stays fully reusable: the next
-    /// solve on the same solver is bit-identical to a fresh one. To cancel a
-    /// solve that keeps the solver's own pool, pass
-    /// `ExecCtx::default().with_cancel(token)`.
+    /// observable, and the context's pool stays fully reusable: the next
+    /// solve on the same solver is bit-identical to a fresh one.
     ///
     /// The *inner* Chambolle backend stays the one this solver was built
     /// with ([`TvL1Solver::with_backend`]); pass a pool-aware backend (e.g.
@@ -175,7 +138,7 @@ impl<D: TvDenoiser> TvL1Solver<D> {
         let mut chambolle_time = Duration::ZERO;
         let mut chambolle_calls = 0u32;
 
-        let pool = ctx.pool().or(self.pool.as_ref());
+        let pool = ctx.pool();
         let simd = ctx.backend();
         let build = |img: &Image| match pool {
             Some(pool) => Pyramid::build_scaled_with_pool(
@@ -254,7 +217,6 @@ impl<D: fmt::Debug> fmt::Debug for TvL1Solver<D> {
         f.debug_struct("TvL1Solver")
             .field("params", &self.params)
             .field("inner", &self.inner)
-            .field("pool", &self.pool)
             .finish()
     }
 }
@@ -293,8 +255,9 @@ impl<D: TvDenoiser> VideoFlowTracker<D> {
         }
     }
 
-    /// Estimates the flow for the next consecutive frame pair, warm-started
-    /// from the previous pair's result (if any and if the size matches).
+    /// Estimates the flow for the next consecutive frame pair under
+    /// [`ExecCtx::default`], warm-started from the previous pair's result
+    /// (if any and if the size matches).
     ///
     /// # Errors
     ///
@@ -306,7 +269,7 @@ impl<D: TvDenoiser> VideoFlowTracker<D> {
             .filter(|prev| prev.dims() == i0.dims());
         let (flow, _) = self
             .solver
-            .flow_with_ctx(i0, i1, init, &self.solver.base_ctx())?;
+            .flow_with_ctx(i0, i1, init, &ExecCtx::default())?;
         self.previous = Some(flow.clone());
         Ok(flow)
     }
@@ -468,8 +431,9 @@ mod tests {
     use crate::cancel::CancelToken;
     use crate::params::ChambolleParams;
     use chambolle_imaging::{average_endpoint_error, render_pair, Motion, NoiseTexture, Scene};
-    use chambolle_par::KernelBackend;
+    use chambolle_par::{KernelBackend, ThreadPool};
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::sync::Arc;
 
     fn fast_params() -> TvL1Params {
         TvL1Params::new(38.0, ChambolleParams::with_iterations(20), 3, 5, 4).unwrap()
@@ -540,10 +504,11 @@ mod tests {
         // One shared pool drives the pyramid, the warps, and the inner
         // Chambolle solves.
         let pool = std::sync::Arc::new(chambolle_par::ThreadPool::new(4));
-        let solver = TvL1Solver::with_backend(p, ParallelSolver::with_pool(Arc::clone(&pool)))
-            .with_pool(Arc::clone(&pool));
-        assert!(solver.pool().is_some());
-        let (f_par, _) = solver.flow(&pair.i0, &pair.i1).unwrap();
+        let solver = TvL1Solver::with_backend(p, ParallelSolver::with_pool(Arc::clone(&pool)));
+        let ctx = ExecCtx::default().with_pool(Arc::clone(&pool));
+        let (f_par, _) = solver
+            .flow_with_ctx(&pair.i0, &pair.i1, None, &ctx)
+            .unwrap();
         assert_eq!(f_seq.u1.as_slice(), f_par.u1.as_slice());
         assert_eq!(f_seq.u2.as_slice(), f_par.u2.as_slice());
         assert!(pool.stats().tasks > 0, "the shared pool must see the work");
@@ -584,8 +549,7 @@ mod tests {
         let pool = Arc::new(ThreadPool::new(threads));
         let backend: Box<dyn TvDenoiser> = Box::new(ParallelSolver::with_pool(Arc::clone(&pool)));
         let (flow, _) = TvL1Solver::with_backend(p, backend)
-            .with_pool(pool)
-            .flow_with_ctx(i0, i1, None, ctx)
+            .flow_with_ctx(i0, i1, None, &ctx.clone().with_pool(pool))
             .unwrap();
         flow
     }

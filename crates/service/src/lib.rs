@@ -7,10 +7,11 @@
 //!   structured [`RejectReason`] (never blocks, never panics) when full,
 //!   draining, or handed an invalid workload, plus edge-triggered
 //!   high/low queue-depth watermark counters.
-//! - **Micro-batching** — compatible requests (same workload kind, same
-//!   dimensions, bit-identical parameters) coalesce into one shared-pool
-//!   dispatch, amortising dispatch overhead without changing any result:
-//!   a batched response is bit-identical to a solo response.
+//! - **Micro-batching** — the head of a lane and up to `max_batch - 1`
+//!   followers, in submission order and of any kind, shape or parameters,
+//!   share one pool dispatch, amortising dispatch overhead without changing
+//!   any result: each member solves alone, so a batched response is
+//!   bit-identical to a solo response.
 //! - **Deadlines and cancellation** — per-request deadlines become
 //!   [`CancelToken`](chambolle_core::CancelToken)s polled at iteration
 //!   boundaries; a cancelled solve returns cleanly and leaves the pool
@@ -32,14 +33,17 @@
 //! - **Health probes** — a dedicated wire frame (and
 //!   [`ServiceHandle::health`]) reporting readiness, queue depth,
 //!   dispatcher liveness, brownout state, and last-solve age.
-//! - **Brownout degradation** — under sustained queue congestion *or a
-//!   burning latency SLO* the service sheds *fidelity* instead of
-//!   requests, staged cheapest-lever-first: one pressure signal switches
-//!   solves to the tolerance-validated `Fast` numerics tier at the full
-//!   iteration budget, and only both signals at once stack the configured
-//!   [`DegradationPolicy`](chambolle_core::DegradationPolicy) iteration cap
-//!   on top. Degraded solves are tagged [`ResponseTier::Degraded`]; full
-//!   fidelity resumes when the episode ends.
+//! - **Brownout degradation** — with a brownout cap configured
+//!   ([`ServiceConfig::with_brownout_cap`]), under sustained queue
+//!   congestion *or a burning latency SLO* the service sheds *fidelity*
+//!   instead of requests, staged cheapest-lever-first: one pressure signal
+//!   switches solves to the tolerance-validated `Fast` numerics tier at the
+//!   full iteration budget, and only both signals at once also cap each
+//!   request's iterations. The dispatcher decides this per batch and
+//!   applies it to the request's own parameters and context; no solver
+//!   knows about brownout. Degraded solves are tagged
+//!   [`ResponseTier::Degraded`]; full fidelity resumes when the episode
+//!   ends.
 //! - **End-to-end request tracing** — clients mint a 128-bit
 //!   [`TraceContext`] that rides every wire frame; the server threads it
 //!   through queue admission, batch formation, and the solve, recording a
@@ -73,8 +77,7 @@ pub mod wire;
 pub use chaos::{ChaosConfig, ChaosEvent, ChaosInjector, ChaosStream};
 pub use net::{ServiceClient, TcpServer, DEFAULT_CONNECT_TIMEOUT};
 pub use request::{
-    BatchKey, Completed, Output, Priority, RejectReason, Request, ResponseTier, ServiceError,
-    Workload, WorkloadKind,
+    Completed, Output, Priority, RejectReason, Request, ResponseTier, ServiceError, Workload,
 };
 pub use resilient::{
     BreakerPolicy, BreakerState, ClientError, DenoiseOutcome, ResilientClient, ResilientConfig,
@@ -158,7 +161,7 @@ mod tests {
         solo_service.shutdown();
 
         // Batched: hold the dispatcher busy with a slow blocker so the six
-        // compatible requests pile up and coalesce.
+        // requests pile up and coalesce.
         let service = Service::spawn(ServiceConfig::new(2, 16).with_max_batch(8));
         let blocker = service
             .handle()
@@ -184,6 +187,55 @@ mod tests {
             "the pile-up should have produced at least one multi-request batch"
         );
         service.shutdown();
+    }
+
+    #[test]
+    fn one_lane_batches_mixed_shapes_and_iterations_bit_identically() {
+        // Two shapes and two iteration counts, interleaved: a batch is the
+        // lane's head and its followers, whatever their shape or params.
+        let requests: Vec<(Grid<f32>, u32)> =
+            [(20, 20, 30), (24, 16, 45), (20, 20, 45), (24, 16, 30)]
+                .into_iter()
+                .zip(200..)
+                .map(|((w, h, iterations), seed)| (noisy_input(w, h, seed), iterations))
+                .collect();
+        let service = Service::spawn(ServiceConfig::new(2, 16));
+        let handle = service.handle();
+
+        // Hold the dispatcher inside a solve that only cancellation ends,
+        // so every follower is queued before the next batch is popped.
+        let blocker = handle
+            .submit(denoise_request(&noisy_input(32, 32, 1), u32::MAX))
+            .unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while handle.health().queue_depth > 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "blocker never dequeued"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let tickets: Vec<Ticket> = requests
+            .iter()
+            .map(|(input, iterations)| handle.submit(denoise_request(input, *iterations)).unwrap())
+            .collect();
+        assert_eq!(handle.health().queue_depth, requests.len());
+        blocker.cancel();
+        assert_eq!(blocker.wait().unwrap_err(), ServiceError::Cancelled);
+
+        for (ticket, (input, iterations)) in tickets.into_iter().zip(&requests) {
+            let done = ticket.wait().unwrap();
+            assert_eq!(done.batch_size, requests.len(), "one batch for the lane");
+            let expected = SequentialSolver::new()
+                .denoise(input, &ChambolleParams::with_iterations(*iterations));
+            assert_eq!(
+                done.output.as_denoised().unwrap().as_slice(),
+                expected.as_slice(),
+                "a batched response is bit-identical to the sequential solve"
+            );
+        }
+        let summary = service.shutdown();
+        assert_eq!(summary.stats.batches, 2, "the blocker's batch and one more");
     }
 
     #[test]
@@ -347,28 +399,20 @@ mod tests {
 
     #[test]
     fn brownout_stages_shed_numerics_before_iterations() {
-        use crate::service::staged_policy;
-        use chambolle_core::DegradationPolicy;
+        use crate::service::brownout_stage;
 
-        let configured = DegradationPolicy::cap(5);
         // No pressure: full fidelity.
-        assert_eq!(staged_policy(configured, false, false), None);
+        assert_eq!(brownout_stage(5, false, false), (false, None));
         // One signal (either one): numerics only, full iteration budget.
-        let stage1 = DegradationPolicy::fast_tier();
-        assert_eq!(staged_policy(configured, true, false), Some(stage1));
-        assert_eq!(staged_policy(configured, false, true), Some(stage1));
-        // Compound pressure: the configured cap stacks on the fast tier.
-        let stage2 = staged_policy(configured, true, true).unwrap();
-        assert_eq!(stage2, DegradationPolicy::fast_tier().with_cap(5));
-        assert!(stage2.sheds_numerics());
-        assert_eq!(stage2.effective_iterations(50), 5);
+        assert_eq!(brownout_stage(5, true, false), (true, None));
+        assert_eq!(brownout_stage(5, false, true), (true, None));
+        // Compound pressure: the cap stacks on the fast tier.
+        assert_eq!(brownout_stage(5, true, true), (true, Some(5)));
     }
 
     #[test]
     fn sustained_congestion_degrades_fidelity_then_recovers() {
-        use chambolle_core::{
-            chambolle_denoise_with_ctx, DegradationPolicy, ExecCtx, NumericsPolicy,
-        };
+        use chambolle_core::{chambolle_denoise_with_ctx, ExecCtx, NumericsPolicy};
 
         let telemetry = Telemetry::null();
         // Capacity 8 -> high watermark 6, low watermark 2. One dispatcher
@@ -377,7 +421,7 @@ mod tests {
         // numerics, so these solves keep their full iteration budget.
         let config = ServiceConfig::new(1, 8)
             .with_max_batch(1)
-            .with_degradation(DegradationPolicy::cap(5));
+            .with_brownout_cap(5);
         let service = Service::spawn_with_telemetry(config, telemetry.clone());
         let input = noisy_input(24, 24, 55);
 

@@ -21,7 +21,7 @@ use chambolle_core::CancelToken;
 use chambolle_telemetry::trace::TraceContext;
 use chambolle_telemetry::{names, Telemetry};
 
-use crate::request::{BatchKey, Completed, Priority, RejectReason, ServiceError, Workload};
+use crate::request::{Completed, Priority, RejectReason, ServiceError, Workload};
 
 /// One accepted request waiting in (or leaving) the queue.
 pub(crate) struct Pending {
@@ -29,7 +29,6 @@ pub(crate) struct Pending {
     #[cfg_attr(not(test), allow(dead_code))]
     pub id: u64,
     pub workload: Workload,
-    pub key: BatchKey,
     pub token: CancelToken,
     pub submitted_at: Instant,
     pub responder: mpsc::Sender<Result<Completed, ServiceError>>,
@@ -120,8 +119,8 @@ impl SubmitQueue {
     }
 
     /// Blocks until work is available, then returns the head request plus up
-    /// to `max_batch - 1` batch-compatible followers from the same lane
-    /// (order-preserving scan; non-matching entries keep their positions).
+    /// to `max_batch - 1` followers from the same lane, in submission order
+    /// and whatever their kind, shape or parameters.
     ///
     /// Returns `None` when the queue is closed and fully drained.
     pub fn pop_batch(&self, max_batch: usize) -> Option<Vec<Pending>> {
@@ -141,23 +140,7 @@ impl SubmitQueue {
         } else {
             &mut lanes.interactive
         };
-        let head = lane.pop_front().expect("lane checked non-empty");
-        let mut batch = Vec::with_capacity(max_batch.max(1));
-        if max_batch > 1 && !lane.is_empty() {
-            let key = head.key.clone();
-            batch.push(head);
-            let mut keep = VecDeque::with_capacity(lane.len());
-            while let Some(p) = lane.pop_front() {
-                if batch.len() < max_batch && p.key == key {
-                    batch.push(p);
-                } else {
-                    keep.push_back(p);
-                }
-            }
-            *lane = keep;
-        } else {
-            batch.push(head);
-        }
+        let batch: Vec<Pending> = lane.drain(..lane.len().min(max_batch.max(1))).collect();
         let depth = lanes.depth();
         if lanes.above_high && depth <= self.low_watermark {
             lanes.above_high = false;
@@ -224,7 +207,6 @@ mod tests {
         std::mem::forget(_rx);
         Pending {
             id,
-            key: workload.batch_key(),
             workload,
             token: CancelToken::new(),
             submitted_at: Instant::now(),
@@ -279,20 +261,24 @@ mod tests {
     }
 
     #[test]
-    fn batch_coalesces_only_compatible_requests_in_order() {
+    fn batch_takes_the_lane_head_and_its_followers_in_order() {
         let q = SubmitQueue::new(8, 8, 0, Telemetry::disabled());
         q.try_push(pending(1, 5), Priority::Batch).unwrap();
-        q.try_push(pending(2, 9), Priority::Batch).unwrap(); // different key
-        q.try_push(pending(3, 5), Priority::Batch).unwrap();
+        q.try_push(pending(2, 5), Priority::Interactive).unwrap();
+        q.try_push(pending(3, 9), Priority::Batch).unwrap(); // other params
         q.try_push(pending(4, 5), Priority::Batch).unwrap();
-        let batch = q.pop_batch(8).unwrap();
+        let first = q.pop_batch(8).unwrap();
         assert_eq!(
-            batch.iter().map(|p| p.id).collect::<Vec<_>>(),
-            vec![1, 3, 4],
-            "the head's compatible followers coalesce"
+            first.iter().map(|p| p.id).collect::<Vec<_>>(),
+            vec![2],
+            "a batch never crosses lanes"
         );
-        let next = q.pop_batch(8).unwrap();
-        assert_eq!(next[0].id, 2, "incompatible entry keeps its turn");
+        let second = q.pop_batch(8).unwrap();
+        assert_eq!(
+            second.iter().map(|p| p.id).collect::<Vec<_>>(),
+            vec![1, 3, 4],
+            "followers join whatever their parameters, in order"
+        );
         assert_eq!(q.depth(), 0);
     }
 

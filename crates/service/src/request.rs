@@ -1,9 +1,9 @@
 //! Request and response vocabulary of the service.
 //!
 //! A [`Request`] pairs a [`Workload`] with scheduling hints (priority lane,
-//! deadline). The micro-batcher coalesces workloads whose [`BatchKey`]s are
-//! equal — same kind, same dimensions, bit-identical parameters — because
-//! only those can share a pool dispatch without changing any result.
+//! deadline). The micro-batcher takes requests from one lane in submission
+//! order, whatever their kind, shape or parameters: every member of a batch
+//! solves alone, so sharing a pool dispatch changes no result.
 
 use std::fmt;
 use std::time::Duration;
@@ -58,38 +58,6 @@ pub enum Workload {
 }
 
 impl Workload {
-    /// The coalescing key: workloads with equal keys may share a batch.
-    pub fn batch_key(&self) -> BatchKey {
-        match self {
-            Workload::Denoise { input, params } => BatchKey {
-                kind: WorkloadKind::Denoise,
-                width: input.width(),
-                height: input.height(),
-                param_bits: vec![
-                    params.theta.to_bits(),
-                    params.tau.to_bits(),
-                    params.iterations,
-                ],
-            },
-            Workload::TvL1 { i0, params, .. } => BatchKey {
-                kind: WorkloadKind::TvL1,
-                width: i0.width(),
-                height: i0.height(),
-                param_bits: vec![
-                    params.lambda.to_bits(),
-                    params.inner.theta.to_bits(),
-                    params.inner.tau.to_bits(),
-                    params.inner.iterations,
-                    params.warps,
-                    params.outer_iterations,
-                    params.pyramid_levels as u32,
-                    params.scale_factor.to_bits(),
-                    u32::from(params.median_filter),
-                ],
-            },
-        }
-    }
-
     /// Admission-time validation: shape and parameter checks that no solver
     /// could work around. Failures become [`RejectReason::Invalid`].
     ///
@@ -119,40 +87,6 @@ impl Workload {
             }
         }
     }
-
-    /// `(width, height)` of the workload's frame(s).
-    pub fn dims(&self) -> (usize, usize) {
-        match self {
-            Workload::Denoise { input, .. } => input.dims(),
-            Workload::TvL1 { i0, .. } => i0.dims(),
-        }
-    }
-}
-
-/// Kind discriminant of a [`BatchKey`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WorkloadKind {
-    /// ROF denoise.
-    Denoise,
-    /// TV-L1 optical flow.
-    TvL1,
-}
-
-/// Equality key used by the micro-batcher.
-///
-/// Two requests are batch-compatible iff their keys are equal: same workload
-/// kind, same frame dimensions, and bit-identical parameters (`f32`s compared
-/// via [`f32::to_bits`], so `0.25` and `0.25000001` never alias).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct BatchKey {
-    /// Workload kind.
-    pub kind: WorkloadKind,
-    /// Frame width.
-    pub width: usize,
-    /// Frame height.
-    pub height: usize,
-    /// Parameter fields, bit-exact.
-    pub param_bits: Vec<u32>,
 }
 
 /// One submission: workload plus scheduling hints.
@@ -202,17 +136,18 @@ impl Request {
 
 /// The fidelity a response was served at.
 ///
-/// Under sustained queue congestion the service enters *brownout*: instead
-/// of rejecting overflow, it caps solve iterations via the configured
-/// [`DegradationPolicy`](chambolle_core::DegradationPolicy) and tags the
-/// affected responses [`ResponseTier::Degraded`] so clients can tell a
-/// full-fidelity result from a load-shed one.
+/// Under sustained queue congestion or a burning SLO a service with a
+/// brownout cap enters *brownout*: instead of rejecting overflow, it runs
+/// solves at the Fast numerics tier, caps their iterations under compound
+/// pressure, and tags the affected responses [`ResponseTier::Degraded`] so
+/// clients can tell a full-fidelity result from a load-shed one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ResponseTier {
-    /// The solve ran every requested iteration.
+    /// The solve ran as requested.
     #[default]
     Full,
-    /// Brownout capped the iteration count below the request's ask.
+    /// The solve ran under brownout: at the Fast tier, and possibly with
+    /// fewer iterations than the request asked for.
     Degraded,
 }
 
@@ -264,8 +199,8 @@ impl Output {
 pub struct Completed {
     /// The solve result.
     pub output: Output,
-    /// Fidelity tier: [`ResponseTier::Degraded`] when brownout capped the
-    /// iterations below the request's ask.
+    /// Fidelity tier: [`ResponseTier::Degraded`] when the solve ran under
+    /// brownout.
     pub tier: ResponseTier,
     /// Guard-layer recovery report (denoise requests only).
     pub recovery: Option<RecoveryReport>,
@@ -349,44 +284,6 @@ mod tests {
             input: Grid::new(w, h, 0.5f32),
             params: ChambolleParams::with_iterations(iters),
         }
-    }
-
-    #[test]
-    fn batch_keys_require_same_dims_and_params() {
-        let a = denoise_workload(8, 8, 10).batch_key();
-        let b = denoise_workload(8, 8, 10).batch_key();
-        let other_dims = denoise_workload(8, 9, 10).batch_key();
-        let other_iters = denoise_workload(8, 8, 11).batch_key();
-        assert_eq!(a, b);
-        assert_ne!(a, other_dims);
-        assert_ne!(a, other_iters);
-    }
-
-    #[test]
-    fn batch_keys_separate_kinds_and_compare_params_bitwise() {
-        let d = denoise_workload(8, 8, 10).batch_key();
-        let f = Workload::TvL1 {
-            i0: Grid::new(8, 8, 0.0f32),
-            i1: Grid::new(8, 8, 0.0f32),
-            params: TvL1Params::default(),
-        }
-        .batch_key();
-        assert_ne!(d, f);
-
-        let mut p = ChambolleParams::with_iterations(10);
-        p.theta = 0.25;
-        let k1 = Workload::Denoise {
-            input: Grid::new(4, 4, 0.0f32),
-            params: p,
-        }
-        .batch_key();
-        p.theta = 0.25 + f32::EPSILON;
-        let k2 = Workload::Denoise {
-            input: Grid::new(4, 4, 0.0f32),
-            params: p,
-        }
-        .batch_key();
-        assert_ne!(k1, k2, "ULP-different params must not alias");
     }
 
     #[test]

@@ -2,30 +2,32 @@
 //! and drain-based shutdown.
 //!
 //! One dispatcher thread owns a persistent [`ThreadPool`]. It pops batches
-//! of compatible requests from the [`SubmitQueue`](crate::queue::SubmitQueue)
-//! and dispatches each batch as one `parallel_tiles` call — one tile per
-//! request — so up to `threads` requests of a batch solve concurrently on
-//! the shared pool. Solves run through the cancellable guarded paths of
-//! `chambolle-core`, so a fault degrades one request (structured error) and
-//! a deadline aborts at the next iteration boundary, never poisoning the
-//! pool or the service.
+//! of up to `max_batch` requests from one lane of the
+//! [`SubmitQueue`](crate::queue::SubmitQueue) and dispatches each batch as
+//! one `parallel_tiles` call — one tile per request — so up to `threads`
+//! requests of a batch solve concurrently on the shared pool. Solves run
+//! through the cancellable guarded paths of `chambolle-core`, so a fault
+//! degrades one request (structured error) and a deadline aborts at the
+//! next iteration boundary, never poisoning the pool or the service. The
+//! dispatcher also decides each batch's brownout stage and applies it to
+//! the request's parameters and context; no solver knows about brownout.
 //!
 //! Every accepted request receives exactly one response. Shutdown closes the
 //! queue (new submissions get [`RejectReason::ShuttingDown`]), drains the
 //! backlog, joins the dispatcher, and flushes a final telemetry
 //! [`RunReport`].
 
+use std::num::NonZeroU32;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use chambolle_core::{guarded_denoise_with_ctx, ExecCtx, FlowError, KernelBackend};
 use chambolle_core::{
-    guarded_denoise_with_ctx, DegradationPolicy, ExecCtx, FlowError, KernelBackend,
-};
-use chambolle_core::{
-    CancelReason, CancelToken, GuardError, RecoveryPolicy, RecoveryReport, TvL1Solver,
+    CancelReason, CancelToken, ChambolleParams, GuardError, NumericsPolicy, RecoveryPolicy,
+    RecoveryReport, TvL1Solver,
 };
 use chambolle_par::ThreadPool;
 use chambolle_telemetry::json::JsonValue;
@@ -44,6 +46,10 @@ pub const METRICS_SNAPSHOT_SCHEMA: &str = "chambolle.metrics_snapshot.v1";
 /// How many of the slowest recent traces a metrics snapshot embeds.
 const SNAPSHOT_SLOWEST: usize = 5;
 
+/// Burn rate at which a lane counts as burning: it spends its error
+/// budget exactly as fast as its goal allows.
+const SLO_BURN_THRESHOLD: f64 = 1.0;
+
 /// A declarative latency/error objective for one scheduling lane.
 ///
 /// Evaluated continuously over the rolling metrics window: a response
@@ -51,34 +57,23 @@ const SNAPSHOT_SLOWEST: usize = 5;
 /// `latency_us`. The *burn rate* is the windowed breach fraction divided by
 /// the allowed error budget `1 - goal` — 1.0 means the lane consumes its
 /// budget exactly as fast as the objective permits, >1 means faster. A lane
-/// whose burn rate reaches `burn_threshold` counts as *burning*, which the
-/// brownout layer treats exactly like queue congestion.
+/// whose burn rate reaches 1.0 counts as *burning*, which the brownout
+/// layer treats exactly like queue congestion.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloObjective {
     /// Latency target in microseconds; slower responses breach.
     pub latency_us: u64,
     /// Fraction of responses that must meet the target (e.g. 0.99).
     pub goal: f64,
-    /// Burn rate at which the lane counts as burning (1.0 = consuming
-    /// budget exactly as fast as the goal allows).
-    pub burn_threshold: f64,
 }
 
 impl SloObjective {
-    /// An objective with the given latency target and success goal, burning
-    /// at 1x budget consumption.
+    /// An objective with the given latency target and success goal.
     pub fn new(latency: Duration, goal: f64) -> SloObjective {
         SloObjective {
             latency_us: latency.as_micros().min(u128::from(u64::MAX)) as u64,
             goal: goal.clamp(0.0, 0.9999),
-            burn_threshold: 1.0,
         }
-    }
-
-    /// Overrides the burn-rate threshold.
-    pub fn with_burn_threshold(mut self, threshold: f64) -> SloObjective {
-        self.burn_threshold = threshold.max(f64::MIN_POSITIVE);
-        self
     }
 
     /// Burn rate of `breach` breaches out of `total` responses.
@@ -101,7 +96,12 @@ fn lane_index(lane: Priority) -> usize {
 
 const LANES: [Priority; 2] = [Priority::Interactive, Priority::Batch];
 
-/// Tuning knobs of a service instance.
+/// Configuration of a service instance.
+///
+/// The service owns its schedule: the dispatcher, not a solver, decides
+/// which requests share a batch (the head of one lane and up to
+/// `max_batch - 1` followers, in submission order) and whether brownout
+/// sheds fidelity from them.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads of the shared solver pool (and the maximum number of
@@ -117,12 +117,14 @@ pub struct ServiceConfig {
     pub high_watermark: usize,
     /// Queue depth at which congestion is considered cleared (falling edge).
     pub low_watermark: usize,
-    /// Brownout policy: while the queue sits inside a congestion episode
-    /// (depth rose to `high_watermark` and hasn't fallen back to
-    /// `low_watermark`), solves are capped to this policy's iteration budget
-    /// and tagged [`ResponseTier::Degraded`] — fidelity is shed instead of
-    /// requests. `None` (the default) disables brownout.
-    pub degradation: Option<DegradationPolicy>,
+    /// Brownout's iteration cap. When set, a batch dispatched inside a
+    /// congestion episode (depth rose to `high_watermark` and hasn't fallen
+    /// back to `low_watermark`) or while an SLO burns runs at the Fast
+    /// numerics tier; under both signals at once its solves are also capped
+    /// at this many iterations. Its responses are tagged
+    /// [`ResponseTier::Degraded`] — fidelity is shed instead of requests.
+    /// `None` (the default) disables brownout.
+    pub brownout_cap: Option<NonZeroU32>,
     /// Per-lane latency/error objectives (`[interactive, batch]`),
     /// evaluated over the rolling metrics window; a burning lane triggers
     /// brownout exactly like queue congestion. `None` entries are
@@ -148,16 +150,25 @@ impl ServiceConfig {
             default_deadline: None,
             high_watermark: (queue_capacity * 3 / 4).max(1),
             low_watermark: queue_capacity / 4,
-            degradation: None,
+            brownout_cap: None,
             slo: [None, None],
             trace_ring: DEFAULT_TRACE_RING,
             window: WindowConfig::default(),
         }
     }
 
-    /// Enables brownout degradation under sustained queue congestion.
-    pub fn with_degradation(mut self, policy: DegradationPolicy) -> Self {
-        self.degradation = Some(policy);
+    /// Enables brownout with an iteration cap of `max_iterations`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_iterations` is zero — a zero-iteration "solve" would
+    /// return the input unmodified, which is load shedding, not
+    /// degradation.
+    pub fn with_brownout_cap(mut self, max_iterations: u32) -> Self {
+        self.brownout_cap = Some(
+            NonZeroU32::new(max_iterations)
+                .expect("a brownout cap must allow at least one iteration"),
+        );
         self
     }
 
@@ -287,9 +298,9 @@ struct Shared {
     /// True while the dispatcher thread is inside its loop.
     dispatcher_live: AtomicBool,
     /// True while brownout degradation is active (requires a configured
-    /// [`DegradationPolicy`] *and* a queue congestion episode or SLO burn).
+    /// brownout cap *and* a queue congestion episode or SLO burn).
     brownout: AtomicBool,
-    /// True while any lane's SLO burn rate sits at/above its threshold.
+    /// True while any lane's SLO burn rate sits at or above 1.0.
     slo_burning: AtomicBool,
     /// Bounded ring of recently finished request traces.
     tracer: Tracer,
@@ -370,7 +381,6 @@ impl ServiceHandle {
         let (tx, rx) = mpsc::channel();
         let pending = Pending {
             id,
-            key: request.workload.batch_key(),
             workload: request.workload,
             token: token.clone(),
             submitted_at: Instant::now(),
@@ -813,14 +823,14 @@ fn slo_status(shared: &Shared) -> (bool, f64, Vec<JsonValue>) {
             .window
             .count_in_window_at(&format!("slo.{name}.breach"), now_us);
         let burn = objective.burn_rate(breach, total);
-        let lane_burning = burn >= objective.burn_threshold;
+        let lane_burning = burn >= SLO_BURN_THRESHOLD;
         burning |= lane_burning;
         max_burn = max_burn.max(burn);
         lanes.push(JsonValue::Object(vec![
             ("lane".into(), name.into()),
             ("latency_us".into(), objective.latency_us.into()),
             ("goal".into(), objective.goal.into()),
-            ("burn_threshold".into(), objective.burn_threshold.into()),
+            ("burn_threshold".into(), SLO_BURN_THRESHOLD.into()),
             ("total".into(), total.into()),
             ("breach".into(), breach.into()),
             ("burn_rate".into(), burn.into()),
@@ -853,26 +863,25 @@ fn evaluate_slo_burn(shared: &Shared) -> bool {
     burning
 }
 
-/// Picks the brownout stage for one batch from the two pressure signals.
+/// Picks the brownout stage of one batch from the two pressure signals:
+/// whether to shed numerics to the Fast tier, and the iteration cap.
 ///
 /// Shedding is staged by severity, cheapest lever first:
 ///
+/// - no signal: full fidelity, `(false, None)`;
 /// - one signal (congestion episode *or* SLO burn) sheds **numerics**: the
-///   tolerance-validated Fast tier at the full iteration budget;
-/// - both signals at once additionally shed **convergence depth**: the
-///   configured policy's iteration cap stacks on top of the fast tier.
+///   tolerance-validated Fast tier at the full iteration budget,
+///   `(true, None)`;
+/// - both signals at once also shed **convergence depth**: the Fast tier
+///   capped at `cap` iterations, `(true, Some(cap))`.
 ///
 /// Iterations are only ever truncated under compound pressure — precision
 /// guarantees are cheaper to give up than convergence.
-pub(crate) fn staged_policy(
-    configured: DegradationPolicy,
-    congested: bool,
-    burning: bool,
-) -> Option<DegradationPolicy> {
+pub(crate) fn brownout_stage(cap: u32, congested: bool, burning: bool) -> (bool, Option<u32>) {
     match (congested, burning) {
-        (false, false) => None,
-        (true, true) => Some(configured.with_fast_tier()),
-        _ => Some(DegradationPolicy::fast_tier()),
+        (false, false) => (false, None),
+        (true, true) => (true, Some(cap)),
+        _ => (true, None),
     }
 }
 
@@ -880,11 +889,13 @@ pub(crate) fn staged_policy(
 /// records the edge transitions. Fidelity is shed when the queue sits inside
 /// a congestion episode *or* the measured SLO burn rate says the service is
 /// spending error budget too fast — so brownout reacts to what clients
-/// experience, not only to queue depth. Returns the [`staged_policy`] to
-/// degrade solves with, or `None` for full fidelity.
-fn brownout_policy(shared: &Shared) -> Option<DegradationPolicy> {
+/// experience, not only to queue depth. Returns the [`brownout_stage`],
+/// `(false, None)` when no brownout cap is configured.
+fn brownout(shared: &Shared) -> (bool, Option<u32>) {
     let burning = evaluate_slo_burn(shared);
-    let policy = shared.config.degradation?;
+    let Some(cap) = shared.config.brownout_cap else {
+        return (false, None);
+    };
     let congested = shared.queue.is_congested();
     let active = congested || burning;
     let was = shared.brownout.swap(active, Ordering::Relaxed);
@@ -897,7 +908,7 @@ fn brownout_policy(shared: &Shared) -> Option<DegradationPolicy> {
             .telemetry
             .counter_add(names::SERVICE_BROWNOUT_EXITED, 1);
     }
-    staged_policy(policy, congested, burning)
+    brownout_stage(cap.get(), congested, burning)
 }
 
 /// Solves one batch on the pool and responds to every member.
@@ -912,7 +923,7 @@ fn dispatch_batch(shared: &Shared, pool: &ThreadPool, batch: Vec<Pending>) {
     let dequeued_at = Instant::now();
     // One brownout decision per batch: every member of a batch is served at
     // the same fidelity tier.
-    let degradation = brownout_policy(shared);
+    let stage = brownout(shared);
 
     // Requests whose token already fired respond immediately without
     // touching the pool.
@@ -943,13 +954,13 @@ fn dispatch_batch(shared: &Shared, pool: &ThreadPool, batch: Vec<Pending>) {
     if live.len() == 1 {
         // No point in a pool broadcast for a lone request.
         let solve_start = Instant::now();
-        let result = solve_contained(&live[0], degradation, &shared.telemetry);
+        let result = solve_contained(&live[0], stage, &shared.telemetry);
         *slots[0].lock().expect("slot poisoned") =
             Some((result, micros(solve_start, Instant::now())));
     } else {
         pool.parallel_tiles("service.batch", live.len(), |_, i| {
             let solve_start = Instant::now();
-            let result = solve_contained(&live[i], degradation, &shared.telemetry);
+            let result = solve_contained(&live[i], stage, &shared.telemetry);
             *slots[i].lock().expect("slot poisoned") =
                 Some((result, micros(solve_start, Instant::now())));
         });
@@ -975,12 +986,10 @@ fn dispatch_batch(shared: &Shared, pool: &ThreadPool, batch: Vec<Pending>) {
 /// sequential bodies when the context has no pool of its own.
 fn solve_contained(
     pending: &Pending,
-    degradation: Option<DegradationPolicy>,
+    stage: (bool, Option<u32>),
     telemetry: &Telemetry,
 ) -> Result<(Output, ResponseTier, Option<RecoveryReport>), ServiceError> {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        solve_one(pending, degradation, telemetry)
-    }));
+    let outcome = catch_unwind(AssertUnwindSafe(|| solve_one(pending, stage, telemetry)));
     match outcome {
         Ok(result) => result,
         Err(panic) => {
@@ -994,46 +1003,42 @@ fn solve_contained(
     }
 }
 
+/// Solves one request at its batch's brownout `stage` (see
+/// [`brownout_stage`]). Both workloads follow one rule: the Fast tier at
+/// either stage, the request's own iteration count capped at stage 2, and
+/// the response tagged [`ResponseTier::Degraded`] exactly when brownout is
+/// active.
 fn solve_one(
     pending: &Pending,
-    degradation: Option<DegradationPolicy>,
+    (shed_numerics, cap): (bool, Option<u32>),
     telemetry: &Telemetry,
 ) -> Result<(Output, ResponseTier, Option<RecoveryReport>), ServiceError> {
     let mut ctx = ExecCtx::default()
         .with_telemetry(telemetry.clone())
         .with_cancel(pending.token.clone())
         .with_trace(pending.trace);
-    if let Some(d) = degradation {
-        ctx = ctx.with_degradation(d);
-    }
+    let tier = if shed_numerics {
+        ctx = ctx.with_numerics(NumericsPolicy::Fast);
+        ResponseTier::Degraded
+    } else {
+        ResponseTier::Full
+    };
+    let capped = |iterations: u32| cap.map_or(iterations, |cap| iterations.min(cap));
     match &pending.workload {
         Workload::Denoise { input, params } => {
-            // The context's degradation policy caps the iteration count and
-            // overrides the numerics tier inside the guarded solve; the tier
-            // just records whether either lever bit.
-            let tier = if degradation.is_some_and(|d| d.degrades(params.iterations)) {
-                ResponseTier::Degraded
-            } else {
-                ResponseTier::Full
+            let params = ChambolleParams {
+                iterations: capped(params.iterations),
+                ..*params
             };
-            match guarded_denoise_with_ctx(input, params, &RecoveryPolicy::default(), &ctx) {
+            match guarded_denoise_with_ctx(input, &params, &RecoveryPolicy::default(), &ctx) {
                 Ok((u, report)) => Ok((Output::Denoised(u), tier, Some(report))),
                 Err(GuardError::Cancelled(c)) => Err(error_from_reason(c.reason)),
                 Err(other) => Err(ServiceError::Solver(other.to_string())),
             }
         }
         Workload::TvL1 { i0, i1, params } => {
-            // The TV-L1 outer loop sizes its inner Chambolle solves from its
-            // own params, so brownout caps those directly; the numerics-tier
-            // override rides in on the context itself.
             let mut params = *params;
-            let tier = match degradation {
-                Some(d) if d.degrades(params.inner.iterations) => {
-                    params.inner.iterations = d.effective_iterations(params.inner.iterations);
-                    ResponseTier::Degraded
-                }
-                _ => ResponseTier::Full,
-            };
+            params.inner.iterations = capped(params.inner.iterations);
             let solver = TvL1Solver::sequential(params);
             match solver.flow_with_ctx(i0, i1, None, &ctx) {
                 Ok((flow, _stats)) => Ok((Output::Flow(flow), tier, None)),
@@ -1086,7 +1091,7 @@ fn respond(
 
     // SLO accounting: a breach is an error or a response slower than the
     // lane's latency target. Burn-rate evaluation happens per batch in
-    // `brownout_policy`; here we only feed the window.
+    // `brownout`; here we only feed the window.
     if let Some(objective) = shared.config.slo[lane_index(pending.priority)] {
         window.mark(&format!("slo.{lane}.total"), 1);
         let breached = result.is_err() || total_us > objective.latency_us;

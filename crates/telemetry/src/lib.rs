@@ -163,11 +163,12 @@ pub mod names {
     pub const SERVICE_SOLVE_LATENCY_US: &str = "service.latency.solve_us";
     /// Histogram: microseconds from submission to response.
     pub const SERVICE_TOTAL_LATENCY_US: &str = "service.latency.total_us";
-    /// Counter: brownout activations (queue depth crossed the high
-    /// watermark while a degradation policy was configured).
+    /// Counter: brownout activations (a batch was dispatched inside a
+    /// queue congestion episode or while an SLO burned, with a brownout cap
+    /// configured).
     pub const SERVICE_BROWNOUT_ENTERED: &str = "service.brownout.entered";
-    /// Counter: brownout deactivations (depth fell back to the low
-    /// watermark; full fidelity restored).
+    /// Counter: brownout deactivations (congestion cleared at the low
+    /// watermark and no SLO burns; full fidelity restored).
     pub const SERVICE_BROWNOUT_EXITED: &str = "service.brownout.exited";
     /// Counter: responses served at the degraded fidelity tier.
     pub const SERVICE_DEGRADED_RESPONSES: &str = "service.degraded_responses";

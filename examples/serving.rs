@@ -2,7 +2,7 @@
 //! through deliberate chaos.
 //!
 //! Spawns the batching service on a small worker pool, submits a burst of
-//! compatible requests (which coalesce into shared pool dispatches), makes
+//! requests (which coalesce into shared pool dispatches), makes
 //! one framed TCP round-trip against the same service, then rebinds the
 //! front-end with deterministic fault injection and shows the resilient
 //! client absorbing resets, corruption, and a scripted server panic while
@@ -32,9 +32,9 @@ fn main() {
         .with_default_deadline(Duration::from_secs(2));
     let service = Service::spawn_with_telemetry(config, telemetry);
 
-    // In-process submission: a burst of compatible requests. Same dims,
-    // same parameters => the micro-batcher coalesces them, and each
-    // response reports the batch it rode in.
+    // In-process submission: a burst of requests. The micro-batcher
+    // coalesces each lane's queued requests, and each response reports the
+    // batch it rode in.
     let params = ChambolleParams::with_iterations(40);
     let tickets: Vec<_> = (0..12)
         .map(|i| {

@@ -20,7 +20,7 @@
 //!   registry, span timers, request traces and the machine-readable
 //!   [`telemetry::RunReport`];
 //! - [`service`] — the long-running request service: bounded admission
-//!   queue, micro-batching of compatible requests, per-request deadlines
+//!   queue, micro-batching by lane, per-request deadlines
 //!   with cooperative cancellation, priority lanes, graceful drain-based
 //!   shutdown, and a framed localhost TCP front-end. Its schedule is
 //!   three constants: batches of up to 8, watermarks at 3/4 and 1/4 of

@@ -9,9 +9,8 @@ pub use crate::error::{Error, Result};
 
 pub use chambolle_core::{
     chambolle_denoise, chambolle_denoise_with_ctx, chambolle_iterate, chambolle_iterate_with_ctx,
-    CancelToken, ChambolleParams, DegradationPolicy, ExecCtx, GuardedDenoiser, KernelBackend,
-    NumericsPolicy, ParallelSolver, RecoveryPolicy, SequentialSolver, TvDenoiser, TvL1Params,
-    TvL1Solver,
+    CancelToken, ChambolleParams, ExecCtx, GuardedDenoiser, KernelBackend, NumericsPolicy,
+    ParallelSolver, RecoveryPolicy, SequentialSolver, TvDenoiser, TvL1Params, TvL1Solver,
 };
 pub use chambolle_imaging::{
     read_pgm, write_pgm, FlowField, Grid, Image, Pyramid, WarpLinearization,
