@@ -25,13 +25,6 @@ pub struct PublishedResult {
     pub fps_hi: f64,
 }
 
-impl PublishedResult {
-    /// Midpoint of the published range.
-    pub fn fps_mid(&self) -> f64 {
-        0.5 * (self.fps_lo + self.fps_hi)
-    }
-}
-
 /// Every state-of-the-art row of Table II, in the paper's order.
 pub const TABLE2_BASELINES: &[PublishedResult] = &[
     row("[13]", "GeForce 7800 GS", 50, 128, 128, 56.0),
@@ -192,9 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn fps_mid_of_ranges() {
+    fn best_baseline_ranks_ranges_by_upper_bound() {
         let r = best_baseline(512, 512, 100).unwrap();
         assert_eq!(r.device, "NVIDIA GTX285 (OpenGL only)");
-        assert_eq!(r.fps_mid(), 5.5);
+        assert_eq!((r.fps_lo, r.fps_hi), (5.0, 6.0));
     }
 }

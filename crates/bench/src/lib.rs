@@ -2,7 +2,6 @@
 //! the Chambolle Algorithm"* (Akin et al., DATE 2011).
 //!
 //! - [`baselines`] — the published Table II rows (GPU state of the art);
-//! - [`robustness`] — fault-injection sweeps over the guarded accelerator;
 //! - [`tables`] — text-table rendering;
 //! - [`workloads`] — deterministic frames and host timing helpers;
 //! - the `repro` binary regenerates every table and figure (see
@@ -15,6 +14,5 @@
 
 pub mod baselines;
 pub mod dataset;
-pub mod robustness;
 pub mod tables;
 pub mod workloads;

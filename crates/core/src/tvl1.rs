@@ -228,15 +228,16 @@ impl<D: fmt::Debug> fmt::Debug for TvL1Solver<D> {
 /// # Examples
 ///
 /// ```
-/// use chambolle_core::{TvL1Params, TvL1Solver, VideoFlowTracker};
+/// use chambolle_core::{ExecCtx, TvL1Params, TvL1Solver, VideoFlowTracker};
 /// use chambolle_imaging::{render_sequence, Motion, NoiseTexture};
 ///
 /// let frames = render_sequence(
 ///     &NoiseTexture::new(1), 48, 40, Motion::Translation { du: 1.0, dv: 0.0 }, 3,
 /// );
 /// let mut tracker = VideoFlowTracker::new(TvL1Solver::sequential(TvL1Params::default()));
-/// let f01 = tracker.next_flow(&frames[0], &frames[1])?;
-/// let f12 = tracker.next_flow(&frames[1], &frames[2])?; // warm-started from f01
+/// let ctx = ExecCtx::default();
+/// let f01 = tracker.next_flow(&frames[0], &frames[1], &ctx)?;
+/// let f12 = tracker.next_flow(&frames[1], &frames[2], &ctx)?; // warm-started from f01
 /// assert_eq!(f01.dims(), f12.dims());
 /// # Ok::<(), chambolle_core::FlowError>(())
 /// ```
@@ -255,21 +256,26 @@ impl<D: TvDenoiser> VideoFlowTracker<D> {
         }
     }
 
-    /// Estimates the flow for the next consecutive frame pair under
-    /// [`ExecCtx::default`], warm-started from the previous pair's result
-    /// (if any and if the size matches).
+    /// Estimates the flow for the next consecutive frame pair under `ctx`
+    /// (see [`TvL1Solver::flow_with_ctx`]), warm-started from the previous
+    /// pair's result (if any and if the size matches).
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError`] for invalid frames.
-    pub fn next_flow(&mut self, i0: &Image, i1: &Image) -> Result<FlowField, FlowError> {
+    /// Returns [`FlowError`] for invalid frames, and
+    /// [`FlowError::Cancelled`] if the context's token fires mid-solve; a
+    /// failed pair leaves [`VideoFlowTracker::last_flow`] unchanged.
+    pub fn next_flow(
+        &mut self,
+        i0: &Image,
+        i1: &Image,
+        ctx: &ExecCtx,
+    ) -> Result<FlowField, FlowError> {
         let init = self
             .previous
             .as_ref()
             .filter(|prev| prev.dims() == i0.dims());
-        let (flow, _) = self
-            .solver
-            .flow_with_ctx(i0, i1, init, &ExecCtx::default())?;
+        let (flow, _) = self.solver.flow_with_ctx(i0, i1, init, ctx)?;
         self.previous = Some(flow.clone());
         Ok(flow)
     }
@@ -799,7 +805,11 @@ mod tests {
         let mut tracker = VideoFlowTracker::new(TvL1Solver::sequential(weak));
         let mut warm = None;
         for t in 0..6 {
-            warm = Some(tracker.next_flow(&frames[t], &frames[t + 1]).unwrap());
+            warm = Some(
+                tracker
+                    .next_flow(&frames[t], &frames[t + 1], &ExecCtx::default())
+                    .unwrap(),
+            );
         }
         let warm = warm.unwrap();
         let e_cold = average_endpoint_error(&cold, &truth);
@@ -811,6 +821,45 @@ mod tests {
         assert!(tracker.last_flow().is_some());
         tracker.reset();
         assert!(tracker.last_flow().is_none());
+    }
+
+    #[test]
+    fn tracker_runs_under_the_callers_context() {
+        use crate::cancel::CancelReason;
+        use chambolle_imaging::render_sequence;
+        let motion = Motion::Translation { du: 1.0, dv: 0.5 };
+        let frames = render_sequence(&NoiseTexture::new(73), 48, 36, motion, 4);
+        let track = |ctx: &ExecCtx| {
+            let mut tracker = VideoFlowTracker::new(TvL1Solver::sequential(fast_params()));
+            let flows: Vec<FlowField> = frames
+                .windows(2)
+                .map(|pair| tracker.next_flow(&pair[0], &pair[1], ctx).unwrap())
+                .collect();
+            (tracker, flows)
+        };
+        // The default context with its tier pinned: the suite also runs with
+        // CHAMBOLLE_NUMERICS=fast, which flips the default tier.
+        let exact = ExecCtx::default().with_numerics(crate::ctx::NumericsPolicy::Exact);
+        let (mut tracker, plain) = track(&exact);
+        let pool = Arc::new(ThreadPool::new(2));
+        let (_, pooled) = track(&exact.clone().with_pool(Arc::clone(&pool)));
+        assert_eq!(plain.len(), 3);
+        for (t, (a, b)) in plain.iter().zip(&pooled).enumerate() {
+            assert!(flow_bits(a) == flow_bits(b), "pair {t}");
+        }
+        assert!(
+            pool.stats().tasks > 0,
+            "the pooled context must see the work"
+        );
+
+        let token = CancelToken::new();
+        token.cancel();
+        let err = tracker
+            .next_flow(&frames[0], &frames[1], &exact.with_cancel(token))
+            .unwrap_err();
+        assert!(matches!(err, FlowError::Cancelled(c) if c.reason == CancelReason::Explicit));
+        let last = tracker.last_flow().expect("three pairs were tracked");
+        assert!(flow_bits(last) == flow_bits(&plain[2]));
     }
 
     #[test]

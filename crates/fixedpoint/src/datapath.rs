@@ -1,14 +1,12 @@
 //! The fixed-point datapaths of the two processing-element kinds
 //! (Figures 6 and 7 of the paper).
 //!
-//! These functions are *combinational truth*: both the full-frame fixed-point
-//! reference ([`crate::reference`]) and the cycle-accurate array simulator
-//! ([`crate::array`]) call them, so the two are bit-identical by
-//! construction.
+//! These functions are *combinational truth*: both the structure-free solve
+//! ([`fixed_denoise`](crate::fixed_denoise)) and the cycle-stepped array
+//! simulator in `chambolle-hwsim` call them, so the two are bit-identical
+//! by construction.
 
-use chambolle_fixed::{Fixed, PackedWord, SqrtUnit, WordFixed, P_BITS};
-
-use crate::params::HwParams;
+use crate::{Fixed, FixedSolverParams, SqrtUnit, WordFixed, P_BITS};
 
 /// Operand bundle of a PE-T (Figure 6): the element's own `p` vector and `v`
 /// (`c_px`, `c_py`, `v` — one BRAM word), the left neighbor's `px` and the
@@ -42,7 +40,7 @@ pub struct PeTOutputs {
 /// The PE-T datapath: two parallel Backward differences, the `v/θ`
 /// subtraction and the `u` output (Figure 6).
 #[inline]
-pub fn pe_t(inp: PeTInputs, params: &HwParams) -> PeTOutputs {
+pub fn pe_t(inp: PeTInputs, params: &FixedSolverParams) -> PeTOutputs {
     let div = (inp.c_px - inp.l_px) + (inp.c_py - inp.a_py);
     let term = div - inp.v * params.inv_theta;
     let u = inp.v - params.theta * div;
@@ -75,7 +73,7 @@ pub struct PeVInputs {
 /// Outputs are saturated to the packed 9-bit field width, as the RTL write
 /// path does.
 #[inline]
-pub fn pe_v(inp: PeVInputs, params: &HwParams, sqrt: &SqrtUnit) -> (WordFixed, WordFixed) {
+pub fn pe_v(inp: PeVInputs, params: &FixedSolverParams, sqrt: &SqrtUnit) -> (WordFixed, WordFixed) {
     let t1 = if inp.last_col {
         WordFixed::ZERO
     } else {
@@ -98,44 +96,16 @@ pub fn pe_v(inp: PeVInputs, params: &HwParams, sqrt: &SqrtUnit) -> (WordFixed, W
     (px, py)
 }
 
-/// Convenience: PE-T inputs for the element `(x, y)` of a packed window,
-/// gathering the left/up neighbors directly (used by the reference model;
-/// the cycle simulator gathers them through the reuse network instead).
-#[inline]
-pub fn gather_pe_t_inputs(
-    words: &chambolle_imaging::Grid<PackedWord>,
-    x: usize,
-    y: usize,
-) -> PeTInputs {
-    let w = words[(x, y)];
-    PeTInputs {
-        c_px: w.px(),
-        c_py: w.py(),
-        l_px: if x == 0 {
-            WordFixed::ZERO
-        } else {
-            words[(x - 1, y)].px()
-        },
-        a_py: if y == 0 {
-            WordFixed::ZERO
-        } else {
-            words[(x, y - 1)].py()
-        },
-        v: w.v(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chambolle_imaging::Grid;
 
     fn q(v: f32) -> WordFixed {
         WordFixed::from_f32(v)
     }
 
-    fn params() -> HwParams {
-        HwParams::standard(10)
+    fn params() -> FixedSolverParams {
+        FixedSolverParams::standard()
     }
 
     #[test]
@@ -258,16 +228,5 @@ mod tests {
         );
         // p steps by sr*t1/(1+sr*|t|) = 0.5/1.5 = 1/3.
         assert!((px.to_f32() - 1.0 / 3.0).abs() < 0.02);
-    }
-
-    #[test]
-    fn gather_handles_borders() {
-        let words = Grid::new(3, 3, PackedWord::new_saturating(q(1.0), q(0.5), q(0.25)));
-        let at_origin = gather_pe_t_inputs(&words, 0, 0);
-        assert_eq!(at_origin.l_px, WordFixed::ZERO);
-        assert_eq!(at_origin.a_py, WordFixed::ZERO);
-        let interior = gather_pe_t_inputs(&words, 1, 1);
-        assert_eq!(interior.l_px.to_f32(), 0.5);
-        assert_eq!(interior.a_py.to_f32(), 0.25);
     }
 }

@@ -1,4 +1,5 @@
-//! Fixed-point datapath substrate of the DATE'11 Chambolle accelerator.
+//! Fixed-point datapath of the DATE'11 Chambolle accelerator, and the one
+//! fixed-point Algorithm 1 built on it.
 //!
 //! The FPGA design stores its working set as packed 32-bit BRAM words
 //! (`v`: 13 bits, `px`/`py`: 9 bits each — Section V-B) and computes with a
@@ -12,9 +13,11 @@
 //! - [`SqrtLut`] — the LUT square root with the odd-position alignment trick,
 //!   plus [`sqrt_accuracy`] to reproduce the paper's "<1% error in >90% of
 //!   samples" claim;
-//! - [`solver`] — a planar (SoA) software solver over the same datapath:
-//!   the packed fields laid out as separate `i32` planes with an AVX2 Term
-//!   pass, bit-identical to the hwsim full-frame reference model.
+//! - [`datapath`] — the PE-T and PE-V datapaths (Figs. 6–7), the one
+//!   definition of the fixed-point arithmetic of Algorithm 1;
+//! - [`solver`] — [`fixed_denoise`], Algorithm 1 over whole frames through
+//!   those datapaths: the structure-free oracle the cycle simulator is
+//!   tested against.
 //!
 //! # Examples
 //!
@@ -32,6 +35,7 @@
 
 #![warn(missing_docs)]
 
+pub mod datapath;
 mod q;
 pub mod solver;
 mod sqrt;

@@ -1,34 +1,24 @@
-//! Planar (SoA) fixed-point Chambolle solver over the packed-word datapath.
+//! The structure-free fixed-point solve: Algorithm 1 over whole frames,
+//! through the PE datapaths of [`crate::datapath`].
 //!
-//! The hardware model in `chambolle-hwsim` stores its state as AoS
-//! [`PackedWord`](crate::PackedWord)s because that is what the BRAMs hold.
-//! This module keeps the *same arithmetic* — the 13-bit `v` / 9-bit `px`,
-//! `py` field widths, the saturating Q24.8 ops and the LUT square root —
-//! but lays the three fields out as separate planes, so each pass streams
-//! contiguous rows of `i32` lanes. That is the layout a SIMD datapath
-//! wants, and the Term pass (the bandwidth-bound half of Algorithm 1) runs
-//! 8 lanes wide under AVX2 when the host supports it.
-//!
-//! The vector path uses plain wrapping `i32` arithmetic instead of the
-//! saturating [`Fixed`](crate::Fixed) ops. That is bit-identical, not
-//! approximate: the packed field widths bound every intermediate — `px`,
-//! `py` sign-extend from 9 bits, `v` from 13 — so no Term-pass value can
-//! come near `i32` saturation (the dispatcher checks the one untrusted
-//! input, `1/θ`, and falls back to the scalar ops otherwise). The p-update
-//! pass stays scalar: its LUT square root is a data-dependent table walk.
-//!
-//! Bit-identity with the full-frame hwsim reference model is pinned by the
-//! workspace test `tests/fixedpoint_solver.rs`.
+//! The accelerator stores its state as packed BRAM words; this module keeps
+//! the three fields (`v`, `px`, `py`) as separate planes and runs each
+//! iteration as one PE-T pass and one PE-V pass over the whole frame, then
+//! recovers `u` with one more PE-T pass. It has none of the hardware's
+//! structure (windows, regions, the reuse network), so it is the oracle the
+//! cycle simulator in `chambolle-hwsim` is tested bit-exact against, and
+//! the fixed-point fidelity yardstick the benchmark times.
 
-use crate::word::{P_BITS, V_BITS};
-use crate::{SqrtUnit, WordFixed};
+use crate::datapath::{pe_t, pe_v, PeTInputs, PeVInputs};
+use crate::word::V_BITS;
+use crate::{PackedWord, SqrtUnit, WordFixed};
 
-/// Planar fixed-point solver state: one frame of `v`, `px`, `py` planes.
+/// Fixed-point solver state: one frame of `v`, `px`, `py` planes.
 ///
 /// The planes hold full Q24.8 words, but every value respects the packed
 /// field widths at rest: `v` fits in [`V_BITS`] bits (saturated once at
-/// quantization), `px`/`py` in [`P_BITS`] bits (saturated by every update,
-/// as the RTL write path does).
+/// quantization), `px`/`py` in [`P_BITS`](crate::P_BITS) bits (saturated
+/// by every update, as the RTL write path does).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FixedFrame {
     width: usize,
@@ -62,6 +52,24 @@ impl FixedFrame {
         }
     }
 
+    /// Unpacks BRAM words (row-major, `width * height` of them) into
+    /// planes, dual field included: any state the accelerator's memories
+    /// can hold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len() != width * height`.
+    pub fn from_words(words: &[PackedWord], width: usize, height: usize) -> Self {
+        assert_eq!(words.len(), width * height, "word count mismatch");
+        FixedFrame {
+            width,
+            height,
+            v: words.iter().map(PackedWord::v).collect(),
+            px: words.iter().map(PackedWord::px).collect(),
+            py: words.iter().map(PackedWord::py).collect(),
+        }
+    }
+
     /// Frame width in elements.
     pub fn width(&self) -> usize {
         self.width
@@ -85,6 +93,28 @@ impl FixedFrame {
     /// The `py` plane, row-major.
     pub fn py(&self) -> &[WordFixed] {
         &self.py
+    }
+
+    /// The PE-T operands of element `(x, y)`: its own word, the left
+    /// neighbor's `px` and the upper neighbor's `py`, zero at the first
+    /// column and row (the Backward differences).
+    fn pe_t_inputs(&self, x: usize, y: usize) -> PeTInputs {
+        let i = y * self.width + x;
+        PeTInputs {
+            c_px: self.px[i],
+            c_py: self.py[i],
+            l_px: if x == 0 {
+                WordFixed::ZERO
+            } else {
+                self.px[i - 1]
+            },
+            a_py: if y == 0 {
+                WordFixed::ZERO
+            } else {
+                self.py[i - self.width]
+            },
+            v: self.v[i],
+        }
     }
 }
 
@@ -113,258 +143,68 @@ impl FixedSolverParams {
 }
 
 /// Runs `iterations` Chambolle iterations in fixed point over the whole
-/// frame, then recovers `u = v − θ·div p` with a final Term-style sweep —
-/// the schedule the accelerator executes. Returns `u`, row-major.
+/// frame, then recovers `u = v − θ·div p` with a final PE-T sweep — the
+/// schedule the accelerator executes. Each iteration is one PE-T pass
+/// (`Term` from the previous iteration's `p`) and one PE-V pass (the `p`
+/// update with the selected square-root unit). Returns `u`, row-major.
 pub fn fixed_denoise(
     frame: &mut FixedFrame,
     params: &FixedSolverParams,
     iterations: u32,
     sqrt: &SqrtUnit,
 ) -> Vec<WordFixed> {
-    let n = frame.width * frame.height;
-    let mut term = vec![WordFixed::ZERO; n];
-    for _ in 0..iterations {
-        term_pass(frame, params.inv_theta, &mut term);
-        update_pass(frame, &term, params.step_ratio, sqrt);
-    }
-    recover_pass(frame, params.theta)
-}
-
-/// Pass 1 of one iteration: `Term = div p − v·(1/θ)` over the whole frame,
-/// with Backward differences (left/upper neighbor, zero at the borders).
-fn term_pass(frame: &FixedFrame, inv_theta: WordFixed, term: &mut [WordFixed]) {
     let (w, h) = (frame.width, frame.height);
-    #[cfg(target_arch = "x86_64")]
-    if vector_mul_is_exact(inv_theta) && std::is_x86_feature_detected!("avx2") {
+    let mut term = vec![WordFixed::ZERO; w * h];
+    for _ in 0..iterations {
         for y in 0..h {
-            let row = y * w;
-            let above = (y > 0).then(|| &frame.py[row - w..row]);
-            // SAFETY: AVX2 support was just detected; slice lengths all
-            // equal the row width by construction.
-            unsafe {
-                avx2::term_row(
-                    &frame.px[row..row + w],
-                    &frame.py[row..row + w],
-                    above,
-                    &frame.v[row..row + w],
-                    inv_theta,
-                    &mut term[row..row + w],
-                );
+            for x in 0..w {
+                term[y * w + x] = pe_t(frame.pe_t_inputs(x, y), params).term;
             }
         }
-        return;
-    }
-    term_pass_scalar(frame, inv_theta, term);
-}
-
-/// The scalar Term pass: the reference op order every other path replays.
-fn term_pass_scalar(frame: &FixedFrame, inv_theta: WordFixed, term: &mut [WordFixed]) {
-    let (w, h) = (frame.width, frame.height);
-    for y in 0..h {
-        for x in 0..w {
-            let i = y * w + x;
-            let l_px = if x == 0 {
-                WordFixed::ZERO
-            } else {
-                frame.px[i - 1]
-            };
-            let a_py = if y == 0 {
-                WordFixed::ZERO
-            } else {
-                frame.py[i - w]
-            };
-            let div = (frame.px[i] - l_px) + (frame.py[i] - a_py);
-            term[i] = div - frame.v[i] * inv_theta;
+        for y in 0..h {
+            for x in 0..w {
+                let i = y * w + x;
+                let (last_col, last_row) = (x + 1 == w, y + 1 == h);
+                let (px, py) = pe_v(
+                    PeVInputs {
+                        c_term: term[i],
+                        r_term: if last_col {
+                            WordFixed::ZERO
+                        } else {
+                            term[i + 1]
+                        },
+                        b_term: if last_row {
+                            WordFixed::ZERO
+                        } else {
+                            term[i + w]
+                        },
+                        c_px: frame.px[i],
+                        c_py: frame.py[i],
+                        last_col,
+                        last_row,
+                    },
+                    params,
+                    sqrt,
+                );
+                frame.px[i] = px;
+                frame.py[i] = py;
+            }
         }
     }
-}
-
-/// Pass 2 of one iteration: the normalized `p` update with Forward
-/// differences and the selected square-root unit, each component saturated
-/// back into the 9-bit packed field as the RTL write path does.
-fn update_pass(frame: &mut FixedFrame, term: &[WordFixed], step_ratio: WordFixed, sqrt: &SqrtUnit) {
-    let (w, h) = (frame.width, frame.height);
+    let mut u = Vec::with_capacity(w * h);
     for y in 0..h {
         for x in 0..w {
-            let i = y * w + x;
-            let t1 = if x + 1 == w {
-                WordFixed::ZERO
-            } else {
-                term[i + 1] - term[i]
-            };
-            let t2 = if y + 1 == h {
-                WordFixed::ZERO
-            } else {
-                term[i + w] - term[i]
-            };
-            let mag_sq = t1 * t1 + t2 * t2;
-            let grad = WordFixed::from_bits(sqrt.sqrt_q24_8(mag_sq.to_bits() as u32) as i32);
-            let denom = WordFixed::ONE + step_ratio * grad;
-            frame.px[i] = ((frame.px[i] + step_ratio * t1) / denom).saturate_to(P_BITS);
-            frame.py[i] = ((frame.py[i] + step_ratio * t2) / denom).saturate_to(P_BITS);
-        }
-    }
-}
-
-/// The final sweep: `u = v − θ·div p` (a Term pass with the PE-Vs idle).
-fn recover_pass(frame: &FixedFrame, theta: WordFixed) -> Vec<WordFixed> {
-    let (w, h) = (frame.width, frame.height);
-    let mut u = vec![WordFixed::ZERO; w * h];
-    for y in 0..h {
-        for x in 0..w {
-            let i = y * w + x;
-            let l_px = if x == 0 {
-                WordFixed::ZERO
-            } else {
-                frame.px[i - 1]
-            };
-            let a_py = if y == 0 {
-                WordFixed::ZERO
-            } else {
-                frame.py[i - w]
-            };
-            let div = (frame.px[i] - l_px) + (frame.py[i] - a_py);
-            u[i] = frame.v[i] - theta * div;
+            u.push(pe_t(frame.pe_t_inputs(x, y), params).u);
         }
     }
     u
 }
 
-/// Whether `v·(1/θ)` can be computed with wrapping 32-bit lane arithmetic
-/// without diverging from the saturating reference: the product of a
-/// 13-bit `v` and this `1/θ` (the one operand not bounded by a packed
-/// field width) must fit in `i32` before the Q24.8 renormalizing shift.
-fn vector_mul_is_exact(inv_theta: WordFixed) -> bool {
-    // |v| < 2^12 lanes, so any |1/θ| < 2^18 keeps |v·(1/θ)| < 2^30.
-    inv_theta.to_bits().unsigned_abs() < 1 << 18
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::WordFixed;
-    use std::arch::x86_64::{
-        __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_mullo_epi32, _mm256_set1_epi32,
-        _mm256_setzero_si256, _mm256_srai_epi32, _mm256_storeu_si256, _mm256_sub_epi32,
-    };
-
-    /// Views a plane row as its raw Q24.8 bit pattern. Sound because
-    /// [`Fixed`](crate::Fixed) is `#[repr(transparent)]` over `i32`.
-    fn bits(row: &[WordFixed]) -> &[i32] {
-        unsafe { std::slice::from_raw_parts(row.as_ptr().cast(), row.len()) }
-    }
-
-    fn bits_mut(row: &mut [WordFixed]) -> &mut [i32] {
-        unsafe { std::slice::from_raw_parts_mut(row.as_mut_ptr().cast(), row.len()) }
-    }
-
-    /// One row of the Term pass, 8 Q24.8 lanes per step.
-    ///
-    /// Wrapping lane arithmetic replays the saturating scalar ops exactly
-    /// because the 9/13-bit field invariants (checked by the caller for
-    /// `1/θ`) keep every intermediate far from `i32` range — see the
-    /// module docs.
-    ///
-    /// # Safety
-    ///
-    /// The caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn term_row(
-        px: &[WordFixed],
-        py: &[WordFixed],
-        py_above: Option<&[WordFixed]>,
-        v: &[WordFixed],
-        inv_theta: WordFixed,
-        out: &mut [WordFixed],
-    ) {
-        let w = out.len();
-        // First column: no left neighbor; also covers rows too narrow for
-        // a full vector.
-        let a_py0 = py_above.map_or(WordFixed::ZERO, |a| a[0]);
-        out[0] = (px[0] - WordFixed::ZERO) + (py[0] - a_py0) - v[0] * inv_theta;
-
-        let px = bits(px);
-        let py = bits(py);
-        let above = py_above.map(bits);
-        let v = bits(v);
-        let it = _mm256_set1_epi32(inv_theta.to_bits());
-        let out_bits = bits_mut(out);
-
-        let mut x = 1usize;
-        while x + 8 <= w {
-            let cpx = _mm256_loadu_si256(px.as_ptr().add(x).cast::<__m256i>());
-            let lpx = _mm256_loadu_si256(px.as_ptr().add(x - 1).cast::<__m256i>());
-            let cpy = _mm256_loadu_si256(py.as_ptr().add(x).cast::<__m256i>());
-            let apy = match above {
-                Some(a) => _mm256_loadu_si256(a.as_ptr().add(x).cast::<__m256i>()),
-                None => _mm256_setzero_si256(),
-            };
-            let vv = _mm256_loadu_si256(v.as_ptr().add(x).cast::<__m256i>());
-            // Q24.8 multiply: full product fits i32 (caller-checked), so
-            // the low-lane product + arithmetic shift is the truncating
-            // reference multiply.
-            let prod = _mm256_srai_epi32::<8>(_mm256_mullo_epi32(vv, it));
-            let div = _mm256_add_epi32(_mm256_sub_epi32(cpx, lpx), _mm256_sub_epi32(cpy, apy));
-            let term = _mm256_sub_epi32(div, prod);
-            _mm256_storeu_si256(out_bits.as_mut_ptr().add(x).cast::<__m256i>(), term);
-            x += 8;
-        }
-        for i in x..w {
-            let l_px = WordFixed::from_bits(px[i - 1]);
-            let a_py = above.map_or(WordFixed::ZERO, |a| WordFixed::from_bits(a[i]));
-            let div = (WordFixed::from_bits(px[i]) - l_px) + (WordFixed::from_bits(py[i]) - a_py);
-            out_bits[i] = (div - WordFixed::from_bits(v[i]) * inv_theta).to_bits();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::P_BITS;
     use rand::{rngs::StdRng, Rng, SeedableRng};
-
-    fn random_state(w: usize, h: usize, seed: u64) -> FixedFrame {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = w * h;
-        // Raw bit patterns spanning the full packed field ranges, not just
-        // values a solve would reach — the vector path must match anyway.
-        let field = |rng: &mut StdRng, bits: u32| {
-            let half = 1i32 << (bits - 1);
-            WordFixed::from_bits(rng.gen_range(-half..half))
-        };
-        FixedFrame {
-            width: w,
-            height: h,
-            v: (0..n).map(|_| field(&mut rng, V_BITS)).collect(),
-            px: (0..n).map(|_| field(&mut rng, P_BITS)).collect(),
-            py: (0..n).map(|_| field(&mut rng, P_BITS)).collect(),
-        }
-    }
-
-    #[test]
-    fn term_pass_matches_scalar_reference() {
-        for (w, h) in [(1, 1), (7, 3), (8, 4), (9, 5), (33, 2), (64, 6)] {
-            let frame = random_state(w, h, (w * 31 + h) as u64);
-            let mut got = vec![WordFixed::ZERO; w * h];
-            let mut want = vec![WordFixed::ZERO; w * h];
-            term_pass(&frame, FixedSolverParams::standard().inv_theta, &mut got);
-            term_pass_scalar(&frame, FixedSolverParams::standard().inv_theta, &mut want);
-            assert_eq!(got, want, "{w}x{h}");
-        }
-    }
-
-    #[test]
-    fn huge_inv_theta_takes_the_saturating_path() {
-        // A 1/θ large enough to overflow a 32-bit lane product must route
-        // to the scalar saturating ops — and still produce their answer.
-        let huge = WordFixed::from_bits(1 << 20);
-        assert!(!vector_mul_is_exact(huge));
-        let frame = random_state(17, 4, 9);
-        let mut got = vec![WordFixed::ZERO; 17 * 4];
-        let mut want = vec![WordFixed::ZERO; 17 * 4];
-        term_pass(&frame, huge, &mut got);
-        term_pass_scalar(&frame, huge, &mut want);
-        assert_eq!(got, want);
-    }
 
     #[test]
     fn constant_image_is_a_fixed_point() {
@@ -406,5 +246,18 @@ mod tests {
         assert!(frame.v()[0].fits_in(V_BITS));
         assert!(frame.v()[1].fits_in(V_BITS));
         assert_eq!(frame.v()[0], WordFixed::MAX.saturate_to(V_BITS));
+    }
+
+    #[test]
+    fn gather_handles_borders() {
+        let q = WordFixed::from_f32;
+        let word = PackedWord::new_saturating(q(1.0), q(0.5), q(0.25));
+        let frame = FixedFrame::from_words(&[word; 9], 3, 3);
+        let at_origin = frame.pe_t_inputs(0, 0);
+        assert_eq!(at_origin.l_px, WordFixed::ZERO);
+        assert_eq!(at_origin.a_py, WordFixed::ZERO);
+        let interior = frame.pe_t_inputs(1, 1);
+        assert_eq!(interior.l_px.to_f32(), 0.5);
+        assert_eq!(interior.a_py.to_f32(), 0.25);
     }
 }

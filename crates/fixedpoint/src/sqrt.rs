@@ -105,13 +105,6 @@ impl SqrtLut {
         }
     }
 
-    /// Exact reference: `round(sqrt(x))` over Q24.8 (i.e. the Q24.8 encoding
-    /// of `sqrt(x / 256)`).
-    pub fn sqrt_exact_q24_8(x: u32) -> u32 {
-        // sqrt(x/256) in Q24.8 = sqrt(x/256)*256 = sqrt(x)*16.
-        ((x as f64).sqrt() * 16.0).round() as u32
-    }
-
     /// Relative error of the LUT result against the exact square root, for a
     /// nonzero input.
     pub fn relative_error(&self, x: u32) -> f64 {

@@ -28,11 +28,11 @@
 //! 15 operand vectors of Section V-B (14 from seven `{v,px,py}` words plus
 //! one `a_py`), versus 28 without reuse.
 
+use chambolle_fixed::datapath::{pe_t, pe_v, PeTInputs, PeTOutputs, PeVInputs};
 use chambolle_fixed::{PackedWord, SqrtUnit, WordFixed};
 use chambolle_imaging::Grid;
 
 use crate::bram::{Bram, Port};
-use crate::datapath::{pe_t, pe_v, PeTInputs, PeTOutputs, PeVInputs};
 use crate::params::HwParams;
 
 /// Rows processed concurrently by one region pass in the paper's design
@@ -465,7 +465,7 @@ impl PeArray {
                         a_py,
                         v: word.v(),
                     },
-                    params,
+                    &params.datapath,
                 );
                 cur[i].term = out.term;
                 cur[i].u = out.u;
@@ -510,7 +510,7 @@ impl PeArray {
                             last_col,
                             last_row: false, // rows here are never the frame's last
                         },
-                        params,
+                        &params.datapath,
                         &self.sqrt,
                     );
                     self.stats.pe_v_ops += 1;
@@ -544,7 +544,7 @@ impl PeArray {
                                 last_col,
                                 last_row: false,
                             },
-                            params,
+                            &params.datapath,
                             &self.sqrt,
                         );
                         self.stats.pe_v_ops += 1;
@@ -660,7 +660,7 @@ impl PeArray {
                             last_col,
                             last_row: true,
                         },
-                        params,
+                        &params.datapath,
                         &self.sqrt,
                     );
                     self.stats.pe_v_ops += 1;

@@ -4,16 +4,18 @@
 //!
 //! The paper's evaluation platform is a Xilinx Virtex-5 running a Verilog
 //! implementation of two sliding windows × two ladder PE arrays. This crate
-//! substitutes that hardware with a bit- and cycle-faithful simulator:
+//! substitutes that hardware with a bit- and cycle-faithful simulator built
+//! on the PE-T and PE-V datapaths (Figs. 6–7) of `chambolle-fixed`
+//! ([`chambolle_fixed::datapath`]):
 //!
-//! - [`datapath`] — the PE-T and PE-V fixed-point datapaths (Figs. 6–7);
 //! - [`bram`] — dual-port synchronous block RAM with port-discipline checks;
 //! - [`array`](mod@array) — the systolic ladder of 7 PE-Ts + 7 PE-Vs with the
 //!   operand-reuse network, BRAM interleave and BRAM-Term bridge (Figs. 4–5);
 //! - [`accel`] — the two-sliding-window top level and frame scheduler
 //!   (Fig. 2), usable as a TV-L1 backend via [`AccelDenoiser`];
-//! - [`reference`](mod@reference) — a structure-free fixed-point model the simulator is
-//!   tested bit-exact against;
+//! - [`reference`](mod@reference) — the structure-free fixed-point model the
+//!   simulator is tested bit-exact against: the packed-word face of
+//!   [`chambolle_fixed::fixed_denoise`];
 //! - [`fault`] — deterministic fault injection (BRAM upsets, sqrt-LUT
 //!   corruption, datapath glitches) and the guarded frame scheduler
 //!   ([`ChambolleAccel::denoise_pair_guarded`]) that detects and recovers
@@ -46,7 +48,6 @@ pub mod accel;
 pub mod array;
 pub mod bram;
 pub mod control;
-pub mod datapath;
 pub mod fault;
 mod params;
 pub mod reference;

@@ -5,10 +5,10 @@
 use std::fmt;
 
 use chambolle_core::ChambolleParams;
-use chambolle_fixed::WordFixed;
+use chambolle_fixed::{FixedSolverParams, WordFixed};
 
-/// Chambolle parameters as the hardware sees them: Q-format constants for
-/// `θ`, `1/θ` and `τ/θ`, plus the iteration count.
+/// Chambolle parameters as the hardware sees them: the Q-format constants
+/// `θ`, `1/θ` and `τ/θ` of the PE datapath, plus the iteration count.
 ///
 /// # Examples
 ///
@@ -22,13 +22,10 @@ use chambolle_fixed::WordFixed;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HwParams {
-    /// θ in Q-format (the `θ` input pin bundle).
-    pub theta: WordFixed,
-    /// `1/θ` in Q-format (precomputed; the hardware multiplies rather than
-    /// divides).
-    pub inv_theta: WordFixed,
-    /// `τ/θ` in Q-format (derived from the `dt` input).
-    pub step_ratio: WordFixed,
+    /// `θ` (the `θ` input pin bundle), the precomputed `1/θ` (the hardware
+    /// multiplies rather than divides) and `τ/θ` (derived from the `dt`
+    /// input), as the PE datapath consumes them.
+    pub datapath: FixedSolverParams,
     /// `Niterations` control input.
     pub iterations: u32,
 }
@@ -38,9 +35,7 @@ impl HwParams {
     /// iteration count (the values used throughout the evaluation).
     pub fn standard(iterations: u32) -> Self {
         HwParams {
-            theta: WordFixed::from_f32(0.25),
-            inv_theta: WordFixed::from_f32(4.0),
-            step_ratio: WordFixed::from_f32(0.25),
+            datapath: FixedSolverParams::standard(),
             iterations,
         }
     }
@@ -53,8 +48,8 @@ impl HwParams {
     /// Panics if the stored constants violate the software validation rules;
     /// this cannot happen for values built via `try_from`/`standard`.
     pub fn to_chambolle_params(self) -> ChambolleParams {
-        let theta = self.theta.to_f32();
-        let tau = self.step_ratio.to_f32() * theta;
+        let theta = self.datapath.theta.to_f32();
+        let tau = self.datapath.step_ratio.to_f32() * theta;
         ChambolleParams::new(theta, tau, self.iterations)
             .expect("hardware parameters are validated at construction")
     }
@@ -79,13 +74,12 @@ impl TryFrom<ChambolleParams> for HwParams {
             }
             Ok(enc)
         };
-        let theta = exact(p.theta, "theta")?;
-        let inv_theta = exact(1.0 / p.theta, "1/theta")?;
-        let step_ratio = exact(p.tau / p.theta, "tau/theta")?;
         Ok(HwParams {
-            theta,
-            inv_theta,
-            step_ratio,
+            datapath: FixedSolverParams {
+                theta: exact(p.theta, "theta")?,
+                inv_theta: exact(1.0 / p.theta, "1/theta")?,
+                step_ratio: exact(p.tau / p.theta, "tau/theta")?,
+            },
             iterations: p.iterations,
         })
     }
@@ -127,8 +121,8 @@ mod tests {
     fn exact_params_accepted() {
         let p = ChambolleParams::new(0.5, 0.125, 10).unwrap();
         let hw = HwParams::try_from(p).unwrap();
-        assert_eq!(hw.inv_theta.to_f32(), 2.0);
-        assert_eq!(hw.step_ratio.to_f32(), 0.25);
+        assert_eq!(hw.datapath.inv_theta.to_f32(), 2.0);
+        assert_eq!(hw.datapath.step_ratio.to_f32(), 0.25);
     }
 
     #[test]

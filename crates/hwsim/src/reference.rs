@@ -1,8 +1,11 @@
 //! Full-frame fixed-point reference model.
 //!
-//! This executes Algorithm 1 with the *hardware's* arithmetic (the
-//! [`crate::datapath`] functions) but with none of the hardware's structure —
-//! a plain double loop over the frame. It answers two questions:
+//! This executes Algorithm 1 with the *hardware's* arithmetic but with none
+//! of the hardware's structure: it unpacks the BRAM words into planes and
+//! runs [`chambolle_fixed::fixed_denoise`], the one structure-free
+//! fixed-point solve, whose PE-T and PE-V passes call the same
+//! [`chambolle_fixed::datapath`] functions as the array simulator. It
+//! answers two questions:
 //!
 //! 1. **Is the cycle simulator right?** The systolic array must produce
 //!    bit-identical `p` and `u` (tested in [`crate::array`]).
@@ -10,10 +13,9 @@
 //!    `f32` solver of `chambolle-core` bounds the quantization error of the
 //!    13/9-bit word format and the LUT square root.
 
-use chambolle_fixed::{PackedWord, SqrtUnit, WordFixed};
+use chambolle_fixed::{fixed_denoise, FixedFrame, PackedWord, SqrtUnit, WordFixed};
 use chambolle_imaging::{Grid, Image};
 
-use crate::datapath::{gather_pe_t_inputs, pe_t, pe_v, PeVInputs};
 use crate::params::HwParams;
 
 /// Quantizes an `f32` image into packed words with `p = 0` (the iteration's
@@ -49,53 +51,19 @@ pub fn fixed_chambolle_reference_with(
     params: &HwParams,
     sqrt: &SqrtUnit,
 ) -> FixedSolution {
-    let mut state = words.clone();
-    let (w, h) = state.dims();
-    let mut term = Grid::new(w, h, WordFixed::ZERO);
-
-    for _ in 0..params.iterations {
-        // Pass 1: Term from the previous iteration's p (PE-T battery).
-        for y in 0..h {
-            for x in 0..w {
-                term[(x, y)] = pe_t(gather_pe_t_inputs(&state, x, y), params).term;
-            }
-        }
-        // Pass 2: p update (PE-V battery).
-        for y in 0..h {
-            for x in 0..w {
-                let word = state[(x, y)];
-                let (px, py) = pe_v(
-                    PeVInputs {
-                        c_term: term[(x, y)],
-                        r_term: if x + 1 < w {
-                            term[(x + 1, y)]
-                        } else {
-                            WordFixed::ZERO
-                        },
-                        b_term: if y + 1 < h {
-                            term[(x, y + 1)]
-                        } else {
-                            WordFixed::ZERO
-                        },
-                        c_px: word.px(),
-                        c_py: word.py(),
-                        last_col: x + 1 == w,
-                        last_row: y + 1 == h,
-                    },
-                    params,
-                    sqrt,
-                );
-                state[(x, y)] = word.with_p(px, py);
-            }
-        }
+    let (w, h) = words.dims();
+    let mut frame = FixedFrame::from_words(words.as_slice(), w, h);
+    let u = fixed_denoise(&mut frame, &params.datapath, params.iterations, sqrt);
+    let words = words
+        .as_slice()
+        .iter()
+        .zip(frame.px().iter().zip(frame.py()))
+        .map(|(word, (&px, &py))| word.with_p(px, py))
+        .collect();
+    FixedSolution {
+        words: Grid::from_vec(w, h, words).expect("one word per element"),
+        u: Grid::from_vec(w, h, u).expect("one u per element"),
     }
-
-    // Final u sweep (a PE-T pass with the PE-Vs disabled).
-    let u = Grid::from_fn(w, h, |x, y| {
-        pe_t(gather_pe_t_inputs(&state, x, y), params).u
-    });
-
-    FixedSolution { words: state, u }
 }
 
 /// Converts a fixed-point `u` back to `f32`.

@@ -56,8 +56,8 @@ pub use io::{
     write_pgm, write_ppm, PnmError,
 };
 pub use pyramid::{
-    blur_binomial5, blur_binomial5_with_pool, downsample_half, downsample_half_with_pool,
-    resize_bilinear, resize_bilinear_with_pool, upsample_flow_component, Pyramid,
+    blur_binomial5, blur_binomial5_with_pool, downsample_half, resize_bilinear,
+    resize_bilinear_with_pool, upsample_flow_component, Pyramid,
 };
 pub use synthetic::{
     global_shutter_frame, render_pair, render_sequence, rolling_shutter_frame, DiskScene,

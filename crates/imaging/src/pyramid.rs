@@ -85,33 +85,6 @@ impl Pyramid {
         Pyramid { levels }
     }
 
-    /// [`Pyramid::build`] with each level's blur and decimation distributed
-    /// over a worker pool and the blur rows running at the given
-    /// [`KernelBackend`]; bit-identical for every thread count and level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_levels == 0` or the input image is empty.
-    pub fn build_with_pool(
-        base: &Image,
-        max_levels: usize,
-        pool: &ThreadPool,
-        level: KernelBackend,
-    ) -> Self {
-        assert!(max_levels > 0, "pyramid needs at least one level");
-        assert!(!base.is_empty(), "cannot build a pyramid of an empty image");
-        let mut levels = vec![base.clone()];
-        while levels.len() < max_levels {
-            let prev = levels.last().expect("non-empty by construction");
-            let (w, h) = prev.dims();
-            if w / 2 < Self::MIN_DIM || h / 2 < Self::MIN_DIM {
-                break;
-            }
-            levels.push(downsample_half_with_pool(prev, pool, level));
-        }
-        Pyramid { levels }
-    }
-
     /// [`Pyramid::build_scaled`] with each level's blur and resize
     /// distributed over a worker pool and the blur rows running at the given
     /// [`KernelBackend`]; bit-identical for every thread count and level.
@@ -241,34 +214,6 @@ pub fn downsample_half(img: &Image) -> Image {
     Grid::from_fn(nw, nh, |x, y| {
         blurred[((2 * x).min(w - 1), (2 * y).min(h - 1))]
     })
-}
-
-/// [`downsample_half`] with the blur and the decimation row-parallelized
-/// over a worker pool and the blur rows running at the given [`KernelBackend`];
-/// bit-identical for every thread count and level. The decimation itself is
-/// a strided gather and stays scalar on every level.
-pub fn downsample_half_with_pool(img: &Image, pool: &ThreadPool, level: KernelBackend) -> Image {
-    let blurred = blur_binomial5_with_pool(img, pool, level);
-    let (w, h) = img.dims();
-    let nw = w.div_ceil(2);
-    let nh = h.div_ceil(2);
-    let mut out = Grid::new(nw, nh, 0.0);
-    let band = par_band_rows(nh.max(1), pool.threads());
-    pool.parallel_chunks_mut(
-        "imaging.decimate",
-        out.as_mut_slice(),
-        nw * band,
-        |t, rows| {
-            let y0 = t * band;
-            for (dy, row) in rows.chunks_mut(nw).enumerate() {
-                let y = y0 + dy;
-                for (x, cell) in row.iter_mut().enumerate() {
-                    *cell = blurred[((2 * x).min(w - 1), (2 * y).min(h - 1))];
-                }
-            }
-        },
-    );
-    out
 }
 
 /// Bilinearly resizes `img` to `new_w × new_h`.
@@ -409,9 +354,7 @@ mod tests {
     fn pooled_pyramid_ops_are_bit_identical() {
         let img = Grid::from_fn(45, 37, |x, y| ((x * 3 + y * 5) % 23) as f32 / 23.0);
         let blur = blur_binomial5(&img);
-        let down = downsample_half(&img);
         let resized = resize_bilinear(&img, 31, 22);
-        let pyr_half = Pyramid::build(&img, 4);
         let pyr_scaled = Pyramid::build_scaled(&img, 4, 0.7);
         let levels: Vec<KernelBackend> = [
             KernelBackend::Scalar,
@@ -429,16 +372,6 @@ mod tests {
                     blur.as_slice(),
                     blur_binomial5_with_pool(&img, &pool, level).as_slice(),
                     "blur at {threads} threads, {level:?}"
-                );
-                assert_eq!(
-                    down.as_slice(),
-                    downsample_half_with_pool(&img, &pool, level).as_slice(),
-                    "downsample at {threads} threads, {level:?}"
-                );
-                assert_eq!(
-                    pyr_half,
-                    Pyramid::build_with_pool(&img, 4, &pool, level),
-                    "half pyramid at {threads} threads, {level:?}"
                 );
                 assert_eq!(
                     pyr_scaled,

@@ -235,8 +235,6 @@ pub mod names {
     pub const BACKEND_AVX2_SUPPORTED: &str = "backend.avx2_supported";
     /// Gauge: 1 if the host CPU supports the AVX-512 backend, else 0.
     pub const BACKEND_AVX512_SUPPORTED: &str = "backend.avx512_supported";
-    /// Gauge: 1 when the active numerics tier is Fast, 0 when Exact.
-    pub const BACKEND_NUMERICS_FAST: &str = "backend.numerics_fast";
 }
 
 /// A shareable telemetry handle.

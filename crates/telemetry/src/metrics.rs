@@ -304,19 +304,6 @@ impl Metrics {
         }
     }
 
-    /// Records a histogram observation, creating the histogram with the
-    /// given bucket bounds on first use.
-    pub fn observe_with_buckets(&mut self, name: &str, value: f64, bounds: &[f64]) {
-        match self
-            .entries
-            .entry(name.to_string())
-            .or_insert_with(|| MetricValue::Histogram(Histogram::new(bounds)))
-        {
-            MetricValue::Histogram(h) => h.observe(value),
-            _ => debug_assert!(false, "metric {name:?} is not a histogram"),
-        }
-    }
-
     /// Looks up a metric.
     pub fn get(&self, name: &str) -> Option<&MetricValue> {
         self.entries.get(name)

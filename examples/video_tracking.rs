@@ -6,7 +6,7 @@
 //! cargo run --example video_tracking --release
 //! ```
 
-use chambolle::core::{ChambolleParams, TvL1Params, TvL1Solver, VideoFlowTracker};
+use chambolle::core::{ChambolleParams, ExecCtx, TvL1Params, TvL1Solver, VideoFlowTracker};
 use chambolle::imaging::{average_endpoint_error, render_sequence, Motion, NoiseTexture};
 
 fn main() -> chambolle::Result<()> {
@@ -26,8 +26,9 @@ fn main() -> chambolle::Result<()> {
     );
     let mut tracker = VideoFlowTracker::new(TvL1Solver::sequential(params));
     let cold_solver = TvL1Solver::sequential(params);
+    let ctx = ExecCtx::default();
     for t in 0..frames.len() - 1 {
-        let warm = tracker.next_flow(&frames[t], &frames[t + 1])?;
+        let warm = tracker.next_flow(&frames[t], &frames[t + 1], &ctx)?;
         let (cold, _) = cold_solver.flow(&frames[t], &frames[t + 1])?;
         println!(
             "  pair {t}->{}: AEE warm {:.3} px | cold {:.3} px",

@@ -1,16 +1,19 @@
-//! Cross-crate contracts of the planar fixed-point solver
-//! (`chambolle_fixed::solver`):
+//! Cross-crate contracts of the one fixed-point Algorithm 1
+//! (`chambolle_fixed::fixed_denoise`):
 //!
-//! 1. **Bit-identity with the hardware model.** The SoA solver and the
-//!    hwsim full-frame reference execute the same Q24.8 datapath; every
-//!    word of `u`, `px` and `py` must agree exactly, SIMD or not.
+//! 1. **One loop behind two faces.** The hwsim full-frame reference unpacks
+//!    its BRAM words into planes, runs the same solve and re-packs the
+//!    result; every word of `u`, `px` and `py` must agree exactly with the
+//!    planar call, on degenerate shapes too and with either square-root
+//!    unit. The array simulator is tested bit-exact against that
+//!    reference inside `chambolle-hwsim`.
 //! 2. **Quantization error bound.** Against the `f32` solver of
 //!    `chambolle-core`, the 13/9-bit packed format plus the LUT square
 //!    root stays within the error budget the hwsim model established.
 
 use chambolle::core::chambolle_denoise;
 use chambolle::fixed::{fixed_denoise, FixedFrame, FixedSolverParams, SqrtUnit};
-use chambolle::hwsim::{fixed_chambolle_reference, quantize_input, HwParams};
+use chambolle::hwsim::{fixed_chambolle_reference_with, quantize_input, HwParams};
 use chambolle::imaging::{Grid, NoiseTexture, Scene};
 
 fn frame_of(v: &Grid<f32>) -> FixedFrame {
@@ -19,22 +22,33 @@ fn frame_of(v: &Grid<f32>) -> FixedFrame {
 
 #[test]
 fn planar_solver_is_bit_identical_to_hwsim_reference() {
-    for (w, h, iters, seed) in [(16, 16, 8, 1u64), (33, 17, 12, 2), (8, 25, 30, 3)] {
-        let v = NoiseTexture::new(seed).render(w, h);
-        let reference = fixed_chambolle_reference(&quantize_input(&v), &HwParams::standard(iters));
+    let shapes = [
+        (16, 16, 8, 1u64),
+        (33, 17, 12, 2),
+        (8, 25, 30, 3),
+        (1, 1, 5, 4),
+        (1, 9, 7, 5),
+        (9, 1, 7, 6),
+        (2, 2, 9, 7),
+    ];
+    for unit in [SqrtUnit::lut(), SqrtUnit::non_restoring()] {
+        for (w, h, iters, seed) in shapes {
+            let v = NoiseTexture::new(seed).render(w, h);
+            let reference = fixed_chambolle_reference_with(
+                &quantize_input(&v),
+                &HwParams::standard(iters),
+                &unit,
+            );
 
-        let mut frame = frame_of(&v);
-        let u = fixed_denoise(
-            &mut frame,
-            &FixedSolverParams::standard(),
-            iters,
-            &SqrtUnit::lut(),
-        );
+            let mut frame = frame_of(&v);
+            let u = fixed_denoise(&mut frame, &FixedSolverParams::standard(), iters, &unit);
 
-        assert_eq!(u.as_slice(), reference.u.as_slice(), "{w}x{h}: u");
-        for (i, word) in reference.words.as_slice().iter().enumerate() {
-            assert_eq!(frame.px()[i], word.px(), "{w}x{h}: px[{i}]");
-            assert_eq!(frame.py()[i], word.py(), "{w}x{h}: py[{i}]");
+            let at = format!("{w}x{h}, {}", unit.name());
+            assert_eq!(u.as_slice(), reference.u.as_slice(), "{at}: u");
+            for (i, word) in reference.words.as_slice().iter().enumerate() {
+                assert_eq!(frame.px()[i], word.px(), "{at}: px[{i}]");
+                assert_eq!(frame.py()[i], word.py(), "{at}: py[{i}]");
+            }
         }
     }
 }
