@@ -12,34 +12,36 @@
 //! paper's own quantized 13/9/9-bit datapath: an explicit accuracy bound
 //! against the exact reference (energy and duality-gap tolerance, pinned by
 //! the workspace tolerance harness) instead of bit comparison. Freed from
-//! replaying scalar rounding, the kernels:
+//! replaying scalar rounding, the dual update:
 //!
-//! - **share one reciprocal** across the two normalizing divides of the
-//!   dual update (`inv = 1/(1 + τ/θ·|∇|)`, then two multiplies);
-//! - **contract with FMA** everywhere a multiply feeds an add;
-//! - replace the division with a **hardware reciprocal estimate refined by
+//! - **shares one reciprocal** across its two normalizing divides
+//!   (`inv = 1/(1 + τ/θ·|∇|)`, then two multiplies);
+//! - **contracts with FMA** everywhere a multiply feeds an add;
+//! - replaces the division with a **hardware reciprocal estimate refined by
 //!   one Newton–Raphson step** (`rcp`, ~22–28 accurate bits), while the
 //!   square root stays the hardware instruction: it executes on the divider
 //!   port the rest of the kernel leaves idle, so exactness there is free;
-//! - run true **16-lane AVX-512F bodies** (the Exact tier delegates AVX-512
-//!   to its AVX2 kernels rather than auditing bit-exactness on a third
-//!   vector width);
-//! - **fuse each row step**: `fused_term_update_row` computes the next
-//!   row's term while it updates the current row, one traversal instead of
-//!   two.
+//! - runs on true **16-lane AVX-512F** vectors (the Exact tier delegates
+//!   AVX-512 to its AVX2 kernels rather than auditing bit-exactness on a
+//!   third vector width).
 //!
-//! The term and update rows dispatch through the same family dispatchers
-//! as the Exact tier ([`crate::kernels::compute_term_row_on`],
-//! [`crate::kernels::update_p_row_on`]), and every solve path — sequential,
-//! banded and tiled — runs the one band iteration of [`crate::kernels`],
-//! whose Fast row step is the fused step. The scalar fast bodies are the
-//! tier's *portable reference*: SSE2 (which lacks FMA), AVX2 hosts without
-//! FMA, and non-x86 hosts run them.
+//! The term `div p − v/θ` has no divide or square root to trade, so the
+//! tier keeps it Exact: `fused_term_update_row` computes the next row's
+//! term in the Exact operation order while it updates the current row
+//! against it, one traversal instead of two, and every term lane equals
+//! [`crate::kernels::compute_term_row`] bit for bit. That fused step is the
+//! tier's only vector body. A band's first term row is the Exact term row
+//! ([`crate::kernels::compute_term_row_on`]), and the frame's last row,
+//! which has no next row to fuse with, runs the portable scalar update body
+//! on every level — as do SSE2 (which lacks FMA), AVX2 hosts without FMA
+//! and non-x86 hosts for every row. Every solve path — sequential, banded
+//! and tiled — runs the one band iteration of [`crate::kernels`].
 //!
 //! Within one backend the Fast tier is deterministic, and the banded
 //! parallel solver keeps it **thread-count invariant**: its blocks run the
 //! same full-width row kernels over each band and its overlapping halo
-//! rows, so every own row matches the sequential solve bit for bit. It is
+//! rows, and a band's priming term row and the fused step compute the same
+//! term, so every own row matches the sequential solve bit for bit. It is
 //! *not* bit-comparable across backends or tile shapes — that is exactly
 //! the guarantee the tier trades away. The fast tier applies to the `f32`
 //! production kernels; `f64` solves always run exact.
@@ -98,11 +100,12 @@ pub(crate) fn update_p_row_scalar(
 /// is read strictly before the update overwrites it, which is exactly the
 /// single-pass machine's old-`p` discipline.
 ///
-/// The Fast fused-step family's dispatcher: the AVX-512 and AVX2+FMA
-/// bodies replicate the lane operations of the standalone Fast row kernels
-/// verbatim, and every other level runs the term then the update row
-/// through their dispatchers, so fusion is pure scheduling — priming rows,
-/// fused rows and banded runs all stay bitwise coherent with each other.
+/// The Fast fused-step family's dispatcher. The AVX-512 and AVX2+FMA
+/// bodies compute the term in the Exact operation order and the update
+/// with FMA and a refined reciprocal estimate; every other level runs the
+/// Exact term row and then [`update_p_row_scalar`]. On every level the
+/// `next` row equals [`kernels::compute_term_row`] bit for bit, so a band's
+/// priming term row and its fused rows agree by construction.
 #[allow(clippy::too_many_arguments)] // the flat-slice shape, as elsewhere
 pub(crate) fn fused_term_update_row(
     backend: KernelBackend,
@@ -167,7 +170,6 @@ pub(crate) fn fused_term_update_row(
         _ => {
             kernels::compute_term_row_on(
                 backend,
-                NumericsPolicy::Fast,
                 px_next,
                 py_next,
                 Some(py_row),
@@ -176,15 +178,7 @@ pub(crate) fn fused_term_update_row(
                 next_is_last,
                 next,
             );
-            kernels::update_p_row_on(
-                backend,
-                NumericsPolicy::Fast,
-                cur,
-                Some(next),
-                step_ratio,
-                px_row,
-                py_row,
-            );
+            update_p_row_scalar(cur, Some(next), step_ratio, px_row, py_row);
         }
     }
 }
@@ -225,393 +219,33 @@ pub fn fused_band_iteration_fast(
     );
 }
 
-/// The x86-64 fast-tier intrinsic bodies (AVX2+FMA and AVX-512F). Each
-/// requires its target features at run time, equal row lengths and rows of
-/// at least two cells; the dispatchers in [`crate::kernels`] and
-/// [`fused_term_update_row`] check the features and the row length.
+/// The x86-64 fused row steps (AVX-512F and AVX2+FMA). Each requires its
+/// target features at run time, equal row lengths and rows of at least two
+/// cells; [`fused_term_update_row`] checks the features and the row length.
 #[cfg(target_arch = "x86_64")]
-pub(crate) mod x86 {
+mod x86 {
     use std::arch::x86_64::*;
 
-    use crate::kernels::{DivY, DY_FIRST, DY_INTERIOR, DY_LAST, DY_ZERO};
-
-    /// Fast-tier 8-lane term row: [`term_row_avx2_on`] for the row's
-    /// `div_y` shape.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 and FMA, `out.len() >= 2`, and `px`, `py`,
-    /// `v` and `above` (if any) must be as long as `out`.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn term_row_avx2(
-        px: &[f32],
-        py: &[f32],
-        above: Option<&[f32]>,
-        v: &[f32],
-        inv_theta: f32,
-        last_row: bool,
-        out: &mut [f32],
-    ) {
-        let div_y = DivY::new(py, above, last_row);
-        // SAFETY (all arms): the caller's bounds contract is forwarded; the
-        // slices passed as dy payloads match each selector's expectations.
-        unsafe {
-            match &div_y {
-                DivY::Zero => term_row_avx2_on::<DY_ZERO>(px, px, px, v, inv_theta, out, &div_y),
-                DivY::First(py) => {
-                    term_row_avx2_on::<DY_FIRST>(px, py, py, v, inv_theta, out, &div_y)
-                }
-                DivY::Interior(py, ab) => {
-                    term_row_avx2_on::<DY_INTERIOR>(px, py, ab, v, inv_theta, out, &div_y)
-                }
-                DivY::Last(ab) => {
-                    term_row_avx2_on::<DY_LAST>(px, ab, ab, v, inv_theta, out, &div_y)
-                }
-            }
-        }
-    }
-
-    /// 8-lane fast term row: `out = (div_x + div_y) − v·(1/θ)` with the
-    /// final multiply-subtract contracted into one FMA.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn term_row_avx2_on<const DY: u8>(
-        px: &[f32],
-        py: &[f32],
-        above: &[f32],
-        v: &[f32],
-        inv_theta: f32,
-        out: &mut [f32],
-        div_y: &DivY<'_>,
-    ) {
-        let w = out.len();
-        let it = _mm256_set1_ps(inv_theta);
-        out[0] = (px[0] + div_y.at(0)) - v[0] * inv_theta;
-        let mut x = 1usize;
-        while x + 8 < w {
-            // SAFETY: `x + 8 <= w − 1 < len` bounds every unaligned load,
-            // including the shifted `px[x − 1]` stencil read.
-            unsafe {
-                let dx = _mm256_sub_ps(
-                    _mm256_loadu_ps(px.as_ptr().add(x)),
-                    _mm256_loadu_ps(px.as_ptr().add(x - 1)),
-                );
-                let dy = match DY {
-                    DY_ZERO => _mm256_setzero_ps(),
-                    DY_FIRST => _mm256_loadu_ps(py.as_ptr().add(x)),
-                    DY_INTERIOR => _mm256_sub_ps(
-                        _mm256_loadu_ps(py.as_ptr().add(x)),
-                        _mm256_loadu_ps(above.as_ptr().add(x)),
-                    ),
-                    _ => {
-                        _mm256_xor_ps(_mm256_set1_ps(-0.0), _mm256_loadu_ps(above.as_ptr().add(x)))
-                    }
-                };
-                // term = (dx + dy) − v·it, contracted: fnmadd(v, it, dx+dy).
-                let sum = _mm256_add_ps(dx, dy);
-                let term = _mm256_fnmadd_ps(_mm256_loadu_ps(v.as_ptr().add(x)), it, sum);
-                _mm256_storeu_ps(out.as_mut_ptr().add(x), term);
-            }
-            x += 8;
-        }
-        // Masked epilogue (`vmaskmovps`): the remaining `w − x` cells
-        // (1..=8), including the last column — `m_dx` drops the `px[x]`
-        // term on that lane, which is exactly its backward-difference
-        // boundary rule.
-        let rem = (w - x) as i32;
-        let idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-        let m = _mm256_cmpgt_epi32(_mm256_set1_epi32(rem), idx);
-        let m_dx = _mm256_cmpgt_epi32(_mm256_set1_epi32(rem - 1), idx);
-        // SAFETY: every masked load's highest active lane indexes at most
-        // `w − 1`; `vmaskmovps` suppresses faults on masked lanes.
-        unsafe {
-            let dx = _mm256_sub_ps(
-                _mm256_maskload_ps(px.as_ptr().add(x), m_dx),
-                _mm256_maskload_ps(px.as_ptr().add(x - 1), m),
-            );
-            let dy = match DY {
-                DY_ZERO => _mm256_setzero_ps(),
-                DY_FIRST => _mm256_maskload_ps(py.as_ptr().add(x), m),
-                DY_INTERIOR => _mm256_sub_ps(
-                    _mm256_maskload_ps(py.as_ptr().add(x), m),
-                    _mm256_maskload_ps(above.as_ptr().add(x), m),
-                ),
-                _ => _mm256_sub_ps(
-                    _mm256_setzero_ps(),
-                    _mm256_maskload_ps(above.as_ptr().add(x), m),
-                ),
-            };
-            let sum = _mm256_add_ps(dx, dy);
-            let term = _mm256_fnmadd_ps(_mm256_maskload_ps(v.as_ptr().add(x), m), it, sum);
-            _mm256_maskstore_ps(out.as_mut_ptr().add(x), m, term);
-        }
-    }
-
-    /// 8-lane fast dual update: FMA throughout, hardware `sqrt` for the
-    /// norm (it runs on the divider port, which this kernel otherwise
-    /// leaves idle, so it costs no ALU slot), one `rcp`+NR reciprocal
-    /// shared by both component divides.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 and FMA, `term.len() >= 2`, and `below`
-    /// (if any), `px` and `py` must be as long as `term`.
-    #[target_feature(enable = "avx2,fma")]
-    pub(crate) unsafe fn update_p_row_avx2(
-        term: &[f32],
-        below: Option<&[f32]>,
-        step: f32,
-        px: &mut [f32],
-        py: &mut [f32],
-    ) {
-        let w = term.len();
-        let sv = _mm256_set1_ps(step);
-        let one = _mm256_set1_ps(1.0);
-        let two = _mm256_set1_ps(2.0);
-        let mut x = 0usize;
-        while x + 8 < w {
-            // SAFETY: `x + 8 <= w − 1 < len` bounds every unaligned load,
-            // including the forward-difference `term[x + 1]` read.
-            unsafe {
-                let t = _mm256_loadu_ps(term.as_ptr().add(x));
-                let t1 = _mm256_sub_ps(_mm256_loadu_ps(term.as_ptr().add(x + 1)), t);
-                let t2 = match below {
-                    Some(b) => _mm256_sub_ps(_mm256_loadu_ps(b.as_ptr().add(x)), t),
-                    None => _mm256_setzero_ps(),
-                };
-                let mag = _mm256_fmadd_ps(t1, t1, _mm256_mul_ps(t2, t2));
-                let grad = _mm256_sqrt_ps(mag);
-                let denom = _mm256_fmadd_ps(sv, grad, one);
-                // inv = rcp(denom) refined by one NR step: i ← i·(2 − d·i),
-                // then shared by both component updates.
-                let i0 = _mm256_rcp_ps(denom);
-                let inv = _mm256_mul_ps(i0, _mm256_fnmadd_ps(denom, i0, two));
-                let npx = _mm256_mul_ps(
-                    _mm256_fmadd_ps(sv, t1, _mm256_loadu_ps(px.as_ptr().add(x))),
-                    inv,
-                );
-                let npy = _mm256_mul_ps(
-                    _mm256_fmadd_ps(sv, t2, _mm256_loadu_ps(py.as_ptr().add(x))),
-                    inv,
-                );
-                _mm256_storeu_ps(px.as_mut_ptr().add(x), npx);
-                _mm256_storeu_ps(py.as_mut_ptr().add(x), npy);
-            }
-            x += 8;
-        }
-        // Masked epilogue (`vmaskmovps`): the remaining `w − x` cells
-        // (1..=8) run the same vector math under a lane mask instead of
-        // falling to scalar `sqrt`/`div` — at production widths that tail
-        // was a third of the row's update cost. `m1` keeps the forward
-        // difference only on lanes with a right-hand neighbour, so the
-        // last column's `t1 = 0` boundary rule falls out of the zeroed
-        // lane. Masked-off lanes compute on zeros (sqrt(0) = 0, denom = 1,
-        // so no NaNs) and are never stored.
-        let rem = (w - x) as i32;
-        let idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-        let m = _mm256_cmpgt_epi32(_mm256_set1_epi32(rem), idx);
-        let m1 = _mm256_cmpgt_epi32(_mm256_set1_epi32(rem - 1), idx);
-        // SAFETY: every masked load's highest active lane indexes at most
-        // `w − 1`; `vmaskmovps` suppresses faults on masked lanes.
-        unsafe {
-            let t = _mm256_maskload_ps(term.as_ptr().add(x), m);
-            let tn = _mm256_maskload_ps(term.as_ptr().add(x + 1), m1);
-            let t1 = _mm256_and_ps(_mm256_sub_ps(tn, t), _mm256_castsi256_ps(m1));
-            let t2 = match below {
-                Some(b) => _mm256_sub_ps(_mm256_maskload_ps(b.as_ptr().add(x), m), t),
-                None => _mm256_setzero_ps(),
-            };
-            let mag = _mm256_fmadd_ps(t1, t1, _mm256_mul_ps(t2, t2));
-            let grad = _mm256_sqrt_ps(mag);
-            let denom = _mm256_fmadd_ps(sv, grad, one);
-            let i0 = _mm256_rcp_ps(denom);
-            let inv = _mm256_mul_ps(i0, _mm256_fnmadd_ps(denom, i0, two));
-            let npx = _mm256_mul_ps(
-                _mm256_fmadd_ps(sv, t1, _mm256_maskload_ps(px.as_ptr().add(x), m)),
-                inv,
-            );
-            let npy = _mm256_mul_ps(
-                _mm256_fmadd_ps(sv, t2, _mm256_maskload_ps(py.as_ptr().add(x), m)),
-                inv,
-            );
-            _mm256_maskstore_ps(px.as_mut_ptr().add(x), m, npx);
-            _mm256_maskstore_ps(py.as_mut_ptr().add(x), m, npy);
-        }
-    }
-
-    /// Fast-tier 16-lane term row: the AVX2 body's algorithm on ZMM, with
-    /// the `div_y` shape matched per vector.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX-512F, `out.len() >= 2`, and `px`, `py`, `v`
-    /// and `above` (if any) must be as long as `out`.
-    #[allow(clippy::too_many_arguments)]
+    /// `−a` as an IEEE sign flip, so `−0.0` comes out as the scalar `-x`
+    /// gives it (`0 − a` would turn it into `+0.0`). AVX-512F has no float
+    /// `xor`, so the flip runs on the integer view of the lanes.
+    #[inline]
     #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn term_row_avx512(
-        px: &[f32],
-        py: &[f32],
-        above: Option<&[f32]>,
-        v: &[f32],
-        inv_theta: f32,
-        last_row: bool,
-        out: &mut [f32],
-    ) {
-        let div_y = DivY::new(py, above, last_row);
-        let w = out.len();
-        let it = _mm512_set1_ps(inv_theta);
-        let zero = _mm512_setzero_ps();
-        out[0] = (px[0] + div_y.at(0)) - v[0] * inv_theta;
-        let mut x = 1usize;
-        while x + 16 < w {
-            // SAFETY: `x + 16 <= w − 1 < len` bounds every unaligned load,
-            // including the shifted `px[x − 1]` stencil read.
-            unsafe {
-                let dx = _mm512_sub_ps(
-                    _mm512_loadu_ps(px.as_ptr().add(x)),
-                    _mm512_loadu_ps(px.as_ptr().add(x - 1)),
-                );
-                let dy = match &div_y {
-                    DivY::Zero => zero,
-                    DivY::First(py) => _mm512_loadu_ps(py.as_ptr().add(x)),
-                    DivY::Interior(py, ab) => _mm512_sub_ps(
-                        _mm512_loadu_ps(py.as_ptr().add(x)),
-                        _mm512_loadu_ps(ab.as_ptr().add(x)),
-                    ),
-                    // `0 − a`: value-equal negation (the fast tier has no
-                    // −0.0 bit contract to preserve).
-                    DivY::Last(ab) => _mm512_sub_ps(zero, _mm512_loadu_ps(ab.as_ptr().add(x))),
-                };
-                let sum = _mm512_add_ps(dx, dy);
-                let term = _mm512_fnmadd_ps(_mm512_loadu_ps(v.as_ptr().add(x)), it, sum);
-                _mm512_storeu_ps(out.as_mut_ptr().add(x), term);
-            }
-            x += 16;
-        }
-        // Masked epilogue: the remaining `w − x` cells (1..=16), including
-        // the last column, run the same vector math under a lane mask —
-        // `m_dx` drops the `px[x]` term on the last column's lane, which is
-        // exactly its backward-difference boundary rule. Production widths
-        // would otherwise put ~3% of the row through the scalar path.
-        let rem = w - x;
-        let m: __mmask16 = 0xFFFFu16 >> (16 - rem);
-        let m_dx: __mmask16 = m >> 1;
-        // SAFETY: every masked load's highest active lane indexes at most
-        // `w − 1`; masked lanes cannot fault.
-        unsafe {
-            let dx = _mm512_sub_ps(
-                _mm512_maskz_loadu_ps(m_dx, px.as_ptr().add(x)),
-                _mm512_maskz_loadu_ps(m, px.as_ptr().add(x - 1)),
-            );
-            let dy = match &div_y {
-                DivY::Zero => zero,
-                DivY::First(py) => _mm512_maskz_loadu_ps(m, py.as_ptr().add(x)),
-                DivY::Interior(py, ab) => _mm512_sub_ps(
-                    _mm512_maskz_loadu_ps(m, py.as_ptr().add(x)),
-                    _mm512_maskz_loadu_ps(m, ab.as_ptr().add(x)),
-                ),
-                DivY::Last(ab) => _mm512_sub_ps(zero, _mm512_maskz_loadu_ps(m, ab.as_ptr().add(x))),
-            };
-            let sum = _mm512_add_ps(dx, dy);
-            let term = _mm512_fnmadd_ps(_mm512_maskz_loadu_ps(m, v.as_ptr().add(x)), it, sum);
-            _mm512_mask_storeu_ps(out.as_mut_ptr().add(x), m, term);
-        }
-    }
-
-    /// 16-lane fast dual update: the AVX2 body's algorithm on ZMM —
-    /// hardware `sqrt` on the divider port for the norm, one NR step on
-    /// the higher-precision `rcp14` seed for the shared reciprocal.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX-512F, `term.len() >= 2`, and `below` (if
-    /// any), `px` and `py` must be as long as `term`.
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn update_p_row_avx512(
-        term: &[f32],
-        below: Option<&[f32]>,
-        step: f32,
-        px: &mut [f32],
-        py: &mut [f32],
-    ) {
-        let w = term.len();
-        let sv = _mm512_set1_ps(step);
-        let one = _mm512_set1_ps(1.0);
-        let two = _mm512_set1_ps(2.0);
-        let mut x = 0usize;
-        while x + 16 < w {
-            // SAFETY: `x + 16 <= w − 1 < len` bounds every unaligned load,
-            // including the forward-difference `term[x + 1]` read.
-            unsafe {
-                let t = _mm512_loadu_ps(term.as_ptr().add(x));
-                let t1 = _mm512_sub_ps(_mm512_loadu_ps(term.as_ptr().add(x + 1)), t);
-                let t2 = match below {
-                    Some(b) => _mm512_sub_ps(_mm512_loadu_ps(b.as_ptr().add(x)), t),
-                    None => _mm512_setzero_ps(),
-                };
-                let mag = _mm512_fmadd_ps(t1, t1, _mm512_mul_ps(t2, t2));
-                let grad = _mm512_sqrt_ps(mag);
-                let denom = _mm512_fmadd_ps(sv, grad, one);
-                let i0 = _mm512_rcp14_ps(denom);
-                let inv = _mm512_mul_ps(i0, _mm512_fnmadd_ps(denom, i0, two));
-                let npx = _mm512_mul_ps(
-                    _mm512_fmadd_ps(sv, t1, _mm512_loadu_ps(px.as_ptr().add(x))),
-                    inv,
-                );
-                let npy = _mm512_mul_ps(
-                    _mm512_fmadd_ps(sv, t2, _mm512_loadu_ps(py.as_ptr().add(x))),
-                    inv,
-                );
-                _mm512_storeu_ps(px.as_mut_ptr().add(x), npx);
-                _mm512_storeu_ps(py.as_mut_ptr().add(x), npy);
-            }
-            x += 16;
-        }
-        // Masked epilogue: the remaining `w − x` cells (1..=16) run the
-        // same vector math under a lane mask instead of falling to scalar
-        // `sqrt`/`div` — at production widths that tail was a third of the
-        // row's update cost. `m1` keeps the forward difference only on
-        // lanes with a right-hand neighbour; the last column's `t1 = 0`
-        // boundary rule falls out of the zeroed lane. Masked-off lanes
-        // compute on zeros (sqrt(0) = 0, denom = 1, so no NaNs) and are
-        // never stored.
-        let rem = w - x;
-        let m: __mmask16 = 0xFFFFu16 >> (16 - rem);
-        let m1: __mmask16 = m >> 1;
-        // SAFETY: every masked load's highest active lane indexes at most
-        // `w − 1`; masked lanes cannot fault.
-        unsafe {
-            let t = _mm512_maskz_loadu_ps(m, term.as_ptr().add(x));
-            let tn = _mm512_maskz_loadu_ps(m1, term.as_ptr().add(x + 1));
-            let t1 = _mm512_maskz_sub_ps(m1, tn, t);
-            let t2 = match below {
-                Some(b) => _mm512_sub_ps(_mm512_maskz_loadu_ps(m, b.as_ptr().add(x)), t),
-                None => _mm512_setzero_ps(),
-            };
-            let mag = _mm512_fmadd_ps(t1, t1, _mm512_mul_ps(t2, t2));
-            let grad = _mm512_sqrt_ps(mag);
-            let denom = _mm512_fmadd_ps(sv, grad, one);
-            let i0 = _mm512_rcp14_ps(denom);
-            let inv = _mm512_mul_ps(i0, _mm512_fnmadd_ps(denom, i0, two));
-            let npx = _mm512_mul_ps(
-                _mm512_fmadd_ps(sv, t1, _mm512_maskz_loadu_ps(m, px.as_ptr().add(x))),
-                inv,
-            );
-            let npy = _mm512_mul_ps(
-                _mm512_fmadd_ps(sv, t2, _mm512_maskz_loadu_ps(m, py.as_ptr().add(x))),
-                inv,
-            );
-            _mm512_mask_storeu_ps(px.as_mut_ptr().add(x), m, npx);
-            _mm512_mask_storeu_ps(py.as_mut_ptr().add(x), m, npy);
-        }
+    fn neg512(a: __m512) -> __m512 {
+        _mm512_castsi512_ps(_mm512_xor_si512(
+            _mm512_castps_si512(a),
+            _mm512_set1_epi32(i32::MIN),
+        ))
     }
 
     /// One fused fast-tier row step on ZMM: computes the next row's term
-    /// (lane math identical to [`term_row_avx512`], including the
-    /// uncontracted scalar expression for column 0 and the last column's
-    /// dropped-`px` rule) while updating the current row against it (lane
-    /// math identical to [`update_p_row_avx512`]). The two passes' loads,
+    /// while updating the current row against it. The term lanes replay
+    /// [`crate::kernels::compute_term_row`]'s operations — `(dx + dy) −
+    /// v·(1/θ)` as an add, a multiply and a subtract, negation as a sign
+    /// flip, the scalar expression for column 0 and `dx = −px[w − 2]` for
+    /// the last column — so they round exactly as the Exact tier does. The
+    /// update uses FMA and one Newton–Raphson step on the `rcp14` estimate
+    /// for the reciprocal both components share. The two passes' loads,
     /// stores and loop machinery collapse into one traversal; the term
     /// vector just computed feeds the update's `t2` through a one-lane
     /// `valignd` carry instead of a memory round-trip.
@@ -643,9 +277,7 @@ pub(crate) mod x86 {
         let sv = _mm512_set1_ps(step);
         let one = _mm512_set1_ps(1.0);
         let two = _mm512_set1_ps(2.0);
-        let zero = _mm512_setzero_ps();
-        // Column 0 of the next term row: the standalone kernel's exact
-        // scalar expression, so priming rows and fused rows agree bitwise.
+        // Column 0 of the next term row: the scalar reference's expression.
         let dy0 = if next_is_last {
             -py_row[0]
         } else {
@@ -669,12 +301,12 @@ pub(crate) mod x86 {
                 );
                 let above = _mm512_loadu_ps(py_row.as_ptr().add(x + 1));
                 let dy = if next_is_last {
-                    _mm512_sub_ps(zero, above)
+                    neg512(above)
                 } else {
                     _mm512_sub_ps(_mm512_loadu_ps(py_next.as_ptr().add(x + 1)), above)
                 };
-                let sum = _mm512_add_ps(dx, dy);
-                let term = _mm512_fnmadd_ps(_mm512_loadu_ps(v_next.as_ptr().add(x + 1)), it, sum);
+                let vi = _mm512_mul_ps(_mm512_loadu_ps(v_next.as_ptr().add(x + 1)), it);
+                let term = _mm512_sub_ps(_mm512_add_ps(dx, dy), vi);
                 _mm512_storeu_ps(next.as_mut_ptr().add(x + 1), term);
 
                 let t = _mm512_loadu_ps(cur.as_ptr().add(x));
@@ -687,6 +319,8 @@ pub(crate) mod x86 {
                 let mag = _mm512_fmadd_ps(t1, t1, _mm512_mul_ps(t2, t2));
                 let grad = _mm512_sqrt_ps(mag);
                 let denom = _mm512_fmadd_ps(sv, grad, one);
+                // inv = rcp14(denom) refined by one Newton–Raphson step,
+                // i·(2 − d·i), then shared by both component updates.
                 let i0 = _mm512_rcp14_ps(denom);
                 let inv = _mm512_mul_ps(i0, _mm512_fnmadd_ps(denom, i0, two));
                 let npx = _mm512_mul_ps(
@@ -705,9 +339,9 @@ pub(crate) mod x86 {
         }
         // Masked tail: the loop exits with 2..=17 cells left, so up to two
         // masked steps. `ct` counts term cells (x+1..w), `cdx` the ones
-        // left of the last column (whose `px` term the mask drops — its
-        // backward-difference boundary rule), and `ct` doubles as the
-        // update's has-right-neighbour mask.
+        // left of the last column, whose lane takes `dx = −px[w − 2]` (its
+        // backward-difference boundary rule) instead, and `ct` doubles as
+        // the update's has-right-neighbour mask.
         while x < w {
             let rem = w - x;
             let cu = rem.min(16);
@@ -721,25 +355,24 @@ pub(crate) mod x86 {
             // compute on zeros (sqrt(0) = 0, denom = 1, so no NaNs) and
             // are never stored.
             unsafe {
-                let dx = _mm512_sub_ps(
+                let left = _mm512_maskz_loadu_ps(m_t, px_next.as_ptr().add(x));
+                let dx = _mm512_mask_sub_ps(
+                    neg512(left),
+                    m_dx,
                     _mm512_maskz_loadu_ps(m_dx, px_next.as_ptr().add(x + 1)),
-                    _mm512_maskz_loadu_ps(m_t, px_next.as_ptr().add(x)),
+                    left,
                 );
                 let above = _mm512_maskz_loadu_ps(m_t, py_row.as_ptr().add(x + 1));
                 let dy = if next_is_last {
-                    _mm512_sub_ps(zero, above)
+                    neg512(above)
                 } else {
                     _mm512_sub_ps(
                         _mm512_maskz_loadu_ps(m_t, py_next.as_ptr().add(x + 1)),
                         above,
                     )
                 };
-                let sum = _mm512_add_ps(dx, dy);
-                let term = _mm512_fnmadd_ps(
-                    _mm512_maskz_loadu_ps(m_t, v_next.as_ptr().add(x + 1)),
-                    it,
-                    sum,
-                );
+                let vi = _mm512_mul_ps(_mm512_maskz_loadu_ps(m_t, v_next.as_ptr().add(x + 1)), it);
+                let term = _mm512_sub_ps(_mm512_add_ps(dx, dy), vi);
                 _mm512_mask_storeu_ps(next.as_mut_ptr().add(x + 1), m_t, term);
 
                 let t = _mm512_maskz_loadu_ps(m_u, cur.as_ptr().add(x));
@@ -773,11 +406,10 @@ pub(crate) mod x86 {
 
     /// One fused fast-tier row step on YMM — [`fused_row_avx512`]'s 8-lane
     /// twin, with the one-lane term carry built from `vperm2f128` +
-    /// `palignr` (AVX2 has no full-width `valignd`). Lane math matches the
-    /// standalone AVX2 kernels column for column, including the body's
-    /// `xor` negation versus the tail's `sub` for a last-shape `div_y`:
-    /// the body/tail column split here is the same as theirs, so every
-    /// column sees the identical operation either way.
+    /// `palignr` (AVX2 has no full-width `valignd`) and the update's
+    /// reciprocal refined from the `rcp` estimate. The term lanes replay
+    /// [`crate::kernels::compute_term_row`] exactly as the ZMM body does,
+    /// with negation as an `xor` with `−0.0`.
     ///
     /// # Safety
     ///
@@ -802,8 +434,8 @@ pub(crate) mod x86 {
         let sv = _mm256_set1_ps(step);
         let one = _mm256_set1_ps(1.0);
         let two = _mm256_set1_ps(2.0);
-        // Column 0 of the next term row: the standalone kernel's exact
-        // scalar expression, so priming rows and fused rows agree bitwise.
+        let sign = _mm256_set1_ps(-0.0);
+        // Column 0 of the next term row: the scalar reference's expression.
         let dy0 = if next_is_last {
             -py_row[0]
         } else {
@@ -827,12 +459,12 @@ pub(crate) mod x86 {
                 );
                 let above = _mm256_loadu_ps(py_row.as_ptr().add(x + 1));
                 let dy = if next_is_last {
-                    _mm256_xor_ps(_mm256_set1_ps(-0.0), above)
+                    _mm256_xor_ps(sign, above)
                 } else {
                     _mm256_sub_ps(_mm256_loadu_ps(py_next.as_ptr().add(x + 1)), above)
                 };
-                let sum = _mm256_add_ps(dx, dy);
-                let term = _mm256_fnmadd_ps(_mm256_loadu_ps(v_next.as_ptr().add(x + 1)), it, sum);
+                let vi = _mm256_mul_ps(_mm256_loadu_ps(v_next.as_ptr().add(x + 1)), it);
+                let term = _mm256_sub_ps(_mm256_add_ps(dx, dy), vi);
                 _mm256_storeu_ps(next.as_mut_ptr().add(x + 1), term);
 
                 let t = _mm256_loadu_ps(cur.as_ptr().add(x));
@@ -866,9 +498,9 @@ pub(crate) mod x86 {
         }
         // Masked tail: the loop exits with 2..=9 cells left, so up to two
         // masked steps. `ct` counts term cells (x+1..w), `cdx` the ones
-        // left of the last column (whose `px` term the mask drops — its
-        // backward-difference boundary rule), and `ct` doubles as the
-        // update's has-right-neighbour mask.
+        // left of the last column, whose lane takes `dx = −px[w − 2]` (its
+        // backward-difference boundary rule) instead, and `ct` doubles as
+        // the update's has-right-neighbour mask.
         let idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
         while x < w {
             let rem = w - x;
@@ -883,19 +515,20 @@ pub(crate) mod x86 {
             // Masked-off lanes compute on zeros or stale term lanes (all
             // finite) and are never stored.
             unsafe {
-                let dx = _mm256_sub_ps(
-                    _mm256_maskload_ps(px_next.as_ptr().add(x + 1), m_dx),
-                    _mm256_maskload_ps(px_next.as_ptr().add(x), m_t),
+                let left = _mm256_maskload_ps(px_next.as_ptr().add(x), m_t);
+                let dx = _mm256_blendv_ps(
+                    _mm256_xor_ps(sign, left),
+                    _mm256_sub_ps(_mm256_maskload_ps(px_next.as_ptr().add(x + 1), m_dx), left),
+                    _mm256_castsi256_ps(m_dx),
                 );
                 let above = _mm256_maskload_ps(py_row.as_ptr().add(x + 1), m_t);
                 let dy = if next_is_last {
-                    _mm256_sub_ps(_mm256_setzero_ps(), above)
+                    _mm256_xor_ps(sign, above)
                 } else {
                     _mm256_sub_ps(_mm256_maskload_ps(py_next.as_ptr().add(x + 1), m_t), above)
                 };
-                let sum = _mm256_add_ps(dx, dy);
-                let term =
-                    _mm256_fnmadd_ps(_mm256_maskload_ps(v_next.as_ptr().add(x + 1), m_t), it, sum);
+                let vi = _mm256_mul_ps(_mm256_maskload_ps(v_next.as_ptr().add(x + 1), m_t), it);
+                let term = _mm256_sub_ps(_mm256_add_ps(dx, dy), vi);
                 _mm256_maskstore_ps(next.as_mut_ptr().add(x + 1), m_t, term);
 
                 let t = _mm256_maskload_ps(cur.as_ptr().add(x), m_u);
@@ -990,74 +623,113 @@ mod tests {
 
     #[test]
     fn fast_rows_stay_within_tolerance_of_exact() {
+        // Both Fast update paths against the Exact update of the same term
+        // rows: the last frame row's (`update_p_row_on`, no term below) and
+        // the fused step's update half, whose term below is the row it
+        // writes itself.
         for backend in backends() {
             for w in [1usize, 2, 3, 7, 8, 9, 16, 17, 31, 64, 129] {
                 let mut rng = StdRng::seed_from_u64(3 + w as u64);
-                let row = |rng: &mut StdRng| -> Vec<f32> {
-                    (0..w).map(|_| rng.gen_range(-0.9f32..0.9)).collect()
-                };
-                let (term, below, px0, py0) =
-                    (row(&mut rng), row(&mut rng), row(&mut rng), row(&mut rng));
-                for below_opt in [None, Some(below.as_slice())] {
-                    let (mut epx, mut epy) = (px0.clone(), py0.clone());
-                    kernels::update_p_row(&term, below_opt, 0.248, &mut epx, &mut epy);
-                    let (mut fpx, mut fpy) = (px0.clone(), py0.clone());
-                    kernels::update_p_row_on(
-                        backend,
-                        NumericsPolicy::Fast,
-                        &term,
-                        below_opt,
-                        0.248,
-                        &mut fpx,
-                        &mut fpy,
-                    );
+                let mut row =
+                    || -> Vec<f32> { (0..w).map(|_| rng.gen_range(-0.9f32..0.9)).collect() };
+                let (term, px0, py0) = (row(), row(), row());
+                let (px_next, py_next, v_next) = (row(), row(), row());
+                let close = |epx: &[f32], epy: &[f32], fpx: &[f32], fpy: &[f32], what: &str| {
                     for i in 0..w {
                         assert!(
                             (epx[i] - fpx[i]).abs() < 1e-5 && (epy[i] - fpy[i]).abs() < 1e-5,
-                            "{backend:?} w={w} i={i}: exact ({}, {}) vs fast ({}, {})",
+                            "{backend:?} {what} w={w} i={i}: exact ({}, {}) vs fast ({}, {})",
                             epx[i],
                             epy[i],
                             fpx[i],
                             fpy[i],
                         );
                     }
-                }
+                };
+
+                let (mut epx, mut epy) = (px0.clone(), py0.clone());
+                kernels::update_p_row(&term, None, 0.248, &mut epx, &mut epy);
+                let (mut fpx, mut fpy) = (px0.clone(), py0.clone());
+                kernels::update_p_row_on(
+                    backend,
+                    NumericsPolicy::Fast,
+                    &term,
+                    None,
+                    0.248,
+                    &mut fpx,
+                    &mut fpy,
+                );
+                close(&epx, &epy, &fpx, &fpy, "last row");
+
+                let (mut fpx, mut fpy) = (px0.clone(), py0.clone());
+                let mut below = vec![0.0f32; w];
+                fused_term_update_row(
+                    backend, &px_next, &py_next, &v_next, 4.0, false, &term, &mut below, 0.248,
+                    &mut fpx, &mut fpy,
+                );
+                let (mut epx, mut epy) = (px0.clone(), py0.clone());
+                kernels::update_p_row(&term, Some(&below), 0.248, &mut epx, &mut epy);
+                close(&epx, &epy, &fpx, &fpy, "fused step");
             }
         }
     }
 
     #[test]
-    fn fast_term_rows_stay_within_tolerance_of_exact() {
+    fn fused_step_term_row_is_the_exact_term_row() {
+        // The fused step's `next` row is the Exact term row bit for bit, so
+        // a band's priming row and its fused rows agree. 1/θ = 1/0.3 is
+        // inexact, so `v·(1/θ)` contracted into the subtract would round
+        // differently; the signed zeros pin negation as a sign flip,
+        // including the last column's `dx = −px[w − 2]`.
+        let inv_theta = 1.0f32 / 0.3;
+        let bits = |s: &[f32]| s.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         for backend in backends() {
-            for w in [2usize, 8, 9, 17, 33, 65] {
-                let mut rng = StdRng::seed_from_u64(11 + w as u64);
-                let row = |rng: &mut StdRng| -> Vec<f32> {
-                    (0..w).map(|_| rng.gen_range(-0.9f32..0.9)).collect()
-                };
-                let (px, py, above, v) =
-                    (row(&mut rng), row(&mut rng), row(&mut rng), row(&mut rng));
-                for (above_opt, last) in [
-                    (None, true),
-                    (None, false),
-                    (Some(above.as_slice()), false),
-                    (Some(above.as_slice()), true),
-                ] {
-                    let mut exact = vec![0.0f32; w];
-                    kernels::compute_term_row(&px, &py, above_opt, &v, 4.0, last, &mut exact);
-                    let mut fast = vec![0.0f32; w];
-                    kernels::compute_term_row_on(
-                        backend,
-                        NumericsPolicy::Fast,
-                        &px,
-                        &py,
-                        above_opt,
-                        &v,
-                        4.0,
-                        last,
-                        &mut fast,
-                    );
-                    for i in 0..w {
-                        assert!((exact[i] - fast[i]).abs() < 1e-5, "{backend:?} w={w} i={i}");
+            for w in 2usize..=40 {
+                for zeros_only in [false, true] {
+                    let mut rng = StdRng::seed_from_u64(500 + w as u64);
+                    let mut row = || -> Vec<f32> {
+                        (0..w)
+                            .map(|_| match rng.gen_range(0u32..6) {
+                                0 | 1 => 0.0,
+                                2 | 3 => -0.0,
+                                _ if zeros_only => 0.0,
+                                _ => rng.gen_range(-0.9f32..0.9),
+                            })
+                            .collect()
+                    };
+                    let (px_next, py_next, v_next) = (row(), row(), row());
+                    let (cur, px_row, py_row) = (row(), row(), row());
+                    for next_is_last in [false, true] {
+                        let mut exact = vec![0.0f32; w];
+                        kernels::compute_term_row(
+                            &px_next,
+                            &py_next,
+                            Some(&py_row),
+                            &v_next,
+                            inv_theta,
+                            next_is_last,
+                            &mut exact,
+                        );
+                        let (mut px, mut py) = (px_row.clone(), py_row.clone());
+                        let mut next = vec![0.0f32; w];
+                        fused_term_update_row(
+                            backend,
+                            &px_next,
+                            &py_next,
+                            &v_next,
+                            inv_theta,
+                            next_is_last,
+                            &cur,
+                            &mut next,
+                            0.25,
+                            &mut px,
+                            &mut py,
+                        );
+                        assert_eq!(
+                            bits(&next),
+                            bits(&exact),
+                            "{backend:?} w={w} zeros_only={zeros_only} last={next_is_last}"
+                        );
                     }
                 }
             }

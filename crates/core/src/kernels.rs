@@ -26,24 +26,27 @@
 //! The two scalar functions above are the reference. Each kernel family
 //! has one dispatcher with one `match` on the [`KernelBackend`] clamped to
 //! the host ([`KernelBackend::clamp_to_host`]: the widest level the CPU runs
-//! at or below the requested one) and the [`NumericsPolicy`] tier:
+//! at or below the requested one) and, for the update, the
+//! [`NumericsPolicy`] tier:
 //!
 //! | family | scalar, SSE2 | AVX2 | AVX-512 |
 //! |--------|--------------|------|---------|
-//! | [`compute_term_row_on`], Exact | reference | AVX2 | AVX2 |
-//! | [`compute_term_row_on`], Fast | reference | AVX2+FMA | AVX-512 |
+//! | [`compute_term_row_on`], both tiers | reference | AVX2 | AVX2 |
 //! | [`update_p_row_on`], Exact | reference | AVX2 | AVX2 |
-//! | [`update_p_row_on`], Fast | fast scalar | AVX2+FMA | AVX-512 |
+//! | [`update_p_row_on`], Fast | fast scalar | fast scalar | fast scalar |
 //!
-//! A Fast AVX2 body on a host without FMA runs the level below it. The
-//! Exact AVX2 bodies replay the scalar operation order lane by lane — no
+//! The AVX2 bodies replay the scalar operation order lane by lane — no
 //! fused multiply-add, no reassociation, negation as an IEEE sign-flip, and
 //! every op used (`add`, `sub`, `mul`, `div`, `sqrt`) correctly rounded
 //! elementwise — so every Exact level is **bit-identical** to the
 //! reference and the clamp changes speed only. SSE2 runs the reference,
 //! which the compiler already vectorises to SSE2; the AVX-512 level runs
-//! the AVX2 bodies at the Exact tier. `f64` rows always take the scalar
-//! reference, whatever the tier.
+//! the AVX2 bodies. `f64` rows always take the scalar reference, whatever
+//! the tier. The Fast tier's only vector body is its fused row step
+//! ([`crate::fast`]), whose term lanes are the Exact term row's bit for
+//! bit; the Fast update row runs the portable scalar body at every level
+//! and serves only the frame's last row, which has no next row to fuse
+//! with.
 //!
 //! Horizontal reductions (the energies in [`crate::solver::rof_energy`] and
 //! [`crate::diagnostics`]) are not vectorised at all: they keep the fixed
@@ -191,13 +194,13 @@ pub fn update_p_row<R: Real>(
     }
 }
 
-/// [`compute_term_row`] on `backend` at the `numerics` tier: the term-row
-/// family's dispatcher (see the module docs for its routing table).
+/// [`compute_term_row`] on `backend`: the term-row family's dispatcher,
+/// one body for both numerics tiers (see the module docs for its routing
+/// table).
 #[allow(clippy::too_many_arguments)] // mirrors the reference kernel's shape
 #[inline]
 pub fn compute_term_row_on<R: Real>(
     backend: KernelBackend,
-    numerics: NumericsPolicy,
     px_row: &[R],
     py_row: &[R],
     py_above: Option<&[R]>,
@@ -228,25 +231,14 @@ pub fn compute_term_row_on<R: Real>(
         KernelBackend::Scalar
     };
     // SAFETY (every vector arm): `clamp_to_host` only returns levels whose
-    // features were detected at run time (AVX-512 includes AVX2 and FMA),
-    // the FMA guard covers the Fast AVX2 body, the asserts above give every
-    // row the width `w`, and vector levels are only picked for `w >= 2`.
-    match (numerics, level) {
+    // features were detected at run time (AVX-512 includes AVX2), the
+    // asserts above give every row the width `w`, and vector levels are
+    // only picked for `w >= 2`.
+    match level {
         #[cfg(target_arch = "x86_64")]
-        (NumericsPolicy::Fast, KernelBackend::Avx512) => unsafe {
-            fast::x86::term_row_avx512(px, py, above, v, inv_theta, last_row, out)
-        },
-        #[cfg(target_arch = "x86_64")]
-        (NumericsPolicy::Fast, KernelBackend::Avx2) if is_x86_feature_detected!("fma") => unsafe {
-            fast::x86::term_row_avx2(px, py, above, v, inv_theta, last_row, out)
-        },
-        #[cfg(target_arch = "x86_64")]
-        (NumericsPolicy::Exact, KernelBackend::Avx2 | KernelBackend::Avx512) => unsafe {
+        KernelBackend::Avx2 | KernelBackend::Avx512 => unsafe {
             x86::term_row_avx2(px, py, above, v, inv_theta, last_row, out)
         },
-        // The scalar Fast term row is the exact one: it has no divide or
-        // sqrt to approximate, and plain Rust must not call `f32::mul_add`
-        // (a libm soft-float call without a compile-time FMA target).
         _ => compute_term_row(px, py, above, v, inv_theta, last_row, out),
     }
 }
@@ -284,16 +276,8 @@ pub fn update_p_row_on<R: Real>(
     } else {
         KernelBackend::Scalar
     };
-    // SAFETY (every vector arm): as in `compute_term_row_on`.
+    // SAFETY (the vector arm): as in `compute_term_row_on`.
     match (numerics, level) {
-        #[cfg(target_arch = "x86_64")]
-        (NumericsPolicy::Fast, KernelBackend::Avx512) => unsafe {
-            fast::x86::update_p_row_avx512(term, below, step, px, py)
-        },
-        #[cfg(target_arch = "x86_64")]
-        (NumericsPolicy::Fast, KernelBackend::Avx2) if is_x86_feature_detected!("fma") => unsafe {
-            fast::x86::update_p_row_avx2(term, below, step, px, py)
-        },
         (NumericsPolicy::Fast, _) => fast::update_p_row_scalar(term, below, step, px, py),
         #[cfg(target_arch = "x86_64")]
         (NumericsPolicy::Exact, KernelBackend::Avx2 | KernelBackend::Avx512) => unsafe {
@@ -340,7 +324,8 @@ pub struct BelowHalo<'a, R> {
 /// therefore bit-identical to running [`crate::solver::compute_term_into`]
 /// followed by [`crate::solver::update_p_inplace`] on the whole frame, on
 /// every backend. At the Fast tier each row step is one fused traversal
-/// ([`crate::fast`]), deterministic per backend.
+/// ([`crate::fast`]) whose term is the Exact term, deterministic per
+/// backend.
 ///
 /// With `r0 == 0` and `rows == h` (and an empty halo) this *is* one whole
 /// sequential iteration, minus the full-frame term allocation; bands of a
@@ -417,7 +402,6 @@ pub(crate) fn band_iteration<R: Real>(
         }
         compute_term_row_on(
             backend,
-            numerics,
             px_next,
             py_next,
             Some(py_row),
@@ -441,7 +425,6 @@ pub(crate) fn band_iteration<R: Real>(
     let mut next: &mut [R] = term_b;
     compute_term_row_on(
         backend,
-        numerics,
         &px_band[..w],
         &py_band[..w],
         halo.py_above,
@@ -551,58 +534,6 @@ fn f32_slice_mut<R: Real>(s: &mut [R]) -> Option<&mut [f32]> {
     }
 }
 
-/// Which y-divergence rule a term row uses (the four cases of
-/// [`compute_term_row`]), shared by the Exact and Fast vector bodies.
-#[cfg(target_arch = "x86_64")]
-pub(crate) enum DivY<'a> {
-    /// Single-row frame: `div_y = 0`.
-    Zero,
-    /// First frame row: `div_y = py[x]`.
-    First(&'a [f32]),
-    /// Interior row: `div_y = py[x] − above[x]`.
-    Interior(&'a [f32], &'a [f32]),
-    /// Last frame row: `div_y = −above[x]`.
-    Last(&'a [f32]),
-}
-
-#[cfg(target_arch = "x86_64")]
-impl<'a> DivY<'a> {
-    /// The rule for a row with `py` row `py`, the row `above` (if any) and
-    /// the frame-edge flag `last_row`.
-    #[inline]
-    pub(crate) fn new(py: &'a [f32], above: Option<&'a [f32]>, last_row: bool) -> Self {
-        match (above, last_row) {
-            (None, true) => DivY::Zero,
-            (None, false) => DivY::First(py),
-            (Some(a), false) => DivY::Interior(py, a),
-            (Some(a), true) => DivY::Last(a),
-        }
-    }
-
-    /// `div_y` at column `x`, with the scalar reference's operations.
-    #[inline]
-    pub(crate) fn at(&self, x: usize) -> f32 {
-        match self {
-            DivY::Zero => 0.0,
-            DivY::First(py) => py[x],
-            DivY::Interior(py, above) => py[x] - above[x],
-            DivY::Last(above) => -above[x],
-        }
-    }
-}
-
-/// The four [`DivY`] shapes as compile-time selectors, so each vector loop
-/// body is stamped out branch-free (the runtime `match` happens once per
-/// row, not once per vector).
-#[cfg(target_arch = "x86_64")]
-pub(crate) const DY_ZERO: u8 = 0;
-#[cfg(target_arch = "x86_64")]
-pub(crate) const DY_FIRST: u8 = 1;
-#[cfg(target_arch = "x86_64")]
-pub(crate) const DY_INTERIOR: u8 = 2;
-#[cfg(target_arch = "x86_64")]
-pub(crate) const DY_LAST: u8 = 3;
-
 /// The x86-64 Exact-tier AVX2 intrinsic bodies.
 ///
 /// Every function replays the scalar loops of this module with the
@@ -613,7 +544,51 @@ pub(crate) const DY_LAST: u8 = 3;
 mod x86 {
     use std::arch::x86_64::*;
 
-    use super::{DivY, DY_FIRST, DY_INTERIOR, DY_LAST, DY_ZERO};
+    /// Which y-divergence rule a term row uses (the four cases of
+    /// [`super::compute_term_row`]).
+    enum DivY<'a> {
+        /// Single-row frame: `div_y = 0`.
+        Zero,
+        /// First frame row: `div_y = py[x]`.
+        First(&'a [f32]),
+        /// Interior row: `div_y = py[x] − above[x]`.
+        Interior(&'a [f32], &'a [f32]),
+        /// Last frame row: `div_y = −above[x]`.
+        Last(&'a [f32]),
+    }
+
+    impl<'a> DivY<'a> {
+        /// The rule for a row with `py` row `py`, the row `above` (if any)
+        /// and the frame-edge flag `last_row`.
+        #[inline]
+        fn new(py: &'a [f32], above: Option<&'a [f32]>, last_row: bool) -> Self {
+            match (above, last_row) {
+                (None, true) => DivY::Zero,
+                (None, false) => DivY::First(py),
+                (Some(a), false) => DivY::Interior(py, a),
+                (Some(a), true) => DivY::Last(a),
+            }
+        }
+
+        /// `div_y` at column `x`, with the scalar reference's operations.
+        #[inline]
+        fn at(&self, x: usize) -> f32 {
+            match self {
+                DivY::Zero => 0.0,
+                DivY::First(py) => py[x],
+                DivY::Interior(py, above) => py[x] - above[x],
+                DivY::Last(above) => -above[x],
+            }
+        }
+    }
+
+    /// The four [`DivY`] shapes as compile-time selectors, so each vector
+    /// loop body is stamped out branch-free (the runtime `match` happens
+    /// once per row, not once per vector).
+    const DY_ZERO: u8 = 0;
+    const DY_FIRST: u8 = 1;
+    const DY_INTERIOR: u8 = 2;
+    const DY_LAST: u8 = 3;
 
     /// Vectorized [`super::compute_term_row`].
     ///
@@ -1065,15 +1040,7 @@ mod tests {
                 for backend in vector_backends() {
                     let mut out = vec![0.0f32; w];
                     compute_term_row_on(
-                        backend,
-                        NumericsPolicy::Exact,
-                        &px,
-                        &py,
-                        above_opt,
-                        &v,
-                        inv_theta,
-                        last,
-                        &mut out,
+                        backend, &px, &py, above_opt, &v, inv_theta, last, &mut out,
                     );
                     assert_eq!(
                         out.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
@@ -1135,17 +1102,7 @@ mod tests {
             let mut reference = vec![1.0f32; w];
             let mut out = vec![1.0f32; w];
             compute_term_row(&px, &py, Some(&above), &v, 4.0, true, &mut reference);
-            compute_term_row_on(
-                backend,
-                NumericsPolicy::Exact,
-                &px,
-                &py,
-                Some(&above),
-                &v,
-                4.0,
-                true,
-                &mut out,
-            );
+            compute_term_row_on(backend, &px, &py, Some(&above), &v, 4.0, true, &mut out);
             let bits = |s: &[f32]| s.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&out), bits(&reference), "{backend:?}");
         }
@@ -1166,17 +1123,7 @@ mod tests {
             KernelBackend::Avx512,
         ] {
             let mut out = vec![0.0f64; w];
-            compute_term_row_on(
-                backend,
-                NumericsPolicy::Exact,
-                &px,
-                &py,
-                None,
-                &v,
-                4.0f64,
-                false,
-                &mut out,
-            );
+            compute_term_row_on(backend, &px, &py, None, &v, 4.0f64, false, &mut out);
             assert_eq!(
                 out.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
                 reference.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),

@@ -32,9 +32,10 @@
 //!   telemetry, cancellation, kernel backend and numerics tier behind one
 //!   `*_with_ctx` entry point per solve family;
 //! - [`fast`] — the [`NumericsPolicy::Fast`](ctx::NumericsPolicy) tier:
-//!   FMA/approximate-reciprocal row kernels (AVX2+FMA and true 16-lane
-//!   AVX-512F) and the fused term+update row step, validated against the
-//!   Exact tier by energy/duality-gap tolerance instead of bit equality.
+//!   one fused term+update row step per vector width (AVX2+FMA and true
+//!   16-lane AVX-512F) whose term is Exact and whose dual update uses FMA
+//!   and an approximate reciprocal, validated against the Exact tier by
+//!   energy/duality-gap tolerance instead of bit equality.
 //!
 //! # Examples
 //!

@@ -36,19 +36,19 @@ impl ChambolleParams {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidParamsError`] if `theta <= 0`, `tau <= 0`,
-    /// `tau / theta > 1/4`, or `iterations == 0`.
+    /// Returns [`InvalidParamsError`] if `theta` or `tau` is not positive and
+    /// finite, `tau / theta > 1/4`, or `iterations == 0`.
     pub fn new(theta: f32, tau: f32, iterations: u32) -> Result<Self, InvalidParamsError> {
-        #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must be rejected too
-        if !(theta > 0.0) {
+        // NaN fails `> 0.0`; an infinity would make `tau / theta` NaN (or
+        // zero), which the step-ratio check below cannot catch.
+        if !(theta > 0.0 && theta.is_finite()) {
             return Err(InvalidParamsError::new(format!(
-                "theta must be positive, got {theta}"
+                "theta must be positive and finite, got {theta}"
             )));
         }
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(tau > 0.0) {
+        if !(tau > 0.0 && tau.is_finite()) {
             return Err(InvalidParamsError::new(format!(
-                "tau must be positive, got {tau}"
+                "tau must be positive and finite, got {tau}"
             )));
         }
         if tau / theta > Self::MAX_STEP_RATIO + 1e-6 {
@@ -259,6 +259,9 @@ mod tests {
         assert!(ChambolleParams::new(0.25, 0.25, 10).is_err()); // ratio 1 > 1/4
         assert!(ChambolleParams::new(0.25, 0.0625, 0).is_err());
         assert!(ChambolleParams::new(f32::NAN, 0.1, 10).is_err());
+        assert!(ChambolleParams::new(f32::INFINITY, 0.1, 10).is_err());
+        assert!(ChambolleParams::new(0.25, f32::INFINITY, 10).is_err());
+        assert!(ChambolleParams::new(f32::INFINITY, f32::INFINITY, 10).is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use chambolle_imaging::Grid;
 use chambolle_par::{KernelBackend, ThreadPool, UnsafeSharedSlice};
 
-use crate::ctx::{ExecCtx, NumericsPolicy};
+use crate::ctx::ExecCtx;
 use crate::kernels::compute_term_row_on;
 use crate::params::{ChambolleParams, InvalidParamsError};
 use crate::real::Real;
@@ -88,10 +88,7 @@ pub fn chambolle_denoise_weighted<R: Real>(
     chambolle_denoise_weighted_with_ctx(v, weights, params, &ExecCtx::default())
 }
 
-/// [`chambolle_denoise_weighted`] under an [`ExecCtx`].
-///
-/// Until PR 5 the weighted solve ignored the pool/telemetry plumbing
-/// entirely; it now honors the context:
+/// [`chambolle_denoise_weighted`] under an [`ExecCtx`]:
 ///
 /// - the term pass runs on the context's pool (row-sharded; each row is
 ///   produced by the same row kernel either way, so the result is
@@ -101,10 +98,9 @@ pub fn chambolle_denoise_weighted<R: Real>(
 ///
 /// The weighted dual update itself stays a sequential scalar pass: its
 /// per-weight renormalization has no fused/vector kernel (the paper's
-/// hardware fixes `w = 1`). The context's numerics tier applies to the
-/// term pass only — under [`NumericsPolicy::Fast`](crate::NumericsPolicy)
-/// the term rows run the Fast tier's FMA term kernels
-/// ([`compute_term_row_on`]). The context's
+/// hardware fixes `w = 1`). Nothing here reads the context's numerics
+/// tier: the term rows ([`compute_term_row_on`]) are the same for both
+/// tiers, so a weighted solve is Exact under either. The context's
 /// cancellation token is **not** polled — the weighted solve has no
 /// cancellable entry point to stay compatible with, and its error type
 /// reports invalid inputs only.
@@ -131,14 +127,13 @@ pub fn chambolle_denoise_weighted_with_ctx<R: Real>(
     validate_weights(weights)?;
     let _span = ctx.telemetry().span("weighted.solve");
     let backend = ctx.backend();
-    let numerics = ctx.numerics();
     let pool = ctx.pool().map(std::sync::Arc::as_ref);
     let inv_theta = R::ONE / R::from_f32(params.theta);
     let step_ratio = R::from_f32(params.step_ratio());
     let mut p = DualField::zeros(v.width(), v.height());
     let mut term = Grid::new(v.width(), v.height(), R::ZERO);
     for _ in 0..params.iterations {
-        term_pass(&p, v, inv_theta, backend, numerics, pool, &mut term);
+        term_pass(&p, v, inv_theta, backend, pool, &mut term);
         update_p_weighted(&mut p, &term, weights, step_ratio);
     }
     Ok((recover_u(v, &p, params.theta), p))
@@ -153,7 +148,6 @@ fn term_pass<R: Real>(
     v: &Grid<R>,
     inv_theta: R,
     backend: KernelBackend,
-    numerics: NumericsPolicy,
     pool: Option<&ThreadPool>,
     term: &mut Grid<R>,
 ) {
@@ -164,7 +158,6 @@ fn term_pass<R: Real>(
     let term_row = |y: usize, out: &mut [R]| {
         compute_term_row_on(
             backend,
-            numerics,
             p.px.row(y),
             p.py.row(y),
             (y > 0).then(|| p.py.row(y - 1)),

@@ -10,15 +10,14 @@
 //! the fixed-point fidelity yardstick the benchmark times.
 
 use crate::datapath::{pe_t, pe_v, PeTInputs, PeVInputs};
-use crate::word::V_BITS;
 use crate::{PackedWord, SqrtUnit, WordFixed};
 
 /// Fixed-point solver state: one frame of `v`, `px`, `py` planes.
 ///
 /// The planes hold full Q24.8 words, but every value respects the packed
-/// field widths at rest: `v` fits in [`V_BITS`] bits (saturated once at
-/// quantization), `px`/`py` in [`P_BITS`](crate::P_BITS) bits (saturated
-/// by every update, as the RTL write path does).
+/// field widths at rest: `v` fits in [`V_BITS`](crate::V_BITS) bits
+/// (saturated once at quantization), `px`/`py` in [`P_BITS`](crate::P_BITS)
+/// bits (saturated by every update, as the RTL write path does).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FixedFrame {
     width: usize,
@@ -31,25 +30,15 @@ pub struct FixedFrame {
 impl FixedFrame {
     /// Quantizes an `f32` frame (row-major, `width * height` samples) into
     /// the packed-word value domain with `p = 0`, the iteration's initial
-    /// state. Out-of-range intensities saturate into the 13-bit `v` field.
+    /// state: every sample becomes [`PackedWord::quantize`], so
+    /// out-of-range intensities saturate into the 13-bit `v` field.
     ///
     /// # Panics
     ///
-    /// Panics if `samples.len() != width * height` or either dimension is
-    /// zero.
+    /// Panics if `samples.len() != width * height`.
     pub fn quantize(samples: &[f32], width: usize, height: usize) -> Self {
-        assert!(width > 0 && height > 0, "frame must be non-empty");
-        assert_eq!(samples.len(), width * height, "sample count mismatch");
-        FixedFrame {
-            width,
-            height,
-            v: samples
-                .iter()
-                .map(|&s| WordFixed::from_f32(s).saturate_to(V_BITS))
-                .collect(),
-            px: vec![WordFixed::ZERO; samples.len()],
-            py: vec![WordFixed::ZERO; samples.len()],
-        }
+        let words: Vec<PackedWord> = samples.iter().map(|&s| PackedWord::quantize(s)).collect();
+        FixedFrame::from_words(&words, width, height)
     }
 
     /// Unpacks BRAM words (row-major, `width * height` of them) into
@@ -203,7 +192,7 @@ pub fn fixed_denoise(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::P_BITS;
+    use crate::{P_BITS, V_BITS};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]

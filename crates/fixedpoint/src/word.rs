@@ -90,6 +90,18 @@ impl PackedWord {
         }
     }
 
+    /// The word of one `f32` input sample with `p = 0`, the iteration's
+    /// initial state: the sample rounds to Q24.8 and saturates into the
+    /// 13-bit `v` field. The one quantization rule of every fixed-point
+    /// solve.
+    pub fn quantize(sample: f32) -> Self {
+        PackedWord::new_saturating(
+            WordFixed::from_f32(sample),
+            WordFixed::ZERO,
+            WordFixed::ZERO,
+        )
+    }
+
     /// Decodes a raw 32-bit memory word.
     pub fn from_bits(bits: u32) -> Self {
         let v = sign_extend(bits >> 19, V_BITS);

@@ -19,12 +19,10 @@ use chambolle_imaging::{Grid, Image};
 use crate::params::HwParams;
 
 /// Quantizes an `f32` image into packed words with `p = 0` (the iteration's
-/// initial state). Out-of-range intensities saturate into the 13-bit `v`
-/// field.
+/// initial state), one [`PackedWord::quantize`] per pixel: out-of-range
+/// intensities saturate into the 13-bit `v` field.
 pub fn quantize_input(v: &Image) -> Grid<PackedWord> {
-    v.map(|&val| {
-        PackedWord::new_saturating(WordFixed::from_f32(val), WordFixed::ZERO, WordFixed::ZERO)
-    })
+    v.map(|&val| PackedWord::quantize(val))
 }
 
 /// The fixed-point state after running Algorithm 1: the packed words hold

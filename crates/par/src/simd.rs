@@ -25,7 +25,8 @@
 //! its own bodies: the Exact core kernels run the scalar reference at SSE2
 //! and the AVX2 bodies at AVX-512, the imaging vertical blur runs scalar at
 //! SSE2, and the imaging gradient runs its SSE2 body at every vector level.
-//! The Fast numerics tier (AVX2+FMA and 16-lane AVX-512 bodies) is
+//! The Fast numerics tier (one fused row step each on AVX2+FMA and 16-lane
+//! AVX-512, with the Exact term and an approximate-reciprocal update) is
 //! validated by tolerance instead — see `chambolle-core`.
 
 use std::sync::OnceLock;

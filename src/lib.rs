@@ -9,8 +9,8 @@
 //! - [`core`] — the Chambolle solver (sequential and the paper's loop
 //!   decomposition over row bands), TV-L1, baselines, diagnostics, and the tiered
 //!   numerics policy (`Exact` bit-reproducible kernels vs the `Fast`
-//!   FMA/temporally-fused tier, selected per call through
-//!   [`core::ExecCtx`] or `CHAMBOLLE_NUMERICS=fast`);
+//!   tier's FMA and approximate-reciprocal dual update, selected per call
+//!   through [`core::ExecCtx`] or `CHAMBOLLE_NUMERICS=fast`);
 //! - [`hwsim`] — the bit- and cycle-faithful simulator of the FPGA
 //!   architecture with its timing and area models;
 //! - [`par`] — the persistent worker pool behind every parallel code path:

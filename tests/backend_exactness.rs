@@ -166,7 +166,6 @@ proptest! {
         let mut term_ref = vec![0.0f32; w];
         compute_term_row_on(
             KernelBackend::Scalar,
-            NumericsPolicy::Exact,
             &px,
             &py,
             with_above.then_some(above.as_slice()),
@@ -190,7 +189,6 @@ proptest! {
             let mut term = vec![0.0f32; w];
             compute_term_row_on(
                 backend,
-                NumericsPolicy::Exact,
                 &px,
                 &py,
                 with_above.then_some(above.as_slice()),

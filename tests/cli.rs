@@ -246,6 +246,29 @@ fn denoise_cli_rejects_gap_tol_on_the_fpga_backend() {
     assert_eq!(status.code(), Some(2));
 }
 
+/// An infinite θ is not a solvable parameter: it would turn every pixel
+/// into NaN, so the CLI must refuse it (exit 1) before writing an image.
+#[test]
+fn denoise_cli_rejects_an_infinite_theta() {
+    let scene = NoiseTexture::new(82);
+    let pair = render_pair(&scene, 16, 12, Motion::Translation { du: 0.0, dv: 0.0 });
+    let input = tmp("inf_theta_in.pgm");
+    write_pgm(&input, &pair.i0).expect("write input");
+    let output = tmp("inf_theta_out.pgm");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_chambolle_denoise"))
+        .args([input.to_str().unwrap(), output.to_str().unwrap()])
+        .args(["--theta", "inf"])
+        .output()
+        .expect("spawn chambolle_denoise");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("invalid solver parameters"), "{stderr}");
+    assert!(!output.exists(), "no image may be written");
+
+    std::fs::remove_file(input).ok();
+}
+
 /// `--gap-tol` runs the monitored solve on the `--threads` pool: every
 /// width stops after the same number of iterations, well inside the
 /// budget, with the same bytes.

@@ -7,6 +7,9 @@
 //!    planar call, on degenerate shapes too and with either square-root
 //!    unit. The array simulator is tested bit-exact against that
 //!    reference inside `chambolle-hwsim`.
+//!
+//!    Both faces quantize their input with the one rule,
+//!    `PackedWord::quantize`, so they start from the same planes.
 //! 2. **Quantization error bound.** Against the `f32` solver of
 //!    `chambolle-core`, the 13/9-bit packed format plus the LUT square
 //!    root stays within the error budget the hwsim model established.
@@ -50,6 +53,24 @@ fn planar_solver_is_bit_identical_to_hwsim_reference() {
                 assert_eq!(frame.py()[i], word.py(), "{at}: py[{i}]");
             }
         }
+    }
+}
+
+#[test]
+fn planar_and_packed_quantization_agree() {
+    // hwsim quantizes to packed words and unpacks them, the planar solve
+    // quantizes straight to planes: one rule, so the same planes, for
+    // in-range samples, saturating ones and an empty frame alike.
+    let in_range = NoiseTexture::new(9).render(7, 5);
+    let saturating = Grid::from_fn(4, 3, |x, y| if (x + y) % 2 == 0 { 1.0e6 } else { -1.0e6 });
+    let empty = Grid::new(0, 3, 0.0f32);
+    for v in [in_range, saturating, empty] {
+        let (w, h) = v.dims();
+        let packed = FixedFrame::from_words(quantize_input(&v).as_slice(), w, h);
+        let planar = FixedFrame::quantize(v.as_slice(), w, h);
+        assert_eq!(packed.v(), planar.v(), "{w}x{h}: v");
+        assert_eq!(packed.px(), planar.px(), "{w}x{h}: px");
+        assert_eq!(packed.py(), planar.py(), "{w}x{h}: py");
     }
 }
 

@@ -6,10 +6,10 @@
 //! within an energy/duality-gap tolerance
 //! ([`NumericsPolicy::ENERGY_RTOL`]), plus a coarse per-pixel sanity bound
 //! ([`NumericsPolicy::PIXEL_ATOL`]) on unit-range images. This harness
-//! sweeps kernel backends, thread counts and iteration budgets (which
-//! exercise different K-deep temporal-fusion tails) and checks both bounds,
-//! plus the determinism the Fast tier *does* still guarantee: identical
-//! results across thread counts for a fixed backend.
+//! sweeps kernel backends, thread counts, frame sizes and iteration
+//! budgets and checks both bounds, plus the determinism the Fast tier
+//! *does* still guarantee: identical results across thread counts for a
+//! fixed backend.
 
 use std::sync::Arc;
 
@@ -69,10 +69,8 @@ fn deviations(
 
 #[test]
 fn fast_tier_stays_within_tolerance_across_backends_and_budgets() {
-    // Budgets straddling the temporal-fusion depth on a small frame: a
-    // partial sweep, exact multiples, and a long run with a ragged tail.
-    // Then the paper's 200 iterations on a larger frame, where the per-pixel
-    // drift is largest.
+    // Short and long budgets on a small frame, then the paper's 200
+    // iterations on a larger frame, where the per-pixel drift is largest.
     let budgets = [1u32, 3, 4, 8, 30, 101].map(|iterations| ((96, 80), iterations));
     for ((w, h), iterations) in budgets.into_iter().chain([((256, 256), 200)]) {
         let v = NoiseTexture::new(17).render(w, h);
@@ -125,19 +123,28 @@ fn fast_tier_stays_within_tolerance_under_threading() {
 #[test]
 fn fast_tier_is_thread_count_invariant_per_backend() {
     // Not a tolerance: for a fixed backend the banded Fast path runs the
-    // same full-width row kernels regardless of the band split, so thread
-    // count must not change a single bit.
+    // same full-width row kernels regardless of the band split, and a
+    // band's priming term row rounds as the fused step's term does, so
+    // thread count must not change a single bit. At θ = 0.25, v·(1/θ) = 4v
+    // is exact and a contracted term would round as the priming row does;
+    // θ = 0.3 tells the two apart.
     let v = NoiseTexture::new(29).render(110, 70);
-    let params = ChambolleParams::with_iterations(18);
-    for backend in supported_backends() {
-        let one = solve(&v, &params, NumericsPolicy::Fast, backend, Some(1));
-        for threads in [2usize, 3, 4] {
-            let many = solve(&v, &params, NumericsPolicy::Fast, backend, Some(threads));
-            assert_eq!(
-                one.as_slice(),
-                many.as_slice(),
-                "{backend:?}: fast tier drifted between 1 and {threads} threads"
-            );
+    let params = [
+        ChambolleParams::with_iterations(18),
+        ChambolleParams::new(0.3, 0.07, 18).expect("stable step ratio"),
+    ];
+    for params in params {
+        for backend in supported_backends() {
+            let one = solve(&v, &params, NumericsPolicy::Fast, backend, Some(1));
+            for threads in [2usize, 3, 4] {
+                let many = solve(&v, &params, NumericsPolicy::Fast, backend, Some(threads));
+                assert_eq!(
+                    one.as_slice(),
+                    many.as_slice(),
+                    "{backend:?} θ={}: fast tier drifted between 1 and {threads} threads",
+                    params.theta
+                );
+            }
         }
     }
 }
